@@ -17,8 +17,8 @@ cohort = generate_synthetic_cohort(
 print(f"cohort: {len(cohort)} samples, {cohort.n_attributes} attributes, "
       f"{cohort.window_length} days")
 
-labels = np.array([s.label for s in cohort.samples])
-X = cohort.values_array()
+labels = np.array(cohort.labels())
+X = cohort.values  # (N, V, T)
 print("\nper-attribute means, cases vs controls (late window, days 16-20):")
 late = X[..., 15:].mean(axis=2)
 for v, name in enumerate(cohort.attribute_names):
@@ -28,7 +28,7 @@ for v, name in enumerate(cohort.attribute_names):
 print("\nmasking 30% of cells under each mechanism:")
 for mech in (Missingness.MCAR, Missingness.MAR, Missingness.MNAR):
     masked = apply_missingness(cohort, MissingnessSpec(mech, 0.3, seed=1))
-    Xm, Rm = masked.values_array(), masked.mask_array()
+    Xm, Rm = masked.values, masked.mask
     obs_mean = Xm[Rm > 0].mean()
     hid_mean = Xm[Rm == 0].mean()
     print(f"  {mech.value}: missing fraction {masked.missing_fraction():.3f}, "

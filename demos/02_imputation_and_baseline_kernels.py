@@ -20,14 +20,13 @@ train, test = train_test_split(masked, 0.8, seed=2)
 print(f"train {len(train)}, test {len(test)}, "
       f"missing fraction {masked.missing_fraction():.2f}\n")
 
-sample = train.samples[0]
-row = sample.values[0]
-obs = sample.mask[0] > 0
+row = train.values[0, 0]
+obs = train.mask[0, 0] > 0
 print("attribute 1 of one patient (x = missing):")
 print("  raw   " + " ".join(f"{v:5.1f}" if o else "    x" for v, o in zip(row, obs)))
 for scheme in ("mean", "locf", "zero"):
     spec = fit_imputer(train, *parse_scheme(scheme))
-    filled = impute(spec, train).samples[0].values[0]
+    filled = impute(spec, train).values[0, 0]
     print(f"  {scheme:5s} " + " ".join(f"{v:5.1f}" for v in filled))
 
 print("\nGram matrices on each completed dataset:")

@@ -27,7 +27,7 @@ print(f"first member: days {m.segment_start + 1}..{m.segment_start + m.segment_l
       f"G={m.q2}, prior strength {m.prior.strength:.2f}")
 
 K = km.gram
-labels = np.array([s.label for s in train.samples])
+labels = np.array(train.labels())
 same = K[np.ix_(labels == 1, labels == 1)].mean()
 diff = K[np.ix_(labels == 1, labels == 0)].mean()
 print(f"\ngram: diagonal all {K.diagonal().min():.0f}, "

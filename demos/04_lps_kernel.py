@@ -16,8 +16,8 @@ cohort = generate_synthetic_cohort(30, 90, 5, 20, 1.5, seed=0)
 masked = apply_missingness(cohort, MissingnessSpec(Missingness.MCAR, 0.3, seed=1))
 train, test = train_test_split(masked, 0.8, seed=2)
 
-sample = train.samples[0]
-pred, tgt = build_segment_matrix(sample, segment_length=4, lag=2, v_pred=0, v_tgt=2)
+samples = train.samples  # per-patient views for the per-sample calls below
+pred, tgt = build_segment_matrix(samples[0], segment_length=4, lag=2, v_pred=0, v_tgt=2)
 print("segment matrix for one sample (l=4, p=2, attr 1 -> attr 3):")
 print(f"  {pred.shape[0]} rows; first row {np.array2string(pred[0], precision=2)} "
       f"-> target {tgt[0]:.2f}")
@@ -28,14 +28,14 @@ sizes = [t.n_leaves for t in forest.trees]
 print(f"forest: {forest.n_trees} trees, {min(sizes)}-{max(sizes)} leaves each, "
       f"representation length {forest.representation_length}")
 
-h0 = lps_represent(forest, train.samples[0])
-h1 = lps_represent(forest, train.samples[1])
+h0 = lps_represent(forest, samples[0])
+h1 = lps_represent(forest, samples[1])
 print(f"bag-of-words: block 0 of sample 1 = {h0.block(0).tolist()}")
 print(f"kernel(sample1, sample2) = {lps_kernel(h0, h1):.4f}, "
       f"self-similarity = {lps_kernel(h0, h0):.4f}")
 
 km = lps_gram(forest, train, test).validate()
-labels = np.array([s.label for s in train.samples])
+labels = np.array(train.labels())
 same = km.gram[np.ix_(labels == 1, labels == 1)].mean()
 diff = km.gram[np.ix_(labels == 1, labels == 0)].mean()
 print(f"\ngram {km.gram.shape}: case-case mean {same:.3f} vs case-control {diff:.3f}; "

@@ -11,8 +11,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import evaluate
 from .cohort import (
     Missingness, MissingnessSpec, apply_missingness, generate_synthetic_cohort,
@@ -355,32 +353,23 @@ def cmd_report(args) -> int:
     if not os.path.exists(args.rows):
         print(f"error: rows file not found: {args.rows}", file=sys.stderr)
         return EXIT_USAGE
-    groups: dict[tuple, list[float]] = {}
-    order = []
+    rows = []
     with open(args.rows) as fh:
         header = fh.readline().strip()
         if header != "method,imputation,window,run,split,precision,recall,f1":
             print("error: unrecognized rows header", file=sys.stderr)
             return EXIT_USAGE
         for line in fh:
-            method, imputation, window, _run, split, _p, _r, score = line.strip().split(",")
-            key = (method, imputation, int(window), split)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(float(score))
-    lines = ["method,imputation,window,split,mean_f1,se_f1"]
-    for key in order:
-        vals = np.array(groups[key])
-        se = repr(float(vals.std(ddof=1) / np.sqrt(vals.size))) if vals.size > 1 else ""
-        lines.append(",".join(map(str, key)) + f",{float(vals.mean())!r},{se}")
-    text = "\n".join(lines) + "\n"
+            method, imputation, window, run, split, p, r, score = line.strip().split(",")
+            rows.append(evaluate.MetricRow(method, imputation, int(window), int(run), split,
+                                           float(p), float(r), float(score)))
+    # Re-aggregation needs the rows only; the sweep's config is not in the file.
+    report = evaluate.ExperimentReport(rows, [], config=None)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        evaluate.write_aggregate_csv(report, args.out)
         print(f"wrote {args.out}")
     else:
-        print(text, end="")
+        print(evaluate.aggregate_csv(report), end="")
     return EXIT_OK
 
 

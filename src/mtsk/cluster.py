@@ -48,9 +48,6 @@ class ClusterAssignment:
     centroids: np.ndarray  # (k, d)
     inertia: float
 
-    def label_of(self, sample_id: str) -> int:
-        return int(self.labels[self.ids.index(sample_id)])
-
 
 def _as_points(emb) -> np.ndarray:
     return emb.points if isinstance(emb, Embedding) else np.asarray(emb, dtype=float)
@@ -229,6 +226,6 @@ def manual_features(cohort: Cohort) -> np.ndarray:
     """Per attribute (mean, max, min) over the window, (N, 3V); needs complete data."""
     if not cohort.is_complete:
         raise ValueError("manual features require a complete (imputed) cohort")
-    X = cohort.values_array()
+    X = cohort.values
     feats = np.stack([X.mean(axis=2), X.max(axis=2), X.min(axis=2)], axis=2)
     return feats.reshape(len(cohort), -1)

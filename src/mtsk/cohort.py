@@ -4,12 +4,14 @@ A cohort is a set of patients, each described by a V x T grid of values
 (one row per attribute, one column per day) together with a binary
 observation mask.  Missing cells are represented by mask = 0; whatever
 value is stored underneath a masked cell must never influence any
-computation.
+computation.  A ``Cohort`` stores the whole set densely, as (N, V, T)
+value and mask arrays, and every transform here works on those arrays.
 """
 from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,72 +64,105 @@ class MTSample:
         return self.values.shape[1]
 
     @property
-    def n_observed(self) -> int:
-        return int(self.mask.sum())
-
-    @property
     def is_complete(self) -> bool:
         return bool(self.mask.all())
 
 
-@dataclass
 class Cohort:
-    """A set of samples sharing attribute names and window length."""
+    """A set of patients sharing attribute names and window length.
 
-    samples: list[MTSample]
-    attribute_names: list[str]
-    window_length: int
+    Stored dense: ``values`` and ``mask`` are read-only float arrays of
+    shape (N, V, T), row i belonging to ``ids()[i]`` and ``labels()[i]``.
+    ``Cohort(samples, attribute_names, window_length)`` builds one from
+    ``MTSample`` records; ``samples`` gives those records back as views.
+    """
 
-    def __post_init__(self):
-        V = len(self.attribute_names)
-        seen = set()
-        for s in self.samples:
-            if s.values.shape != (V, self.window_length):
+    def __init__(self, samples: list[MTSample], attribute_names: list[str],
+                 window_length: int):
+        shape = (len(attribute_names), window_length)
+        for s in samples:
+            if s.values.shape != shape:
                 raise ValueError(
-                    f"sample {s.id!r} has shape {s.values.shape}, cohort expects "
-                    f"({V}, {self.window_length})"
+                    f"sample {s.id!r} has shape {s.values.shape}, cohort expects {shape}"
                 )
-            if s.id in seen:
-                raise ValueError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
-            if s.n_observed < MIN_OBSERVED_CELLS:
-                raise ValueError(
-                    f"sample {s.id!r} has {s.n_observed} observed cells, "
-                    f"minimum is {MIN_OBSERVED_CELLS}"
-                )
+        self._assign(
+            [s.id for s in samples],
+            [s.label for s in samples],
+            np.array([s.values for s in samples]).reshape(len(samples), *shape),
+            np.array([s.mask for s in samples]).reshape(len(samples), *shape),
+            attribute_names,
+            window_length,
+        )
+
+    @classmethod
+    def _from_arrays(cls, ids, labels, values, mask, attribute_names,
+                     window_length) -> "Cohort":
+        cohort = cls.__new__(cls)
+        cohort._assign(ids, labels, values, mask, attribute_names, window_length)
+        return cohort
+
+    def _assign(self, ids, labels, values, mask, attribute_names, window_length):
+        dup = [i for i, count in Counter(ids).items() if count > 1]
+        if dup:
+            raise ValueError(f"duplicate sample id {dup[0]!r}")
+        n_observed = mask.sum(axis=(1, 2))
+        low = np.flatnonzero(n_observed < MIN_OBSERVED_CELLS)
+        if low.size:
+            raise ValueError(
+                f"sample {ids[low[0]]!r} has {int(n_observed[low[0]])} observed cells, "
+                f"minimum is {MIN_OBSERVED_CELLS}"
+            )
+        self.values = np.ascontiguousarray(values, dtype=float)
+        self.mask = np.ascontiguousarray(mask, dtype=float)
+        self.values.flags.writeable = False
+        self.mask.flags.writeable = False
+        self._ids = list(ids)
+        self._labels = list(labels)
+        self.attribute_names = list(attribute_names)
+        self.window_length = window_length
+
+    def __reduce__(self):
+        # Unpickle (e.g. in a sweep worker) through the array constructor: read-only again.
+        return Cohort._from_arrays, (self._ids, self._labels, self.values, self.mask,
+                                     self.attribute_names, self.window_length)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._ids)
 
     @property
     def n_attributes(self) -> int:
         return len(self.attribute_names)
 
+    @property
+    def samples(self) -> list[MTSample]:
+        """One ``MTSample`` per patient, viewing the cohort's arrays."""
+        return [
+            MTSample(i, v, m, lab)
+            for i, lab, v, m in zip(self._ids, self._labels, self.values, self.mask)
+        ]
+
     def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
+        return list(self._ids)
 
     def labels(self) -> list[int | None]:
-        return [s.label for s in self.samples]
-
-    def values_array(self) -> np.ndarray:
-        """All values stacked to (N, V, T)."""
-        if not self.samples:
-            return np.zeros((0, self.n_attributes, self.window_length))
-        return np.stack([s.values for s in self.samples])
-
-    def mask_array(self) -> np.ndarray:
-        """All masks stacked to (N, V, T), float 0/1."""
-        if not self.samples:
-            return np.zeros((0, self.n_attributes, self.window_length))
-        return np.stack([s.mask for s in self.samples])
+        return list(self._labels)
 
     @property
     def is_complete(self) -> bool:
-        return all(s.is_complete for s in self.samples)
+        return bool(self.mask.all())
 
     def missing_fraction(self) -> float:
-        m = self.mask_array()
-        return float(1.0 - m.mean()) if m.size else 0.0
+        return float(1.0 - self.mask.mean()) if self.mask.size else 0.0
+
+
+def _keep_observed(ids, labels, values, mask, attribute_names, window_length):
+    """The cohort of the rows with enough observed cells, and how many rows were dropped."""
+    keep = np.flatnonzero(mask.sum(axis=(1, 2)) >= MIN_OBSERVED_CELLS)
+    cohort = Cohort._from_arrays(
+        [ids[i] for i in keep], [labels[i] for i in keep], values[keep], mask[keep],
+        attribute_names, window_length,
+    )
+    return cohort, len(ids) - keep.size
 
 
 class Missingness(str, Enum):
@@ -210,72 +245,51 @@ def load_cohort(
 
     max_day = max(r[2] for r in rows)
     T = window_length if window_length is not None else max_day
-    if attributes is not None:
-        attr_names = list(attributes)
-        known = set(attr_names)
-    else:
-        attr_names = sorted({r[3] for r in rows})
-        known = set(attr_names)
+    attr_names = list(attributes) if attributes is not None else sorted({r[3] for r in rows})
     attr_index = {a: i for i, a in enumerate(attr_names)}
-
-    # Group by patient, preserving first-appearance order.
-    order: list[str] = []
-    per_patient: dict[str, list] = {}
+    # Patients in first-appearance order, filled straight into the cohort arrays.
+    patient = {pid: i for i, pid in enumerate(dict.fromkeys(r[0] for r in rows))}
     labels: dict[str, int | None] = {}
-    seen_cells: set[tuple[str, int, str]] = set()
+    values = np.zeros((len(patient), len(attr_names), T))
+    mask = np.zeros_like(values)
     for pid, label, day, attr, value, lineno in rows:
-        if attr not in known:
+        if attr not in attr_index:
             raise CohortFormatError(f"line {lineno}: unknown attribute {attr!r}")
         if not 1 <= day <= T:
             raise CohortFormatError(f"line {lineno}: day {day} outside [1, {T}]")
-        key = (pid, day, attr)
-        if key in seen_cells:
+        cell = (patient[pid], attr_index[attr], day - 1)
+        if mask[cell]:
             raise CohortFormatError(
                 f"line {lineno}: duplicate observation for ({pid}, day {day}, {attr})"
             )
-        seen_cells.add(key)
-        if pid not in per_patient:
-            per_patient[pid] = []
-            order.append(pid)
-            labels[pid] = label
-        elif labels[pid] != label:
+        if labels.setdefault(pid, label) != label:
             raise CohortFormatError(f"line {lineno}: inconsistent label for patient {pid!r}")
-        per_patient[pid].append((day, attr, value))
+        values[cell] = value
+        mask[cell] = 1.0
 
-    V = len(attr_names)
-    samples = []
-    n_excluded = 0
-    for pid in order:
-        values = np.zeros((V, T))
-        mask = np.zeros((V, T))
-        for day, attr, value in per_patient[pid]:
-            v = attr_index[attr]
-            values[v, day - 1] = value
-            mask[v, day - 1] = 1.0
-        if mask.sum() < MIN_OBSERVED_CELLS:
-            n_excluded += 1
-            continue
-        samples.append(MTSample(id=pid, values=values, mask=mask, label=labels[pid]))
+    cohort, n_excluded = _keep_observed(list(patient), list(labels.values()), values, mask,
+                                        attr_names, T)
     if n_excluded:
         logger.warning(
             "excluded %d patient(s) with fewer than %d observations",
             n_excluded, MIN_OBSERVED_CELLS,
         )
-    return Cohort(samples, attr_names, T)
+    return cohort
 
 
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort as a long CSV; masked cells produce no row."""
+    ids = cohort.ids()
+    labels = ["NA" if lab is None else str(lab) for lab in cohort.labels()]
+    names = cohort.attribute_names
+    n, v, t = np.nonzero(cohort.mask)  # C order: patient, then attribute, then day
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for s in cohort.samples:
-            label = "NA" if s.label is None else str(s.label)
-            vs, ts = np.nonzero(s.mask)
-            for v, t in zip(vs.tolist(), ts.tolist()):
-                writer.writerow(
-                    [s.id, label, t + 1, cohort.attribute_names[v], repr(float(s.values[v, t]))]
-                )
+        writer.writerows(
+            [ids[i], labels[i], int(d) + 1, names[a], repr(float(x))]
+            for i, a, d, x in zip(n, v, t, cohort.values[n, v, t])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +337,24 @@ def generate_synthetic_cohort(
     attr_names = [f"attr{v + 1:0{width}d}" for v in range(V)]
     pad = len(str(max(n_cases, n_controls)))
 
-    samples = []
+    # Draws stay in per-case order: each case's noise, then its onset day.
+    values = np.empty((n_cases + n_controls, V, T))
+    onsets = np.empty(n_cases, dtype=int)
     for i in range(n_cases):
-        values = base_mean[:, None] + base_std[:, None] * rng.standard_normal((V, T))
-        onset = int(rng.integers(onset_lo, onset_hi + 1))
-        # Ramp factors over days: 0 before onset, 1/3, 2/3 then plateau at 1.
-        day = np.arange(1, T + 1)
-        ramp = np.clip((day - onset + 1) / _RAMP_DAYS, 0.0, 1.0)
-        amp = effect_size * _BUMP_SCALE * base_std[signal_attrs]
-        values[signal_attrs, :] += amp[:, None] * ramp[None, :]
-        samples.append(
-            MTSample(id=f"case{i + 1:0{pad}d}", values=values, mask=np.ones((V, T)), label=1)
-        )
-    for i in range(n_controls):
-        values = base_mean[:, None] + base_std[:, None] * rng.standard_normal((V, T))
-        samples.append(
-            MTSample(id=f"ctrl{i + 1:0{pad}d}", values=values, mask=np.ones((V, T)), label=0)
-        )
-    return Cohort(samples, attr_names, T)
+        values[i] = base_mean[:, None] + base_std[:, None] * rng.standard_normal((V, T))
+        onsets[i] = rng.integers(onset_lo, onset_hi + 1)
+    values[n_cases:] = (
+        base_mean[:, None] + base_std[:, None] * rng.standard_normal((n_controls, V, T))
+    )
+    # Ramp factors over days: 0 before onset, 1/3, 2/3 then plateau at 1.
+    day = np.arange(1, T + 1)
+    ramp = np.clip((day[None, :] - onsets[:, None] + 1) / _RAMP_DAYS, 0.0, 1.0)
+    amp = effect_size * _BUMP_SCALE * base_std[signal_attrs]
+    values[:n_cases, signal_attrs] += amp[None, :, None] * ramp[:, None, :]
+    ids = [f"case{i + 1:0{pad}d}" for i in range(n_cases)]
+    ids += [f"ctrl{i + 1:0{pad}d}" for i in range(n_controls)]
+    labels = [1] * n_cases + [0] * n_controls
+    return Cohort._from_arrays(ids, labels, values, np.ones_like(values), attr_names, T)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +409,7 @@ def apply_missingness(cohort: Cohort, spec: MissingnessSpec) -> Cohort:
     if len(cohort) == 0 or spec.rate == 0.0:
         return cohort
 
-    X = cohort.values_array()  # (N, V, T)
+    X = cohort.values
     N, V, T = X.shape
     rng = np.random.default_rng([11, spec.seed])
 
@@ -416,20 +430,16 @@ def apply_missingness(cohort: Cohort, spec: MissingnessSpec) -> Cohort:
         prob = _sigmoid(a - score)
 
     hide = rng.random((N, V, T)) < prob
-    new_samples = []
-    n_dropped = 0
-    for i, s in enumerate(cohort.samples):
-        mask = np.where(hide[i], 0.0, 1.0)
-        if mask.sum() < MIN_OBSERVED_CELLS:
-            n_dropped += 1
-            continue
-        new_samples.append(MTSample(id=s.id, values=s.values.copy(), mask=mask, label=s.label))
+    out, n_dropped = _keep_observed(
+        cohort.ids(), cohort.labels(), X, np.where(hide, 0.0, 1.0),
+        cohort.attribute_names, cohort.window_length,
+    )
     if n_dropped:
         logger.warning(
             "dropped %d sample(s) reduced below %d observations by masking",
             n_dropped, MIN_OBSERVED_CELLS,
         )
-    return Cohort(new_samples, list(cohort.attribute_names), cohort.window_length)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +466,7 @@ def train_test_split(
             raise ValueError("stratified split requires labels on every sample")
         train_idx = []
         test_idx = []
-        labels = np.array([s.label for s in cohort.samples])
+        labels = np.array(cohort.labels())
         for lab in sorted(set(labels.tolist())):
             members = np.flatnonzero(labels == lab)
             perm = members[rng.permutation(members.size)]
@@ -470,29 +480,28 @@ def train_test_split(
         test_idx = perm[n_tr:].tolist()
     if not train_idx or not test_idx:
         raise ValueError(f"split of {N} samples at fraction {train_fraction} leaves a side empty")
-    names = list(cohort.attribute_names)
-    train = Cohort([cohort.samples[i] for i in train_idx], names, cohort.window_length)
-    test = Cohort([cohort.samples[i] for i in test_idx], names, cohort.window_length)
-    return train, test
+    ids, labels = cohort.ids(), cohort.labels()
+
+    def take(rows):
+        return Cohort._from_arrays(
+            [ids[i] for i in rows], [labels[i] for i in rows], cohort.values[rows],
+            cohort.mask[rows], cohort.attribute_names, cohort.window_length,
+        )
+
+    return take(train_idx), take(test_idx)
 
 
 def truncate_window(cohort: Cohort, days: int) -> Cohort:
     """Keep only the first ``days`` columns; drop samples left under-observed."""
     if not 1 <= days <= cohort.window_length:
         raise ValueError(f"days must be in [1, {cohort.window_length}], got {days}")
-    samples = []
-    n_dropped = 0
-    for s in cohort.samples:
-        mask = s.mask[:, :days].copy()
-        if mask.sum() < MIN_OBSERVED_CELLS:
-            n_dropped += 1
-            continue
-        samples.append(
-            MTSample(id=s.id, values=s.values[:, :days].copy(), mask=mask, label=s.label)
-        )
+    out, n_dropped = _keep_observed(
+        cohort.ids(), cohort.labels(), cohort.values[:, :, :days], cohort.mask[:, :, :days],
+        cohort.attribute_names, days,
+    )
     if n_dropped:
         logger.warning(
             "truncation to %d day(s) dropped %d sample(s) below %d observations",
             days, n_dropped, MIN_OBSERVED_CELLS,
         )
-    return Cohort(samples, list(cohort.attribute_names), days)
+    return out

@@ -414,12 +414,18 @@ def write_rows_csv(report: ExperimentReport, path) -> None:
             )
 
 
+def aggregate_csv(report: ExperimentReport) -> str:
+    """The report's aggregates as CSV text, the content of ``report_aggregate.csv``."""
+    lines = ["method,imputation,window,split,mean_f1,se_f1\n"]
+    for a in report.aggregates():
+        se = "" if a.se_f1 is None else repr(a.se_f1)
+        lines.append(f"{a.method},{a.imputation},{a.window},{a.split},{a.mean_f1!r},{se}\n")
+    return "".join(lines)
+
+
 def write_aggregate_csv(report: ExperimentReport, path) -> None:
     with open(path, "w") as fh:
-        fh.write("method,imputation,window,split,mean_f1,se_f1\n")
-        for a in report.aggregates():
-            se = "" if a.se_f1 is None else repr(a.se_f1)
-            fh.write(f"{a.method},{a.imputation},{a.window},{a.split},{a.mean_f1!r},{se}\n")
+        fh.write(aggregate_csv(report))
 
 
 def write_report_json(report: ExperimentReport, path) -> None:

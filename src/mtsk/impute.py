@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cohort import Cohort, MTSample
+from .cohort import Cohort
 
 BC_SUFFIX = "_obs"
 
@@ -67,8 +67,7 @@ def fit_imputer(
     V = train.n_attributes
     if len(train) == 0:
         raise ValueError("cannot fit an imputer on an empty cohort")
-    X = train.values_array()
-    R = train.mask_array()
+    X, R = train.values, train.mask
     counts = R.sum(axis=(0, 2))  # per attribute
     sums = (X * R).sum(axis=(0, 2))
     if method != ImputationMethod.ZERO:
@@ -80,17 +79,11 @@ def fit_imputer(
     return ImputationSpec(method, bool(bias_correct), list(train.attribute_names), means)
 
 
-def _fill_mean(values: np.ndarray, mask: np.ndarray, means: np.ndarray) -> np.ndarray:
-    return np.where(mask > 0, values, means[:, None])
-
-
 def _fill_locf(values: np.ndarray, mask: np.ndarray, means: np.ndarray) -> np.ndarray:
-    V, T = values.shape
-    # Index of the most recent observed column, -1 while none seen yet.
-    pos = np.where(mask > 0, np.arange(T)[None, :], -1)
-    last = np.maximum.accumulate(pos, axis=1)
-    rows = np.arange(V)[:, None]
-    carried = values[rows, np.maximum(last, 0)]
+    T = values.shape[-1]
+    # Index of the most recent observed day, -1 while none seen yet.
+    last = np.maximum.accumulate(np.where(mask > 0, np.arange(T), -1), axis=-1)
+    carried = np.take_along_axis(values, np.maximum(last, 0), axis=-1)
     return np.where(last >= 0, carried, means[:, None])
 
 
@@ -111,17 +104,14 @@ def impute(spec: ImputationSpec, cohort: Cohort) -> Cohort:
     if spec.bias_correct:
         out_names += [name + BC_SUFFIX for name in spec.attribute_names]
 
-    samples = []
-    for s in cohort.samples:
-        if spec.method == ImputationMethod.MEAN:
-            filled = _fill_mean(s.values, s.mask, spec.train_attribute_means)
-        elif spec.method == ImputationMethod.LOCF:
-            filled = _fill_locf(s.values, s.mask, spec.train_attribute_means)
-        else:
-            filled = np.where(s.mask > 0, s.values, 0.0)
-        if spec.bias_correct:
-            filled = np.vstack([filled, s.mask])
-        samples.append(
-            MTSample(id=s.id, values=filled, mask=np.ones_like(filled), label=s.label)
-        )
-    return Cohort(samples, out_names, cohort.window_length)
+    X, R = cohort.values, cohort.mask
+    if spec.method == ImputationMethod.MEAN:
+        filled = np.where(R > 0, X, spec.train_attribute_means[:, None])
+    elif spec.method == ImputationMethod.LOCF:
+        filled = _fill_locf(X, R, spec.train_attribute_means)
+    else:
+        filled = np.where(R > 0, X, 0.0)
+    if spec.bias_correct:
+        filled = np.concatenate([filled, R], axis=1)
+    return Cohort._from_arrays(cohort.ids(), cohort.labels(), filled, np.ones_like(filled),
+                               out_names, cohort.window_length)

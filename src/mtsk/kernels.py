@@ -10,6 +10,7 @@ kernel PSD (a flat cut-off band would not).
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -61,11 +62,14 @@ class KernelMatrix:
         return self
 
 
-def _require_complete(x: MTSample, kernel: str) -> None:
+def _require_complete(x: MTSample | Cohort, kernel: str) -> None:
+    """Raise unless every cell of the sample, or of every sample in the cohort, is observed."""
     if not x.is_complete:
-        raise ValueError(
-            f"{kernel} kernel requires complete inputs; impute sample {x.id!r} first"
-        )
+        if isinstance(x, MTSample):
+            sid = x.id
+        else:
+            sid = x.ids()[int(np.argmin(x.mask.min(axis=(1, 2))))]
+        raise ValueError(f"{kernel} kernel requires complete inputs; impute sample {sid!r} first")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +128,7 @@ def fit_gak_params(train: Cohort) -> GAKParams:
     """
     if len(train) < 2:
         raise ValueError("need at least 2 training samples")
-    F = train.values_array().reshape(len(train), -1)
+    F = train.values.reshape(len(train), -1)
     if not train.is_complete:
         raise ValueError("gak heuristics require complete (imputed) data")
     sq = np.sum(F * F, axis=1)
@@ -192,20 +196,22 @@ def gak_log(x: MTSample, y: MTSample, params: GAKParams) -> float:
 
 def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> KernelMatrix:
     """Per-pair normalized GAK Gram: exp(log k(x,y) - (log k(x,x) + log k(y,y))/2)."""
-    n = len(train)
-    self_log = np.array([gak_log(s, s, params) for s in train.samples])
+    samples = train.samples
+    n = len(samples)
+    self_log = np.array([gak_log(s, s, params) for s in samples])
     gram = np.ones((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            lg = gak_log(train.samples[i], train.samples[j], params)
+            lg = gak_log(samples[i], samples[j], params)
             gram[i, j] = gram[j, i] = math.exp(lg - 0.5 * (self_log[i] + self_log[j]))
     cross = None
     if test is not None:
-        test_self = np.array([gak_log(s, s, params) for s in test.samples])
-        cross = np.empty((n, len(test)))
+        test_samples = test.samples
+        test_self = np.array([gak_log(s, s, params) for s in test_samples])
+        cross = np.empty((n, len(test_samples)))
         for i in range(n):
-            for j, t in enumerate(test.samples):
-                lg = gak_log(train.samples[i], t, params)
+            for j, t in enumerate(test_samples):
+                lg = gak_log(samples[i], t, params)
                 cross[i, j] = math.exp(lg - 0.5 * (self_log[i] + test_self[j]))
     return KernelMatrix(gram, "gak", cross)
 
@@ -223,14 +229,12 @@ def gram_matrix(
     its diagonal is exactly one; the linear Gram is raw inner products.
     """
     if kernel == "linear":
-        for s in train.samples:
-            _require_complete(s, "linear")
-        Ftr = train.values_array().reshape(len(train), -1)
+        _require_complete(train, "linear")
+        Ftr = train.values.reshape(len(train), -1)
         Fte = None
         if test is not None:
-            for s in test.samples:
-                _require_complete(s, "linear")
-            Fte = test.values_array().reshape(len(test), -1)
+            _require_complete(test, "linear")
+            Fte = test.values.reshape(len(test), -1)
         return linear_gram(Ftr, Fte, c=c)
     if kernel == "gak":
         if params is None:
@@ -262,3 +266,22 @@ def load_matrix(path) -> tuple[str, np.ndarray]:
         ]
     arr = np.array(rows, dtype=float).reshape(int(n), int(m))
     return tag, arr
+
+
+# Model archives (TCK models, LPS forests): named arrays plus a JSON header.
+_FORMAT_VERSION = 1
+
+
+def _save_npz(path, meta: dict, arrays: dict) -> None:
+    """Write ``arrays`` with ``meta`` and the format version as a ``__meta__`` JSON entry."""
+    meta = {"version": _FORMAT_VERSION, **meta}
+    np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+
+
+def _load_npz(path, what: str) -> tuple[dict, dict]:
+    """The header and the arrays of an archive written by ``_save_npz``."""
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["__meta__"]))
+        if meta["version"] != _FORMAT_VERSION:
+            raise ValueError(f"unsupported {what} version {meta['version']}")
+        return meta, {k: data[k] for k in data.files if k != "__meta__"}

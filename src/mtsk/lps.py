@@ -12,14 +12,13 @@ more training rows.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohort import Cohort, MTSample
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, _load_npz, _save_npz
 
 MIN_SEGMENT_FRACTION = 0.15
 MAX_SEGMENT_FRACTION = 0.5
@@ -96,12 +95,6 @@ class LPSForest:
     @property
     def representation_length(self) -> int:
         return sum(t.n_leaves for t in self.trees)
-
-    def tree_offsets(self) -> list[int]:
-        offsets = [0]
-        for t in self.trees:
-            offsets.append(offsets[-1] + t.n_leaves)
-        return offsets
 
 
 @dataclass
@@ -223,6 +216,7 @@ def lps_train(
     if l_min + 1 > T:
         raise ValueError(f"window of {T} day(s) is too short for segment rows")
 
+    samples = train.samples
     trees = []
     for j in range(n_trees):
         rng = np.random.default_rng([seed, j])
@@ -232,7 +226,7 @@ def lps_train(
         v_tgt = int(rng.integers(V))
         preds = []
         tgts = []
-        for s in train.samples:
+        for s in samples:
             a, b = build_segment_matrix(s, l, p, v_pred, v_tgt)
             preds.append(a)
             tgts.append(b)
@@ -257,7 +251,8 @@ def lps_represent(forest: LPSForest, x: MTSample) -> BagRepresentation:
         pred, _ = build_segment_matrix(x, t.segment_length, t.lag,
                                        t.predictor_attr, t.target_attr)
         blocks.append(t.route(pred))
-    return BagRepresentation(np.concatenate(blocks), forest.tree_offsets())
+    offsets = np.cumsum([0] + [t.n_leaves for t in forest.trees]).tolist()
+    return BagRepresentation(np.concatenate(blocks), offsets)
 
 
 def lps_kernel(h_n, h_m) -> float:
@@ -294,12 +289,9 @@ def lps_gram(
 # ---------------------------------------------------------------------------
 # Serialization
 
-_FORMAT_VERSION = 1
-
 
 def save_lps_forest(forest: LPSForest, path) -> None:
     meta = {
-        "version": _FORMAT_VERSION,
         "window_length": forest.window_length,
         "trees": [
             {
@@ -319,28 +311,24 @@ def save_lps_forest(forest: LPSForest, path) -> None:
         arrays[f"t{k}_right"] = t.right
         arrays[f"t{k}_missing_left"] = t.missing_left
         arrays[f"t{k}_leaf_slot"] = t.leaf_slot
-    np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    _save_npz(path, meta, arrays)
 
 
 def load_lps_forest(path) -> LPSForest:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta["version"] != _FORMAT_VERSION:
-            raise ValueError(f"unsupported LPS forest version {meta['version']}")
-        trees = []
-        for k, tm in enumerate(meta["trees"]):
-            trees.append(
-                LPSTree(
-                    segment_length=tm["segment_length"],
-                    lag=tm["lag"],
-                    predictor_attr=tm["predictor_attr"],
-                    target_attr=tm["target_attr"],
-                    feature=data[f"t{k}_feature"],
-                    threshold=data[f"t{k}_threshold"],
-                    left=data[f"t{k}_left"],
-                    right=data[f"t{k}_right"],
-                    missing_left=data[f"t{k}_missing_left"],
-                    leaf_slot=data[f"t{k}_leaf_slot"],
-                )
-            )
-        return LPSForest(trees, meta["window_length"])
+    meta, data = _load_npz(path, "LPS forest")
+    trees = [
+        LPSTree(
+            segment_length=tm["segment_length"],
+            lag=tm["lag"],
+            predictor_attr=tm["predictor_attr"],
+            target_attr=tm["target_attr"],
+            feature=data[f"t{k}_feature"],
+            threshold=data[f"t{k}_threshold"],
+            left=data[f"t{k}_left"],
+            right=data[f"t{k}_right"],
+            missing_left=data[f"t{k}_missing_left"],
+            leaf_slot=data[f"t{k}_leaf_slot"],
+        )
+        for k, tm in enumerate(meta["trees"])
+    ]
+    return LPSForest(trees, meta["window_length"])

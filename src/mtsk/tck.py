@@ -11,7 +11,6 @@ posteriors.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cohort import Cohort
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, _load_npz, _save_npz
 
 logger = logging.getLogger(__name__)
 
@@ -332,8 +331,9 @@ def tck_train(
         raise ValueError("C must be >= 2")
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    X = train.values_array()
-    R = train.mask_array()
+    # Zero the hidden cells: R * f(X) must see finite X even where R is 0.
+    R = train.mask
+    X = np.where(R > 0, train.values, 0.0)
     V, T = X.shape[1], X.shape[2]
     n_min = math.ceil(0.8 * N)
     v_min = min(2, V)
@@ -384,8 +384,8 @@ def tck_train(
 
 def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
     """Cross-kernel of stored training posteriors against a new cohort."""
-    X = test.values_array()
-    R = test.mask_array()
+    R = test.mask
+    X = np.where(R > 0, test.values, 0.0)
     if len(test) == 0:
         raise ValueError("empty test cohort")
     if X.shape[1] != model.n_attributes or X.shape[2] != model.window_length:
@@ -406,12 +406,9 @@ def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_FORMAT_VERSION = 1
-
 
 def save_tck_model(model: TCKModel, path) -> None:
     meta = {
-        "version": _FORMAT_VERSION,
         "Q": model.Q,
         "C": model.C,
         "n_train": model.n_train,
@@ -439,40 +436,33 @@ def save_tck_model(model: TCKModel, path) -> None:
         arrays[f"m{k}_means"] = m.params.means
         arrays[f"m{k}_variances"] = m.params.variances
         arrays[f"m{k}_posteriors"] = m.train_posteriors
-    np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    _save_npz(path, meta, arrays)
 
 
 def load_tck_model(path) -> TCKModel:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta["version"] != _FORMAT_VERSION:
-            raise ValueError(f"unsupported TCK model version {meta['version']}")
-        members = []
-        for k, mm in enumerate(meta["members"]):
-            params = DiagGMMParams(
+    meta, data = _load_npz(path, "TCK model")
+    members = [
+        TCKMember(
+            q1=mm["q1"],
+            q2=mm["q2"],
+            segment_start=mm["segment_start"],
+            segment_length=mm["segment_length"],
+            attributes=data[f"m{k}_attrs"],
+            train_subset=data[f"m{k}_subset"],
+            prior=MemberPrior(mm["strength"], mm["smoothing_width"], mm["a0"], mm["b0_scale"]),
+            params=DiagGMMParams(
                 data[f"m{k}_weights"], data[f"m{k}_means"], data[f"m{k}_variances"]
-            )
-            members.append(
-                TCKMember(
-                    q1=mm["q1"],
-                    q2=mm["q2"],
-                    segment_start=mm["segment_start"],
-                    segment_length=mm["segment_length"],
-                    attributes=data[f"m{k}_attrs"],
-                    train_subset=data[f"m{k}_subset"],
-                    prior=MemberPrior(
-                        mm["strength"], mm["smoothing_width"], mm["a0"], mm["b0_scale"]
-                    ),
-                    params=params,
-                    train_posteriors=data[f"m{k}_posteriors"],
-                )
-            )
-        return TCKModel(
-            members,
-            meta["Q"],
-            meta["C"],
-            meta["n_train"],
-            meta["n_attributes"],
-            meta["window_length"],
-            data["train_gram"],
+            ),
+            train_posteriors=data[f"m{k}_posteriors"],
         )
+        for k, mm in enumerate(meta["members"])
+    ]
+    return TCKModel(
+        members,
+        meta["Q"],
+        meta["C"],
+        meta["n_train"],
+        meta["n_attributes"],
+        meta["window_length"],
+        data["train_gram"],
+    )

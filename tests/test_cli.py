@@ -219,5 +219,14 @@ class TestReport:
         assert run_cli("report", "--rows", out / "report_rows.csv", "--out", agg2) == 0
         assert agg2.read_bytes() == (out / "report_aggregate.csv").read_bytes()
 
+    def test_stdout_matches_run_output(self, tmp_path, capsys):
+        cohort = _synth_csv(tmp_path)
+        config = _run_config(tmp_path, cohort)
+        assert run_cli("run", config) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("report", "--rows", out / "report_rows.csv") == 0
+        assert capsys.readouterr().out.encode() == (out / "report_aggregate.csv").read_bytes()
+
     def test_missing_rows_file(self, tmp_path, capsys):
         assert run_cli("report", "--rows", tmp_path / "no.csv") == 2

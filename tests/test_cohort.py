@@ -114,7 +114,7 @@ class TestSynthetic:
         a = generate_synthetic_cohort(50, 150, 11, 20, 1.5, seed=7)
         b = generate_synthetic_cohort(50, 150, 11, 20, 1.5, seed=7)
         assert a.ids() == b.ids()
-        assert np.array_equal(a.values_array(), b.values_array())
+        assert np.array_equal(a.values, b.values)
 
     def test_shape_contract(self):
         cohort = generate_synthetic_cohort(1, 1, 2, 7, 1.0, seed=1)
@@ -128,7 +128,7 @@ class TestSynthetic:
         # within 3 standard errors of the difference.
         cohort = generate_synthetic_cohort(500, 500, 3, 10, 0.0, seed=11)
         labels = np.array([s.label for s in cohort.samples])
-        X = cohort.values_array()
+        X = cohort.values
         cases, controls = X[labels == 1], X[labels == 0]
         for v in range(3):
             diff = cases[:, v].mean() - controls[:, v].mean()
@@ -141,7 +141,7 @@ class TestSynthetic:
     def test_effect_size_scales_case_means(self):
         cohort = generate_synthetic_cohort(200, 200, 4, 20, 2.0, seed=3)
         labels = np.array([s.label for s in cohort.samples])
-        X = cohort.values_array()
+        X = cohort.values
         late = X[..., 15:].mean(axis=2)  # all onsets have plateaued by day 15
         gap = late[labels == 1].mean(axis=0) - late[labels == 0].mean(axis=0)
         assert gap.max() > 0.5  # signal attributes moved
@@ -174,8 +174,8 @@ class TestMissingness:
     def test_mnar_hides_low_values(self):
         cohort = generate_synthetic_cohort(50, 150, 5, 20, 1.0, seed=6)
         out = apply_missingness(cohort, MissingnessSpec(Missingness.MNAR, 0.3, seed=7))
-        X = out.values_array()
-        R = out.mask_array()
+        X = out.values
+        R = out.mask
         observed_mean = X[R > 0].mean()
         masked_mean = X[R == 0].mean()
         assert observed_mean > masked_mean
@@ -234,7 +234,7 @@ class TestTruncate:
         cohort = generate_synthetic_cohort(4, 4, 3, 10, 1.0, seed=0)
         out = truncate_window(cohort, 10)
         assert out.ids() == cohort.ids()
-        assert np.array_equal(out.values_array(), cohort.values_array())
+        assert np.array_equal(out.values, cohort.values)
 
     def test_late_observations_drop_sample(self):
         values = np.arange(20.0).reshape(1, 20)
@@ -256,7 +256,7 @@ class TestTruncate:
         cohort = generate_synthetic_cohort(4, 4, 3, 20, 1.0, seed=0)
         a = truncate_window(truncate_window(cohort, 12), 6)
         b = truncate_window(cohort, 6)
-        assert np.array_equal(a.values_array(), b.values_array())
+        assert np.array_equal(a.values, b.values)
         assert a.window_length == b.window_length == 6
 
     def test_out_of_range_rejected(self):

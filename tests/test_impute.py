@@ -82,7 +82,7 @@ class TestImpute:
         cohort = generate_synthetic_cohort(3, 3, 4, 8, 1.0, seed=0)
         spec = fit_imputer(cohort, ImputationMethod.ZERO)
         out = impute(spec, cohort)
-        assert np.array_equal(out.values_array(), cohort.values_array())
+        assert np.array_equal(out.values, cohort.values)
 
     def test_bias_correction_stacks_mask_block(self):
         cohort = generate_synthetic_cohort(6, 5, 11, 9, 1.0, seed=1)
@@ -112,7 +112,7 @@ class TestImpute:
         spec = fit_imputer(masked, ImputationMethod.LOCF)
         once = impute(spec, masked)
         twice = impute(spec, once)
-        assert np.array_equal(once.values_array(), twice.values_array())
+        assert np.array_equal(once.values, twice.values)
 
     def test_bias_corrected_output_rejected_as_input(self):
         cohort = generate_synthetic_cohort(5, 5, 3, 10, 1.0, seed=7)
@@ -125,10 +125,10 @@ class TestImpute:
     def test_zero_marks_exactly_the_missing_cells(self):
         cohort = generate_synthetic_cohort(5, 5, 3, 10, 1.0, seed=9)
         masked = apply_missingness(cohort, MissingnessSpec(Missingness.MCAR, 0.4, seed=10))
-        assert (masked.values_array() > 0).all()  # baselines keep values positive here
+        assert (masked.values > 0).all()  # baselines keep values positive here
         spec = fit_imputer(masked, ImputationMethod.ZERO)
         out = impute(spec, masked)
-        assert np.array_equal(out.values_array() == 0.0, masked.mask_array() == 0.0)
+        assert np.array_equal(out.values == 0.0, masked.mask == 0.0)
 
 
 class TestSchemes:

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mtsk.cohort import Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness, generate_synthetic_cohort
-from mtsk.impute import ImputationMethod, fit_imputer, impute
+from mtsk.cohort import (
+    Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
+    generate_synthetic_cohort, train_test_split,
+)
+from mtsk.impute import ALL_SCHEMES, ImputationMethod, fit_imputer, impute, parse_scheme
 from mtsk.kernels import (
     GAKParams,
     KernelMatrix,
@@ -15,6 +18,8 @@ from mtsk.kernels import (
     load_matrix,
     save_matrix,
 )
+from mtsk.lps import lps_gram, lps_train
+from mtsk.tck import tck_test, tck_train
 
 
 def _sample(values, sid="x", mask=None, label=None):
@@ -214,6 +219,31 @@ class TestGram:
         bad = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="eigenvalue"):
             KernelMatrix(bad, "test").validate()
+
+
+class TestMaskInvariance:
+    def test_values_under_the_mask_change_no_gram(self):
+        # Any finite value may sit under mask == 0; 1e200 overflows (x - mu)^2.
+        full = generate_synthetic_cohort(8, 16, 3, 10, 1.5, seed=21)
+        masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=22))
+        poisoned = Cohort(
+            [MTSample(s.id, np.where(s.mask > 0, s.values, 1e200), s.mask, s.label)
+             for s in masked.samples],
+            masked.attribute_names, masked.window_length,
+        )
+
+        def grams(cohort):
+            train, test = train_test_split(cohort, 0.75, seed=23)
+            tck_km, model = tck_train(train, Q=2, C=3, seed=24)
+            out = [tck_km.gram, tck_test(model, test).cross,
+                   lps_gram(lps_train(train, n_trees=5, seed=25), train, test).gram]
+            for scheme in ALL_SCHEMES:
+                spec = fit_imputer(train, *parse_scheme(scheme))
+                out.append(gram_matrix("linear", impute(spec, train), impute(spec, test)).gram)
+            return out
+
+        for a, b in zip(grams(masked), grams(poisoned), strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestSerialization:
