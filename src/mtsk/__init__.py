@@ -47,13 +47,11 @@ from .kernels import (
     save_matrix,
 )
 from .lps import (
-    BagRepresentation,
     LPSForest,
     LPSTree,
     build_segment_matrix,
     load_lps_forest,
     lps_gram,
-    lps_kernel,
     lps_represent,
     lps_train,
     save_lps_forest,

@@ -334,6 +334,8 @@ def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,
 
     if config.supervised_baseline:
         name = method.kernel + SUPERVISED_SUFFIX
+        # The train score is optimistic: each training point is among its own
+        # k nearest neighbours and votes for its own true label.
         pred = knn_assign(emb_tr, y_tr, emb_tr, k=k_nn)
         p, r, s = _prf(Confusion.from_predictions(pred, y_tr), lit)
         rows.append(MetricRow(name, method.imputation_label, window, run, "train", p, r, s))
@@ -351,8 +353,8 @@ def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,
     return rows, dump
 
 
-def _run_cell_safe(args):
-    cohort, config, run, window, method = args
+def _run_cell_safe(cohort: Cohort, task):
+    config, run, window, method = task
     try:
         rows, dump = _run_cell(cohort, config, run, window, method)
         return rows, dump, None
@@ -363,33 +365,49 @@ def _run_cell_safe(args):
         return [], None, err
 
 
+# The cohort of a sweep worker process, set once by _init_worker so that
+# tasks need not carry it.
+_worker_cohort: Cohort | None = None
+
+
+def _init_worker(cohort: Cohort) -> None:
+    global _worker_cohort
+    _worker_cohort = cohort
+
+
+def _run_worker_cell(task):
+    return _run_cell_safe(_worker_cohort, task)
+
+
 def run_experiment(cohort: Cohort, config: ExperimentConfig,
                    n_workers: int = 1) -> ExperimentReport:
     """Run the full (run x window x method) grid and collect metric rows.
 
     Cells are pure functions of their derived seeds, so the grid can be
     evaluated by any number of workers without changing the report; failed
-    cells are recorded as errors and leave no rows.
+    cells are recorded as errors and leave no rows.  Each worker receives
+    the cohort once, when it starts.
     """
     _require_labels(cohort)
     methods = config.effective_methods()
     tasks = [
-        (cohort, config, run, window, method)
+        (config, run, window, method)
         for run in range(config.runs)
         for window in config.windows
         for method in methods
     ]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_cell_safe, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+                                 initargs=(cohort,)) as pool:
+            results = list(pool.map(_run_worker_cell, tasks, chunksize=1))
     else:
-        results = [_run_cell_safe(t) for t in tasks]
+        results = [_run_cell_safe(cohort, t) for t in tasks]
 
     report = ExperimentReport([], [], config)
     for task, (rows, dump, err) in zip(tasks, results):
         report.rows.extend(rows)
         if dump is not None:
-            _, _, run, window, method = task
+            _, run, window, method = task
             report.embedding_dumps[(method.label, window)] = dump
         if err is not None:
             report.errors.append(err)

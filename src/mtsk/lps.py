@@ -3,12 +3,14 @@
 Each series is cut into overlapping segments: a window of one attribute
 predicts a lagged value of another.  Random regression trees (one random
 feature per node, best threshold among a random sample) are grown on the
-pooled segment rows of the training cohort; a series is then represented
-by the histogram of its segment rows over every tree's terminal nodes,
-and similarity is the histogram intersection kernel.  Missing cells are
-carried as NaN markers: rows with a missing target are not used to grow
-trees, and a row missing a split feature follows the child that received
-more training rows.
+pooled segment rows of the training cohort; a patient is then represented
+by the counts of its segment rows over every tree's terminal nodes, and
+similarity is the histogram intersection kernel.  Every function works on
+a whole ``Cohort``: segment rows come from one index into its (N, V, T)
+arrays, and each tree routes the rows of all patients in one call.
+Missing cells are carried as NaN markers: rows with a missing target are
+not used to grow trees, and a row missing a split feature follows the
+child that received more training rows.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Cohort, MTSample
+from .cohort import Cohort
 from .kernels import KernelMatrix, _load_npz, _save_npz
 
 MIN_SEGMENT_FRACTION = 0.15
@@ -28,24 +30,26 @@ N_THRESHOLD_CANDIDATES = 20
 
 
 def build_segment_matrix(
-    x: MTSample, segment_length: int, lag: int, v_pred: int, v_tgt: int
+    cohort: Cohort, segment_length: int, lag: int, v_pred: int, v_tgt: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Segment rows of one sample: (predict window, lagged target value).
+    """Segment rows of every patient: (predict window, lagged target value).
 
-    Returns ``(predictors, targets)`` where predictors is (S, l) and
-    targets is (S,), S = T - l - p + 1; missing cells appear as NaN.
+    Returns ``(predictors, targets)`` where predictors is (N, S, l) and
+    targets is (N, S), S = T - l - p + 1; missing cells appear as NaN.
     """
     l, p = segment_length, lag
-    T = x.n_days
+    T = cohort.window_length
     if l < 1 or p < 1:
         raise ValueError("segment_length and lag must be >= 1")
     if l + p > T:
-        raise ValueError(f"segment_length {l} + lag {p} exceeds window {T}")
-    row_pred = np.where(x.mask[v_pred] > 0, x.values[v_pred], np.nan)
-    row_tgt = np.where(x.mask[v_tgt] > 0, x.values[v_tgt], np.nan)
+        raise ValueError(
+            f"segment_length {l} + lag {p} exceeds window {T}; use a larger window"
+        )
+    attrs = [v_pred, v_tgt]
+    series = np.where(cohort.mask[:, attrs] > 0, cohort.values[:, attrs], np.nan)
     S = T - l - p + 1
     idx = np.arange(S)[:, None] + np.arange(l)[None, :]
-    return row_pred[idx], row_tgt[np.arange(S) + l + p - 1]
+    return series[:, 0, idx], series[:, 1, l + p - 1:]
 
 
 @dataclass
@@ -68,7 +72,7 @@ class LPSTree:
         return int((self.leaf_slot >= 0).sum())
 
     def route(self, predictors: np.ndarray) -> np.ndarray:
-        """Histogram of segment rows over the terminal nodes."""
+        """Leaf slot of every segment row."""
         node = np.zeros(predictors.shape[0], dtype=int)
         while True:
             internal = self.feature[node] >= 0
@@ -80,7 +84,7 @@ class LPSTree:
             absent = np.isnan(vals)
             go_left = np.where(absent, self.missing_left[at], vals <= self.threshold[at])
             node[rows] = np.where(go_left, self.left[at], self.right[at])
-        return np.bincount(self.leaf_slot[node], minlength=self.n_leaves)
+        return self.leaf_slot[node]
 
 
 @dataclass
@@ -95,22 +99,6 @@ class LPSForest:
     @property
     def representation_length(self) -> int:
         return sum(t.n_leaves for t in self.trees)
-
-
-@dataclass
-class BagRepresentation:
-    """Concatenated terminal-node counts, one block per tree."""
-
-    counts: np.ndarray
-    offsets: list[int]  # block boundaries, len = n_trees + 1
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=int)
-        if (self.counts < 0).any():
-            raise ValueError("bag counts must be nonnegative")
-
-    def block(self, j: int) -> np.ndarray:
-        return self.counts[self.offsets[j]:self.offsets[j + 1]]
 
 
 class _TreeBuilder:
@@ -216,7 +204,6 @@ def lps_train(
     if l_min + 1 > T:
         raise ValueError(f"window of {T} day(s) is too short for segment rows")
 
-    samples = train.samples
     trees = []
     for j in range(n_trees):
         rng = np.random.default_rng([seed, j])
@@ -224,66 +211,48 @@ def lps_train(
         p = int(rng.integers(1, min(p_max, T - l) + 1))
         v_pred = int(rng.integers(V))
         v_tgt = int(rng.integers(V))
-        preds = []
-        tgts = []
-        for s in samples:
-            a, b = build_segment_matrix(s, l, p, v_pred, v_tgt)
-            preds.append(a)
-            tgts.append(b)
-        pred = np.vstack(preds)
-        tgt = np.concatenate(tgts)
+        pred, tgt = build_segment_matrix(train, l, p, v_pred, v_tgt)
         keep = ~np.isnan(tgt)  # rows with an absent target teach nothing
         builder = _TreeBuilder(rng, max_depth)
+        # Masking pools the rows patient by patient; grow()'s threshold draws depend on that order.
         builder.grow(pred[keep], tgt[keep])
         trees.append(builder.finish(l, p, v_pred, v_tgt))
     return LPSForest(trees, T)
 
 
-def lps_represent(forest: LPSForest, x: MTSample) -> BagRepresentation:
-    """Route every segment row of a sample through every tree and count leaves."""
+def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
+    """Leaf counts of every patient: an (N, representation_length) int matrix.
+
+    Each tree routes the segment rows of the whole cohort once; its block
+    of columns holds, per patient, how many rows reached each of its leaves.
+    """
+    N = len(cohort)
     blocks = []
     for t in forest.trees:
-        if t.segment_length + t.lag > x.n_days:
-            raise ValueError(
-                f"sample {x.id!r} has a {x.n_days}-day window, too short for a tree "
-                f"with segment {t.segment_length} and lag {t.lag}; use a larger window"
-            )
-        pred, _ = build_segment_matrix(x, t.segment_length, t.lag,
+        pred, _ = build_segment_matrix(cohort, t.segment_length, t.lag,
                                        t.predictor_attr, t.target_attr)
-        blocks.append(t.route(pred))
-    offsets = np.cumsum([0] + [t.n_leaves for t in forest.trees]).tolist()
-    return BagRepresentation(np.concatenate(blocks), offsets)
+        leaf = t.route(pred.reshape(-1, t.segment_length))
+        sample = np.repeat(np.arange(N), pred.shape[1])
+        counts = np.bincount(sample * t.n_leaves + leaf, minlength=N * t.n_leaves)
+        blocks.append(counts.reshape(N, t.n_leaves))
+    return np.hstack(blocks)
 
 
-def lps_kernel(h_n, h_m) -> float:
-    """Histogram intersection, normalized by the total representation length."""
-    a = h_n.counts if isinstance(h_n, BagRepresentation) else np.asarray(h_n)
-    b = h_m.counts if isinstance(h_m, BagRepresentation) else np.asarray(h_m)
-    if a.shape != b.shape:
-        raise ValueError(f"representation lengths differ: {a.shape} vs {b.shape}")
-    return float(np.minimum(a, b).sum() / a.size)
+def _intersection(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Histogram intersection of every row of H with every row of B, divided by the row length."""
+    out = np.empty((H.shape[0], B.shape[0]))
+    for i, h in enumerate(H):
+        out[i] = np.minimum(h, B).sum(axis=1)
+    return out / H.shape[1]
 
 
 def lps_gram(
     forest: LPSForest, train: Cohort, test: Cohort | None = None
 ) -> KernelMatrix:
     """Histogram-intersection Gram of a cohort (plus optional cross-kernel)."""
-    H = np.stack([lps_represent(forest, s).counts for s in train.samples]).astype(float)
-    n, K = H.shape
-    gram = np.empty((n, n))
-    for i in range(n):
-        gram[i, i:] = np.minimum(H[i][None, :], H[i:]).sum(axis=1)
-    i, j = np.tril_indices(n, k=-1)
-    gram[i, j] = gram[j, i]
-    gram /= K
-    cross = None
-    if test is not None:
-        Hte = np.stack([lps_represent(forest, s).counts for s in test.samples]).astype(float)
-        cross = np.empty((n, Hte.shape[0]))
-        for i in range(n):
-            cross[i] = np.minimum(H[i][None, :], Hte).sum(axis=1)
-        cross /= K
-    return KernelMatrix(gram, "lps", cross)
+    H = lps_represent(forest, train)
+    cross = None if test is None else _intersection(H, lps_represent(forest, test))
+    return KernelMatrix(_intersection(H, H), "lps", cross)
 
 
 # ---------------------------------------------------------------------------

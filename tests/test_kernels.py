@@ -235,8 +235,8 @@ class TestMaskInvariance:
         def grams(cohort):
             train, test = train_test_split(cohort, 0.75, seed=23)
             tck_km, model = tck_train(train, Q=2, C=3, seed=24)
-            out = [tck_km.gram, tck_test(model, test).cross,
-                   lps_gram(lps_train(train, n_trees=5, seed=25), train, test).gram]
+            lps_km = lps_gram(lps_train(train, n_trees=5, seed=25), train, test)
+            out = [tck_km.gram, tck_test(model, test).cross, lps_km.gram, lps_km.cross]
             for scheme in ALL_SCHEMES:
                 spec = fit_imputer(train, *parse_scheme(scheme))
                 out.append(gram_matrix("linear", impute(spec, train), impute(spec, test)).gram)
