@@ -42,7 +42,6 @@ from .kernels import (
     gak_gram,
     gak_log,
     gram_matrix,
-    linear_kernel,
     load_matrix,
     save_matrix,
 )

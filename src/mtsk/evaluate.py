@@ -19,7 +19,7 @@ import numpy as np
 from .cohort import Cohort, train_test_split, truncate_window
 from .cluster import Embedding, dump_embedding, kmeans, knn_assign, kpca_fit, kpca_project, manual_features
 from .impute import ALL_SCHEMES, fit_imputer, impute, parse_scheme
-from .kernels import fit_gak_params, gak_gram, gram_matrix, linear_gram
+from .kernels import gram_matrix, linear_gram
 from .lps import lps_gram, lps_train
 from .tck import tck_test, tck_train
 
@@ -298,9 +298,7 @@ def _cell_kernel(method: MethodSpec, tr: Cohort, te: Cohort, config, seed: int):
     tei = impute(spec, te)
     if method.kernel == "manual":
         return linear_gram(manual_features(tri), manual_features(tei), method_tag="manual")
-    if method.kernel == "linear":
-        return gram_matrix("linear", tri, tei)
-    return gak_gram(tri, fit_gak_params(tri), tei)
+    return gram_matrix(method.kernel, tri, tei)
 
 
 def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,

@@ -1,12 +1,14 @@
 """Imputation-dependent kernels: linear kernel and the global alignment kernel.
 
-Both require complete inputs.  The GAK follows the triangular, geometrically
-divided construction: the local similarity between time frames s and t is
-w(s, t) * k/(2 - k), with k the Gaussian kernel and w the triangular window
-(1 - |s - t|/triangular)+, summed over all monotone alignments of the two
-time axes in the log domain.  Cells beyond the triangular parameter carry
-zero weight, and the window's positive-definiteness keeps the alignment
-kernel PSD (a flat cut-off band would not).
+Both require complete inputs and work on whole cohorts.  The GAK follows the
+triangular, geometrically divided construction: the local similarity between
+time frames s and t is w(s, t) * k/(2 - k), with k the Gaussian kernel and w
+the triangular window (1 - |s - t|/triangular)+, summed over all monotone
+alignments of the two time axes in the log domain.  Cells beyond the
+triangular parameter carry zero weight, and the window's positive-definiteness
+keeps the alignment kernel PSD (a flat cut-off band would not).  One dynamic
+program runs over all patient pairs at once, each lattice cell an (N, M)
+array step.
 """
 from __future__ import annotations
 
@@ -76,15 +78,6 @@ def _require_complete(x: MTSample | Cohort, kernel: str) -> None:
 # Linear kernel
 
 
-def linear_kernel(x: MTSample, y: MTSample, c: float = 0.0) -> float:
-    """Inner product of the row-major vectorizations, plus a constant c."""
-    _require_complete(x, "linear")
-    _require_complete(y, "linear")
-    if x.values.shape != y.values.shape:
-        raise ValueError("samples must share V x T dimensions")
-    return float(np.dot(x.values.ravel(), y.values.ravel()) + c)
-
-
 def linear_gram(
     features: np.ndarray, test_features: np.ndarray | None = None, c: float = 0.0,
     method_tag: str = "linear",
@@ -143,76 +136,60 @@ def fit_gak_params(train: Cohort) -> GAKParams:
     return GAKParams(sigma=sigma, triangular=triangular)
 
 
-def _log_local_similarity(
-    a: np.ndarray, b: np.ndarray, sigma: float, triangular: int
-) -> np.ndarray:
-    """log of w * k/(2-k) for all (s, t): Gaussian k, triangular window w."""
-    sa = np.sum(a * a, axis=0)
-    sb = np.sum(b * b, axis=0)
-    d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * (a.T @ b), 0.0)
-    logk = -d2 / (2.0 * sigma * sigma)
-    out = logk - np.log1p(-np.expm1(logk))
-    offset = np.abs(np.arange(a.shape[1])[:, None] - np.arange(b.shape[1])[None, :])
-    with np.errstate(divide="ignore"):
-        out += np.log(np.maximum(1.0 - offset / triangular, 0.0))
-    return out
+def _gak_logs(a: np.ndarray, b: np.ndarray, params: GAKParams) -> np.ndarray:
+    """Log of the unnormalized GAK between every a[n] and b[m]: an (N, M) array.
+
+    ``a`` is (N, V, T1) and ``b`` is (M, V, T2).  One dynamic program over
+    monotone alignments of the two time axes, with the pair axis as a batch
+    dimension; the triangular window zeroes every lattice cell at or beyond
+    ``triangular`` steps from the diagonal.  Log-domain throughout, so no
+    underflow for long windows.
+    """
+    fa = np.moveaxis(a, 2, 0)  # frame-major: (T1, N, V)
+    fb = np.moveaxis(b, 2, 0)
+    sa = np.sum(fa * fa, axis=2)
+    sb = np.sum(fb * fb, axis=2)
+    t1, t2, tri = fa.shape[0], fb.shape[0], params.triangular
+    # Lattice cells outside the band share one -inf array, so only the band is held.
+    neg_inf = np.full((len(a), len(b)), -np.inf)
+    prev = [np.zeros_like(neg_inf)] + [neg_inf] * t2
+    for i in range(1, t1 + 1):
+        cur = [neg_inf] * (t2 + 1)
+        for j in range(max(1, i - tri + 1), min(t2, i + tri - 1) + 1):
+            d2 = np.maximum(sa[i - 1][:, None] + sb[j - 1] - 2.0 * (fa[i - 1] @ fb[j - 1].T), 0.0)
+            logk = -d2 / (2.0 * params.sigma * params.sigma)
+            local = logk - np.log1p(-np.expm1(logk)) + math.log(1.0 - abs(i - j) / tri)
+            cur[j] = np.logaddexp(np.logaddexp(prev[j], cur[j - 1]), prev[j - 1]) + local
+        prev = cur
+    return prev[t2]
 
 
 def gak_log(x: MTSample, y: MTSample, params: GAKParams) -> float:
-    """Log of the unnormalized global alignment kernel between two samples.
-
-    Dynamic program over monotone alignments of the two time axes; the
-    triangular window zeroes every lattice cell at or beyond ``triangular``
-    steps from the diagonal.  Log-domain throughout, so no underflow for
-    long windows.
-    """
+    """Log of the unnormalized global alignment kernel between two samples."""
     _require_complete(x, "gak")
     _require_complete(y, "gak")
     if x.n_attributes != y.n_attributes:
         raise ValueError("samples must share the attribute dimension")
-    ll = _log_local_similarity(x.values, y.values, params.sigma, params.triangular).tolist()
-    tx, ty = x.n_days, y.n_days
-    tri = params.triangular
-    neg_inf = float("-inf")
-    prev = [neg_inf] * (ty + 1)
-    prev[0] = 0.0
-    for i in range(1, tx + 1):
-        cur = [neg_inf] * (ty + 1)
-        row = ll[i - 1]
-        lo = max(1, i - tri + 1)
-        hi = min(ty, i + tri - 1)
-        for j in range(lo, hi + 1):
-            up, left, diag = prev[j], cur[j - 1], prev[j - 1]
-            m = up if up > left else left
-            if diag > m:
-                m = diag
-            if m == neg_inf:
-                continue
-            s = math.exp(up - m) + math.exp(left - m) + math.exp(diag - m)
-            cur[j] = m + math.log(s) + row[j - 1]
-        prev = cur
-    return prev[ty]
+    return float(_gak_logs(x.values[None], y.values[None], params)[0, 0])
 
 
 def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> KernelMatrix:
-    """Per-pair normalized GAK Gram: exp(log k(x,y) - (log k(x,x) + log k(y,y))/2)."""
-    samples = train.samples
-    n = len(samples)
-    self_log = np.array([gak_log(s, s, params) for s in samples])
-    gram = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            lg = gak_log(samples[i], samples[j], params)
-            gram[i, j] = gram[j, i] = math.exp(lg - 0.5 * (self_log[i] + self_log[j]))
+    """Normalized GAK Gram: exp(log k(x,y) - (log k(x,x) + log k(y,y))/2)."""
+    _require_complete(train, "gak")
+    logs = _gak_logs(train.values, train.values, params)
+    self_log = np.diag(logs)
+    gram = np.exp(logs - 0.5 * (self_log[:, None] + self_log[None, :]))
+    # Mirror the upper triangle so symmetry is exact, not just within round-off.
+    i, j = np.tril_indices(len(train), k=-1)
+    gram[i, j] = gram[j, i]
     cross = None
     if test is not None:
-        test_samples = test.samples
-        test_self = np.array([gak_log(s, s, params) for s in test_samples])
-        cross = np.empty((n, len(test_samples)))
-        for i in range(n):
-            for j, t in enumerate(test_samples):
-                lg = gak_log(samples[i], t, params)
-                cross[i, j] = math.exp(lg - 0.5 * (self_log[i] + test_self[j]))
+        _require_complete(test, "gak")
+        test_self = np.diag(_gak_logs(test.values, test.values, params))
+        cross = np.exp(
+            _gak_logs(train.values, test.values, params)
+            - 0.5 * (self_log[:, None] + test_self[None, :])
+        )
     return KernelMatrix(gram, "gak", cross)
 
 

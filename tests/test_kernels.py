@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
@@ -12,9 +14,10 @@ from mtsk.kernels import (
     GAKParams,
     KernelMatrix,
     fit_gak_params,
+    gak_gram,
     gak_log,
     gram_matrix,
-    linear_kernel,
+    linear_gram,
     load_matrix,
     save_matrix,
 )
@@ -63,28 +66,101 @@ def enumerate_gak(x, y, sigma, triangular):
     return math.log(walk(1, 1))
 
 
+def _oracle_log_local_similarity(a, b, sigma, triangular):
+    """log of w * k/(2-k) for all (s, t): Gaussian k, triangular window w."""
+    sa = np.sum(a * a, axis=0)
+    sb = np.sum(b * b, axis=0)
+    d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * (a.T @ b), 0.0)
+    logk = -d2 / (2.0 * sigma * sigma)
+    out = logk - np.log1p(-np.expm1(logk))
+    offset = np.abs(np.arange(a.shape[1])[:, None] - np.arange(b.shape[1])[None, :])
+    with np.errstate(divide="ignore"):
+        out += np.log(np.maximum(1.0 - offset / triangular, 0.0))
+    return out
+
+
+def _oracle_gak_log(x, y, params):
+    """The scalar per-pair dynamic program, one lattice cell at a time."""
+    ll = _oracle_log_local_similarity(x.values, y.values, params.sigma, params.triangular)
+    ll = ll.tolist()
+    tx, ty = x.n_days, y.n_days
+    tri = params.triangular
+    neg_inf = float("-inf")
+    prev = [neg_inf] * (ty + 1)
+    prev[0] = 0.0
+    for i in range(1, tx + 1):
+        cur = [neg_inf] * (ty + 1)
+        row = ll[i - 1]
+        lo = max(1, i - tri + 1)
+        hi = min(ty, i + tri - 1)
+        for j in range(lo, hi + 1):
+            up, left, diag = prev[j], cur[j - 1], prev[j - 1]
+            m = up if up > left else left
+            if diag > m:
+                m = diag
+            if m == neg_inf:
+                continue
+            s = math.exp(up - m) + math.exp(left - m) + math.exp(diag - m)
+            cur[j] = m + math.log(s) + row[j - 1]
+        prev = cur
+    return prev[ty]
+
+
+def _oracle_gak_matrices(train, test, params):
+    """Per-pair normalized GAK Gram (upper triangle mirrored) and cross."""
+    samples, test_samples = train.samples, test.samples
+    n = len(samples)
+    self_log = [_oracle_gak_log(s, s, params) for s in samples]
+    test_self = [_oracle_gak_log(s, s, params) for s in test_samples]
+    gram = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            lg = _oracle_gak_log(samples[i], samples[j], params)
+            gram[i, j] = gram[j, i] = math.exp(lg - 0.5 * (self_log[i] + self_log[j]))
+    cross = np.empty((n, len(test_samples)))
+    for i in range(n):
+        for j, t in enumerate(test_samples):
+            lg = _oracle_gak_log(samples[i], t, params)
+            cross[i, j] = math.exp(lg - 0.5 * (self_log[i] + test_self[j]))
+    return gram, cross
+
+
+def _cohort(*values):
+    samples = [_sample(v, sid=f"s{i}") for i, v in enumerate(values)]
+    V, T = samples[0].values.shape
+    return Cohort(samples, [f"a{k}" for k in range(V)], T)
+
+
+def _imputed_mar_split(n_cases, n_controls, V, T, scheme, seed):
+    """A 30% MAR cohort split 3:1 and imputed with ``scheme`` fitted on train."""
+    full = generate_synthetic_cohort(n_cases, n_controls, V, T, 1.5, seed=seed)
+    masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=seed + 1))
+    train, test = train_test_split(masked, 0.75, seed=seed + 2)
+    spec = fit_imputer(train, *parse_scheme(scheme))
+    return impute(spec, train), impute(spec, test)
+
+
 class TestLinear:
     def test_inner_product(self):
-        x = _sample([[1, 2], [0, 1]])
-        y = _sample([[1, 0], [1, 1]])
-        assert linear_kernel(x, y, 0.0) == 2.0
+        cohort = _cohort([[1, 2], [0, 1]], [[1, 0], [1, 1]])
+        assert gram_matrix("linear", cohort).gram[0, 1] == 2.0
 
     def test_self_kernel_is_squared_frobenius(self):
         rng = np.random.default_rng(0)
-        x = _sample(rng.normal(size=(3, 5)))
-        assert linear_kernel(x, x, 0.0) == pytest.approx(np.sum(x.values**2))
+        cohort = _cohort(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
+        gram = gram_matrix("linear", cohort).gram
+        assert gram[0, 0] == pytest.approx(np.sum(cohort.values[0] ** 2))
 
     def test_constant_offset(self):
-        x = _sample(np.zeros((2, 2)))
-        assert linear_kernel(x, x, 5.0) == 5.0
+        assert linear_gram(np.zeros((1, 4)), c=5.0).gram[0, 0] == 5.0
 
     def test_incomplete_input_rejected(self):
         mask = np.ones((2, 3))
         mask[0, 0] = 0
-        x = _sample(np.zeros((2, 3)), mask=mask)
-        y = _sample(np.zeros((2, 3)))
+        x = _sample(np.zeros((2, 3)), sid="x", mask=mask)
+        y = _sample(np.zeros((2, 3)), sid="y")
         with pytest.raises(ValueError, match="impute"):
-            linear_kernel(x, y)
+            gram_matrix("linear", Cohort([x, y], ["a", "b"], 3))
 
     def test_one_hot_gram_is_identity(self):
         samples = [_sample(np.eye(4)[i].reshape(1, 4), sid=f"s{i}") for i in range(4)]
@@ -98,10 +174,9 @@ class TestLinear:
         masked = apply_missingness(cohort, MissingnessSpec(Missingness.MCAR, 0.3, seed=1))
         plain = impute(fit_imputer(masked, ImputationMethod.MEAN), masked)
         stacked = impute(fit_imputer(masked, ImputationMethod.MEAN, True), masked)
-        x_p, y_p = plain.samples[0], plain.samples[1]
-        x_s, y_s = stacked.samples[0], stacked.samples[1]
-        mask_dot = float(np.dot(masked.samples[0].mask.ravel(), masked.samples[1].mask.ravel()))
-        assert linear_kernel(x_s, y_s) == pytest.approx(linear_kernel(x_p, y_p) + mask_dot)
+        mask_dot = float(np.dot(masked.mask[0].ravel(), masked.mask[1].ravel()))
+        want = gram_matrix("linear", plain).gram[0, 1] + mask_dot
+        assert gram_matrix("linear", stacked).gram[0, 1] == pytest.approx(want)
 
 
 class TestGAKParams:
@@ -191,6 +266,30 @@ class TestGAK:
         km = gram_matrix("gak", cohort)
         assert (km.gram.max(axis=1) == 1.0).all()
 
+    def test_gram_and_cross_match_per_pair_oracle(self):
+        # The batched DP sums the same terms in another order, and BLAS blocks
+        # the frame inner products differently: agreement to rtol 1e-12.
+        train, test = _imputed_mar_split(8, 16, 3, 16, "locf+bc", seed=70)
+        assert len(train) != len(test)
+        params = fit_gak_params(train)
+        assert params.triangular == 3
+        # Narrow the bandwidth so that the Gram spreads well below 1.
+        params = GAKParams(params.sigma / 8.0, params.triangular)
+        km = gak_gram(train, params, test)
+        gram, cross = _oracle_gak_matrices(train, test, params)
+        assert gram.min() < 0.5
+        np.testing.assert_allclose(km.gram, gram, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(km.cross, cross, rtol=1e-12, atol=0)
+        assert np.array_equal(np.diag(km.gram), np.ones(len(train)))
+        assert np.array_equal(km.gram, km.gram.T)
+
+    def test_gram_exactly_symmetric_at_paper_width(self):
+        # At 22 attributes and ~180+ patients, BLAS blocking rounds the frame
+        # inner products of (i, j) and (j, i) apart; the Gram must not show it.
+        cohort = generate_synthetic_cohort(50, 200, 22, 12, 1.0, seed=71)
+        km = gram_matrix("gak", cohort)
+        assert np.array_equal(km.gram, km.gram.T)
+
 
 class TestGram:
     @pytest.mark.parametrize("kernel", ["linear", "gak"])
@@ -240,10 +339,38 @@ class TestMaskInvariance:
             for scheme in ALL_SCHEMES:
                 spec = fit_imputer(train, *parse_scheme(scheme))
                 out.append(gram_matrix("linear", impute(spec, train), impute(spec, test)).gram)
-            return out
+            spec = fit_imputer(train, *parse_scheme("mean+bc"))
+            gak_km = gram_matrix("gak", impute(spec, train), impute(spec, test))
+            return out + [gak_km.gram, gak_km.cross]
 
         for a, b in zip(grams(masked), grams(poisoned), strict=True):
             assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def imputed_split():
+    train, test = _imputed_mar_split(4, 10, 3, 10, "mean+bc", seed=80)
+    return train, test, {k: gram_matrix(k, train, test) for k in ("gak", "linear")}
+
+
+def _reordered(cohort: Cohort, order) -> Cohort:
+    samples = cohort.samples
+    return Cohort([samples[i] for i in order], cohort.attribute_names, cohort.window_length)
+
+
+class TestPermutation:
+    @pytest.mark.parametrize("kernel", ["gak", "linear"])
+    @given(data=st.data())
+    def test_permuting_patients_permutes_gram_and_cross(self, imputed_split, kernel, data):
+        # Not bit-exact: BLAS blocks the permuted products differently, and the
+        # Gram's mirror keeps the other orientation of some pairs.
+        train, test, kms = imputed_split
+        km = kms[kernel]
+        p = np.array(data.draw(st.permutations(range(len(train))), label="train order"))
+        q = np.array(data.draw(st.permutations(range(len(test))), label="test order"))
+        out = gram_matrix(kernel, _reordered(train, p), _reordered(test, q))
+        np.testing.assert_allclose(out.gram, km.gram[np.ix_(p, p)], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.cross, km.cross[np.ix_(p, q)], rtol=1e-12, atol=0)
 
 
 class TestSerialization:
