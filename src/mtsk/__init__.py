@@ -61,7 +61,6 @@ from .tck import (
     MemberPrior,
     TCKMember,
     TCKModel,
-    diaggmm_posterior,
     fit_diaggmm,
     load_tck_model,
     save_tck_model,

@@ -16,10 +16,10 @@ from .cohort import (
     Missingness, MissingnessSpec, apply_missingness, generate_synthetic_cohort,
     load_cohort, write_cohort,
 )
-from .impute import ALL_SCHEMES, fit_imputer, impute, parse_scheme
-from .kernels import fit_gak_params, gak_gram, gram_matrix, save_matrix
-from .lps import lps_gram, lps_train, save_lps_forest
-from .tck import save_tck_model, tck_test, tck_train
+from .impute import ALL_SCHEMES
+from .kernels import save_matrix
+from .lps import save_lps_forest
+from .tck import save_tck_model
 
 logger = logging.getLogger(__name__)
 
@@ -64,13 +64,14 @@ def cmd_synth(args) -> int:
 # kernel
 
 
+_SAVE_MODEL = {"tck": save_tck_model, "lps": save_lps_forest}
+
+
 def cmd_kernel(args) -> int:
-    if args.method in ("linear", "gak") and args.impute == "none":
-        print(
-            f"error: the {args.method} kernel cannot work on incomplete data; "
-            "pick --impute from " + ", ".join(ALL_SCHEMES),
-            file=sys.stderr,
-        )
+    try:
+        method = evaluate.MethodSpec(args.method, None if args.impute == "none" else args.impute)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for path in filter(None, (args.train, args.test)):
         if not os.path.exists(path):
@@ -80,43 +81,22 @@ def cmd_kernel(args) -> int:
     test = load_cohort(args.test, window_length=train.window_length,
                        attributes=train.attribute_names) if args.test else None
 
-    tag = args.method if args.impute == "none" else f"{args.method}+{args.impute}"
-    if args.impute != "none":
-        method, bc = parse_scheme(args.impute)
-        spec = fit_imputer(train, method, bc)
-        train = impute(spec, train)
-        if test is not None:
-            test = impute(spec, test)
-
-    model_path = None
-    if args.method == "tck":
-        km, model = tck_train(train, seed=args.seed)
-        if test is not None:
-            km = tck_test(model, test)
-        model_path = f"{args.out_prefix}.tck.npz"
-        save_tck_model(model, model_path)
-    elif args.method == "lps":
-        forest = lps_train(train, seed=args.seed)
-        km = lps_gram(forest, train, test)
-        model_path = f"{args.out_prefix}.lps.npz"
-        save_lps_forest(forest, model_path)
-    elif args.method == "gak":
-        params = fit_gak_params(train)
-        km = gak_gram(train, params, test)
-        print(f"gak params: sigma={params.sigma:.6g}, triangular={params.triangular}")
-    else:
-        km = gram_matrix("linear", train, test)
+    # The sweep's dispatch, with the sweep's ensemble sizes.
+    config = evaluate.ExperimentConfig(methods=(method,))
+    km, fitted = evaluate.cell_kernel(method, train, test, config, args.seed)
     km.validate()
+    if method.kernel == "gak":
+        print(f"gak params: sigma={fitted.sigma:.6g}, triangular={fitted.triangular}")
 
-    gram_path = f"{args.out_prefix}.gram.csv"
-    save_matrix(gram_path, tag, km.gram)
-    written = [gram_path]
-    if km.cross is not None:
-        cross_path = f"{args.out_prefix}.cross.csv"
-        save_matrix(cross_path, tag, km.cross)
-        written.append(cross_path)
-    if model_path:
-        written.append(model_path)
+    tag = args.method if method.imputation is None else f"{args.method}+{args.impute}"
+    written = []
+    for name, matrix in (("gram", km.gram), ("cross", km.cross)):
+        if matrix is not None:
+            written.append(f"{args.out_prefix}.{name}.csv")
+            save_matrix(written[-1], tag, matrix)
+    if method.kernel in _SAVE_MODEL:
+        written.append(f"{args.out_prefix}.{method.kernel}.npz")
+        _SAVE_MODEL[method.kernel](fitted, written[-1])
     print(f"wrote {', '.join(written)}")
     return EXIT_OK
 
@@ -167,11 +147,24 @@ def _parse_methods(raw, errors) -> tuple:
     return tuple(out)
 
 
-_TOP_KEYS = {
-    "cohort", "output_dir", "methods", "windows", "runs", "base_seed",
-    "train_fraction", "stratify", "pipeline", "baselines", "evaluation",
-    "tck", "lps", "embedding_dumps",
+# Optional keys, top level (None) and per section: JSON key -> (ExperimentConfig
+# field, conversion or None to pass the value through).  Absent keys are not
+# passed, so the defaults live in ExperimentConfig alone.
+_OPTIONS = {
+    None: {"runs": ("runs", int), "base_seed": ("base_seed", int),
+           "train_fraction": ("train_fraction", float), "stratify": ("stratify", bool)},
+    "pipeline": {"kpca_dim": ("kpca_dim", int), "k_clusters": ("k_clusters", int),
+                 "knn_k": ("knn_k", int), "kmeans_restarts": ("kmeans_restarts", int)},
+    "baselines": {"supervised": ("supervised_baseline", bool),
+                  "manual_features": ("manual_baseline", bool)},
+    "evaluation": {"paper_literal_f1": ("paper_literal_f1", bool)},
+    "tck": {"Q": ("tck_q", int), "C": ("tck_c", None), "max_iter": ("tck_max_iter", int)},
+    "lps": {"trees": ("lps_trees", int), "max_depth": ("lps_depth", int)},
+    "embedding_dumps": {"methods": ("embedding_dump_methods", tuple),
+                        "windows": ("embedding_dump_windows", tuple)},
 }
+_TOP_KEYS = {"cohort", "output_dir", "methods", "windows", *_OPTIONS[None],
+             *filter(None, _OPTIONS)}
 _SYNTH_KEYS = {"cases", "controls", "attributes", "days", "effect_size", "seed", "missing"}
 
 
@@ -225,48 +218,22 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
     elif not os.path.isabs(output_dir):
         output_dir = os.path.join(config_dir, output_dir)
 
-    methods = _parse_methods(doc.get("methods", "full"), errors)
-    windows = _parse_windows(doc.get("windows", list(range(7, 21))), errors)
-
-    pipeline = doc.get("pipeline", {})
-    _check_keys(pipeline, {"kpca_dim", "k_clusters", "knn_k", "kmeans_restarts"},
-                "pipeline", errors)
-    baselines = doc.get("baselines", {})
-    _check_keys(baselines, {"supervised", "manual_features"}, "baselines", errors)
-    evaluation = doc.get("evaluation", {})
-    _check_keys(evaluation, {"paper_literal_f1"}, "evaluation", errors)
-    tck_opts = doc.get("tck", {})
-    _check_keys(tck_opts, {"Q", "C", "max_iter"}, "tck", errors)
-    lps_opts = doc.get("lps", {})
-    _check_keys(lps_opts, {"trees", "max_depth"}, "lps", errors)
-    dumps = doc.get("embedding_dumps", {})
-    _check_keys(dumps, {"methods", "windows"}, "embedding_dumps", errors)
+    fields = {"methods": _parse_methods(doc.get("methods", "full"), errors)}
+    if "windows" in doc:
+        fields["windows"] = _parse_windows(doc["windows"], errors)
+    sections = {s: doc if s is None else doc.get(s, {}) for s in _OPTIONS}
+    for section, obj in sections.items():
+        if section is not None:
+            _check_keys(obj, _OPTIONS[section], section, errors)
 
     if errors:
         raise ConfigError(errors)
 
-    config = evaluate.ExperimentConfig(
-        methods=methods,
-        windows=windows,
-        runs=int(doc.get("runs", 10)),
-        base_seed=int(doc.get("base_seed", 0)),
-        train_fraction=float(doc.get("train_fraction", 0.8)),
-        stratify=bool(doc.get("stratify", False)),
-        kpca_dim=int(pipeline.get("kpca_dim", 10)),
-        k_clusters=int(pipeline.get("k_clusters", 2)),
-        knn_k=int(pipeline.get("knn_k", 5)),
-        kmeans_restarts=int(pipeline.get("kmeans_restarts", 20)),
-        supervised_baseline=bool(baselines.get("supervised", False)),
-        manual_baseline=bool(baselines.get("manual_features", False)),
-        paper_literal_f1=bool(evaluation.get("paper_literal_f1", False)),
-        tck_q=int(tck_opts.get("Q", 30)),
-        tck_c=tck_opts.get("C"),
-        tck_max_iter=int(tck_opts.get("max_iter", 20)),
-        lps_trees=int(lps_opts.get("trees", 200)),
-        lps_depth=int(lps_opts.get("max_depth", 6)),
-        embedding_dump_methods=tuple(dumps.get("methods", ())),
-        embedding_dump_windows=tuple(dumps.get("windows", ())),
-    )
+    for section, obj in sections.items():
+        for key, (name, convert) in _OPTIONS[section].items():
+            if key in obj:
+                fields[name] = obj[key] if convert is None else convert(obj[key])
+    config = evaluate.ExperimentConfig(**fields)
     return cohort_source, output_dir, config
 
 

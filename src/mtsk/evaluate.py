@@ -19,7 +19,7 @@ import numpy as np
 from .cohort import Cohort, train_test_split, truncate_window
 from .cluster import Embedding, dump_embedding, kmeans, knn_assign, kpca_fit, kpca_project, manual_features
 from .impute import ALL_SCHEMES, fit_imputer, impute, parse_scheme
-from .kernels import gram_matrix, linear_gram
+from .kernels import fit_gak_params, gram_matrix, linear_gram
 from .lps import lps_gram, lps_train
 from .tck import tck_test, tck_train
 
@@ -283,22 +283,28 @@ def _require_labels(cohort: Cohort) -> None:
         raise ValueError("every sample needs a binary label for evaluation")
 
 
-def _cell_kernel(method: MethodSpec, tr: Cohort, te: Cohort, config, seed: int):
+def cell_kernel(method: MethodSpec, tr: Cohort, te: Cohort | None, config, seed: int):
+    """``(KernelMatrix, fitted)`` of the method on ``tr``, with the cross to ``te`` if given.
+
+    ``fitted`` is the TCKModel, the LPSForest, the GAKParams or None.
+    """
     if method.kernel == "tck":
-        _, model = tck_train(
+        km, model = tck_train(
             tr, Q=config.tck_q, C=config.tck_c, seed=seed, max_iter=config.tck_max_iter
         )
-        return tck_test(model, te)
+        return (km if te is None else tck_test(model, te)), model
     if method.kernel == "lps":
         forest = lps_train(tr, n_trees=config.lps_trees, max_depth=config.lps_depth, seed=seed)
-        return lps_gram(forest, tr, te)
+        return lps_gram(forest, tr, te), forest
     imp_method, bc = parse_scheme(method.imputation)
     spec = fit_imputer(tr, imp_method, bc)
     tri = impute(spec, tr)
-    tei = impute(spec, te)
+    tei = None if te is None else impute(spec, te)
     if method.kernel == "manual":
-        return linear_gram(manual_features(tri), manual_features(tei), method_tag="manual")
-    return gram_matrix(method.kernel, tri, tei)
+        fte = None if tei is None else manual_features(tei)
+        return linear_gram(manual_features(tri), fte, method_tag="manual"), None
+    params = fit_gak_params(tri) if method.kernel == "gak" else None
+    return gram_matrix(method.kernel, tri, tei, params=params), params
 
 
 def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,
@@ -312,7 +318,7 @@ def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,
     te = truncate_window(test, window)
     cell_seed = _seed_from(config.base_seed, "cell", run, window, method.label)
 
-    km = _cell_kernel(method, tr, te, config, cell_seed)
+    km, _ = cell_kernel(method, tr, te, config, cell_seed)
     d = min(config.kpca_dim, len(tr) - 1)
     kpca, emb_tr = kpca_fit(km.gram, d, ids=tr.ids())
     emb_te = kpca_project(kpca, km.cross, ids=te.ids())

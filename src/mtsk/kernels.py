@@ -39,6 +39,9 @@ class KernelMatrix:
         scale = np.abs(self.gram).max() if self.gram.size else 0.0
         if scale and np.abs(self.gram - self.gram.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("gram matrix is not symmetric")
+        # Mirror the upper triangle so symmetry is exact, not just within round-off.
+        lower = np.tri(self.gram.shape[0], k=-1, dtype=bool)
+        self.gram = np.where(lower, self.gram.T, self.gram)
         if self.cross is not None:
             self.cross = np.asarray(self.cross, dtype=float)
             if self.cross.ndim != 2 or self.cross.shape[0] != self.gram.shape[0]:
@@ -79,19 +82,15 @@ def _require_complete(x: MTSample | Cohort, kernel: str) -> None:
 
 
 def linear_gram(
-    features: np.ndarray, test_features: np.ndarray | None = None, c: float = 0.0,
+    features: np.ndarray, test_features: np.ndarray | None = None,
     method_tag: str = "linear",
 ) -> KernelMatrix:
     """Gram (and optional cross-kernel) of plain feature rows."""
     F = np.asarray(features, dtype=float)
-    gram = F @ F.T + c
-    # Mirror the upper triangle so symmetry is exact, not just within round-off.
-    i, j = np.tril_indices(gram.shape[0], k=-1)
-    gram[i, j] = gram[j, i]
     cross = None
     if test_features is not None:
-        cross = F @ np.asarray(test_features, dtype=float).T + c
-    return KernelMatrix(gram, method_tag, cross)
+        cross = F @ np.asarray(test_features, dtype=float).T
+    return KernelMatrix(F @ F.T, method_tag, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +178,6 @@ def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> Ke
     logs = _gak_logs(train.values, train.values, params)
     self_log = np.diag(logs)
     gram = np.exp(logs - 0.5 * (self_log[:, None] + self_log[None, :]))
-    # Mirror the upper triangle so symmetry is exact, not just within round-off.
-    i, j = np.tril_indices(len(train), k=-1)
-    gram[i, j] = gram[j, i]
     cross = None
     if test is not None:
         _require_complete(test, "gak")
@@ -198,7 +194,6 @@ def gram_matrix(
     train: Cohort,
     test: Cohort | None = None,
     params: GAKParams | None = None,
-    c: float = 0.0,
 ) -> KernelMatrix:
     """Assemble the Gram (and cross-kernel) for one of the baseline kernels.
 
@@ -212,7 +207,7 @@ def gram_matrix(
         if test is not None:
             _require_complete(test, "linear")
             Fte = test.values.reshape(len(test), -1)
-        return linear_gram(Ftr, Fte, c=c)
+        return linear_gram(Ftr, Fte)
     if kernel == "gak":
         if params is None:
             params = fit_gak_params(train)

@@ -115,13 +115,6 @@ def _log_likelihoods(params: DiagGMMParams, X: np.ndarray, R: np.ndarray) -> np.
     return out
 
 
-def diaggmm_posterior(params: DiagGMMParams, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities for one (possibly incomplete) sample."""
-    values = np.asarray(values, dtype=float)[None]
-    mask = np.asarray(mask, dtype=float)[None]
-    return _posteriors(params, values, mask)[0][0]
-
-
 def _posteriors(params, X, R) -> tuple[np.ndarray, np.ndarray]:
     """Posterior matrix (N, G) and per-sample log-evidence (N,)."""
     with np.errstate(divide="ignore"):  # a fully emptied component has weight 0
@@ -374,12 +367,10 @@ def tck_train(
     if not members:
         raise ValueError("every ensemble member failed to train")
     K /= len(members)
-    i, j = np.tril_indices(N, k=-1)
-    K[i, j] = K[j, i]
     np.clip(K, 0.0, 1.0, out=K)
     np.fill_diagonal(K, 1.0)
-    model = TCKModel(members, Q, C, N, V, T, K)
-    return KernelMatrix(K, "tck").validate(), model
+    km = KernelMatrix(K, "tck").validate()
+    return km, TCKModel(members, Q, C, N, V, T, km.gram)
 
 
 def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:

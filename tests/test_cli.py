@@ -1,9 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
-from mtsk.cli import main
+from mtsk.cli import main, parse_run_config
+from mtsk.cohort import load_cohort
+from mtsk.evaluate import ExperimentConfig, MethodSpec, cell_kernel, full_method_grid
 from mtsk.kernels import load_matrix
+from mtsk.lps import load_lps_forest, lps_gram
+from mtsk.tck import load_tck_model, tck_test
 
 
 def run_cli(*args):
@@ -82,6 +88,42 @@ class TestKernel:
         tag, gram = load_matrix(f"{prefix}.gram.csv")
         assert tag == "gak+zero+bc"
         assert np.array_equal(np.diag(gram), np.ones(8))
+
+    def test_tck_with_imputation_is_rejected(self, tmp_path, capsys):
+        train = _synth_csv(tmp_path)
+        code = run_cli("kernel", "--method", "tck", "--impute", "mean", "--train", train,
+                       "--out-prefix", tmp_path / "k")
+        assert code == 2
+        assert "imputation must be none" in capsys.readouterr().err
+        assert not list(tmp_path.glob("k.*"))
+
+    @pytest.mark.parametrize("kernel, scheme", [
+        ("tck", None), ("lps", None), ("gak", "locf+bc"), ("linear", "mean"),
+    ])
+    def test_outputs_equal_the_sweep_dispatch(self, tmp_path, kernel, scheme):
+        train_csv = _synth_csv(tmp_path, cases=4, controls=8, days=10)
+        test_csv = _synth_csv(tmp_path, name="test.csv", cases=2, controls=3, days=10, seed=9)
+        prefix = tmp_path / "k"
+        impute_args = ("--impute", scheme) if scheme else ()
+        assert run_cli("kernel", "--method", kernel, *impute_args, "--train", train_csv,
+                       "--test", test_csv, "--out-prefix", prefix, "--seed", 3) == 0
+
+        method = MethodSpec(kernel, scheme)
+        train = load_cohort(train_csv)
+        test = load_cohort(test_csv, window_length=train.window_length,
+                           attributes=train.attribute_names)
+        km, _ = cell_kernel(method, train, test, ExperimentConfig(methods=(method,)), 3)
+        tag = kernel if scheme is None else f"{kernel}+{scheme}"
+        assert load_matrix(f"{prefix}.gram.csv")[0] == tag
+        assert np.array_equal(load_matrix(f"{prefix}.gram.csv")[1], km.gram)
+        assert np.array_equal(load_matrix(f"{prefix}.cross.csv")[1], km.cross)
+        if kernel == "tck":
+            reloaded = tck_test(load_tck_model(f"{prefix}.tck.npz"), test)
+        elif kernel == "lps":
+            reloaded = lps_gram(load_lps_forest(f"{prefix}.lps.npz"), train, test)
+        else:
+            return
+        assert np.array_equal(reloaded.cross, km.cross)
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli("kernel", "--method", "tck", "--train", tmp_path / "nope.csv",
@@ -207,6 +249,45 @@ class TestRun:
         config.write_text(json.dumps(doc))
         assert run_cli("run", config) == 0
         assert (tmp_path / "out" / "report_rows.csv").exists()
+
+
+class TestRunConfig:
+    def test_minimal_document_gives_config_defaults(self, tmp_path):
+        doc = {"cohort": {"synthetic": {}}, "output_dir": str(tmp_path)}
+        _, _, config = parse_run_config(doc)
+        assert config == ExperimentConfig(methods=full_method_grid())
+
+    def test_every_option_maps_to_its_field(self, tmp_path):
+        doc = {
+            "cohort": {"synthetic": {}},
+            "output_dir": str(tmp_path),
+            "methods": [{"kernel": "lps"}],
+            "windows": {"from": 8, "to": 10},
+            "runs": 3,
+            "base_seed": 4,
+            "train_fraction": 0.7,
+            "stratify": True,
+            "pipeline": {"kpca_dim": 6, "k_clusters": 2, "knn_k": 3, "kmeans_restarts": 7},
+            "baselines": {"supervised": True, "manual_features": True},
+            "evaluation": {"paper_literal_f1": True},
+            "tck": {"Q": 5, "C": 4, "max_iter": 9},
+            "lps": {"trees": 11, "max_depth": 3},
+            "embedding_dumps": {"methods": ["lps/none"], "windows": [9]},
+        }
+        _, _, config = parse_run_config(doc)
+        expected = ExperimentConfig(
+            methods=(MethodSpec("lps"),), windows=(8, 9, 10), runs=3, base_seed=4,
+            train_fraction=0.7, stratify=True, kpca_dim=6, k_clusters=2, knn_k=3,
+            kmeans_restarts=7, supervised_baseline=True, manual_baseline=True,
+            paper_literal_f1=True, tck_q=5, tck_c=4, tck_max_iter=9, lps_trees=11,
+            lps_depth=3, embedding_dump_methods=("lps/none",), embedding_dump_windows=(9,),
+        )
+        assert config == expected
+        # Every field but the fixed cluster count differs from its default.
+        default = ExperimentConfig(methods=(MethodSpec("tck"),))
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name != "k_clusters":
+                assert getattr(config, f.name) != getattr(default, f.name), f.name
 
 
 class TestReport:

@@ -17,7 +17,6 @@ from mtsk.kernels import (
     gak_gram,
     gak_log,
     gram_matrix,
-    linear_gram,
     load_matrix,
     save_matrix,
 )
@@ -150,9 +149,6 @@ class TestLinear:
         cohort = _cohort(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
         gram = gram_matrix("linear", cohort).gram
         assert gram[0, 0] == pytest.approx(np.sum(cohort.values[0] ** 2))
-
-    def test_constant_offset(self):
-        assert linear_gram(np.zeros((1, 4)), c=5.0).gram[0, 0] == 5.0
 
     def test_incomplete_input_rejected(self):
         mask = np.ones((2, 3))

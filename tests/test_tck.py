@@ -9,8 +9,8 @@ from mtsk.tck import (
     MemberPrior,
     TCKMember,
     TCKModel,
+    _posteriors,
     default_max_components,
-    diaggmm_posterior,
     fit_diaggmm,
     load_tck_model,
     save_tck_model,
@@ -82,6 +82,11 @@ def _assert_trace_monotone(result, tol=1e-10):
         assert cur >= prev - tol * (1.0 + abs(prev)), (
             f"objective decreased at step {i}: {prev} -> {cur}"
         )
+
+
+def diaggmm_posterior(params, values, mask):
+    """Posterior component probabilities of one (possibly incomplete) sample."""
+    return _posteriors(params, np.asarray(values, float)[None], np.asarray(mask, float)[None])[0][0]
 
 
 class TestPosterior:
