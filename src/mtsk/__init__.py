@@ -31,7 +31,6 @@ from .evaluate import (
     clustering_f1,
     f1,
     full_method_grid,
-    precision_recall,
     run_experiment,
 )
 from .impute import ImputationMethod, ImputationSpec, fit_imputer, impute
@@ -40,7 +39,6 @@ from .kernels import (
     KernelMatrix,
     fit_gak_params,
     gak_gram,
-    gak_log,
     gram_matrix,
     load_matrix,
     save_matrix,

@@ -12,12 +12,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cohort import Cohort
-from .kernels import KernelMatrix
 
 EIGENVALUE_FLOOR = 1e-10  # relative to the centered Gram's trace
+KMEANS_MAX_ITER = 300  # Lloyd steps per restart
 
 
 @dataclass
@@ -53,7 +52,8 @@ def _as_points(emb) -> np.ndarray:
     return emb.points if isinstance(emb, Embedding) else np.asarray(emb, dtype=float)
 
 
-def kpca_fit(K, d: int, ids: list[str] | None = None) -> tuple[KPCAModel, Embedding]:
+def kpca_fit(gram: np.ndarray, d: int,
+             ids: list[str] | None = None) -> tuple[KPCAModel, Embedding]:
     """Double-center the Gram, eigendecompose, and scale by sqrt(eigenvalue).
 
     Eigenvalues below 1e-10 of the centered trace count as zero and their
@@ -61,7 +61,7 @@ def kpca_fit(K, d: int, ids: list[str] | None = None) -> tuple[KPCAModel, Embedd
     rank pads with zero columns and warns.  Column signs are fixed by
     making each eigenvector's largest-magnitude entry positive.
     """
-    gram = K.gram if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    gram = np.asarray(gram, dtype=float)
     N = gram.shape[0]
     if not 1 <= d <= N - 1:
         raise ValueError(f"embedding dimension must be in [1, {N - 1}], got {d}")
@@ -69,7 +69,7 @@ def kpca_fit(K, d: int, ids: list[str] | None = None) -> tuple[KPCAModel, Embedd
     total = float(gram.mean())
     centered = gram - row_means[:, None] - row_means[None, :] + total
 
-    eigvals, eigvecs = scipy.linalg.eigh(centered)
+    eigvals, eigvecs = np.linalg.eigh(centered)
     order = np.argsort(eigvals)[::-1][:d]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
@@ -99,8 +99,8 @@ def kpca_fit(K, d: int, ids: list[str] | None = None) -> tuple[KPCAModel, Embedd
 def kpca_project(model: KPCAModel, cross: np.ndarray,
                  ids: list[str] | None = None) -> Embedding:
     """Embed test points from their train x test kernel columns."""
-    cross = cross.cross if isinstance(cross, KernelMatrix) else np.asarray(cross, dtype=float)
-    if cross is None or cross.shape[0] != model.row_means.shape[0]:
+    cross = np.asarray(cross, dtype=float)
+    if cross.ndim != 2 or cross.shape[0] != model.row_means.shape[0]:
         raise ValueError("cross kernel rows must match the fitted training set")
     centered = (
         cross
@@ -131,7 +131,7 @@ def dump_embedding(path, emb: Embedding, labels, clusters) -> None:
 # k-means
 
 
-def _kmeans_once(X: np.ndarray, k: int, rng, max_iter: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _kmeans_once(X: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
     n = X.shape[0]
     # k-means++ seeding
     centroids = np.empty((k, X.shape[1]))
@@ -146,7 +146,7 @@ def _kmeans_once(X: np.ndarray, k: int, rng, max_iter: int) -> tuple[np.ndarray,
         d2 = np.minimum(d2, ((X - centroids[i]) ** 2).sum(axis=1))
 
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)
         for c in range(k):
@@ -166,8 +166,7 @@ def _kmeans_once(X: np.ndarray, k: int, rng, max_iter: int) -> tuple[np.ndarray,
     return labels, centroids, inertia
 
 
-def kmeans(emb, k: int = 2, restarts: int = 20, seed: int = 0,
-           max_iter: int = 300) -> ClusterAssignment:
+def kmeans(emb, k: int = 2, restarts: int = 20, seed: int = 0) -> ClusterAssignment:
     """Lloyd iterations from k-means++ seeds; best of ``restarts`` by inertia."""
     X = _as_points(emb)
     n = X.shape[0]
@@ -178,7 +177,7 @@ def kmeans(emb, k: int = 2, restarts: int = 20, seed: int = 0,
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([31, seed, r])
-        labels, centroids, inertia = _kmeans_once(X, k, rng, max_iter)
+        labels, centroids, inertia = _kmeans_once(X, k, rng)
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia)
     labels, centroids, inertia = best

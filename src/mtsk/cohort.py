@@ -55,18 +55,6 @@ class MTSample:
         self.values.flags.writeable = False
         self.mask.flags.writeable = False
 
-    @property
-    def n_attributes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_days(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(self.mask.all())
-
 
 class Cohort:
     """A set of patients sharing attribute names and window length.
@@ -298,6 +286,8 @@ def write_cohort(cohort: Cohort, path) -> None:
 # Plateau amplitude of the case bump, in units of effect_size * attribute std.
 _BUMP_SCALE = 0.7
 _RAMP_DAYS = 3
+# Share of the attributes, rounded up, that carry the case bump.
+_SIGNAL_FRACTION = 0.5
 
 
 def generate_synthetic_cohort(
@@ -307,13 +297,12 @@ def generate_synthetic_cohort(
     n_days: int,
     effect_size: float,
     seed: int,
-    signal_fraction: float = 0.5,
 ) -> Cohort:
     """Generate a fully observed cohort of controls plus cases carrying a bump.
 
     Controls are stationary Gaussian noise around attribute-specific
-    baselines.  Cases are identical except that a subset of attributes
-    (``signal_fraction`` of them) gains an additive response: zero before a
+    baselines.  Cases are identical except that half of the attributes
+    (rounded up) gain an additive response: zero before a
     random onset day in [3, T/2], a 3-day linear ramp, then a plateau whose
     height is ``effect_size`` scaled by the attribute's standard deviation.
     Deterministic for a fixed seed.
@@ -327,7 +316,7 @@ def generate_synthetic_cohort(
 
     base_mean = rng.uniform(6.0, 14.0, size=V)
     base_std = rng.uniform(0.8, 1.6, size=V)
-    n_signal = max(1, int(np.ceil(signal_fraction * V)))
+    n_signal = int(np.ceil(_SIGNAL_FRACTION * V))
     signal_attrs = np.sort(rng.choice(V, size=n_signal, replace=False))
 
     onset_lo = min(3, T)

@@ -71,17 +71,6 @@ def _prf(c: Confusion, paper_literal: bool) -> tuple[float, float, float]:
     return precision, recall, score
 
 
-def precision_recall(pred, truth) -> tuple[float, float]:
-    """Positive predictive value and sensitivity of a binary prediction."""
-    c = Confusion.from_predictions(pred, truth)
-    if c.tp + c.fn == 0:
-        raise ValueError("truth must contain at least one positive")
-    if c.tp + c.fp == 0:
-        logger.warning("no predicted positives; precision defined as 0")
-    p, r, _ = _prf(c, paper_literal=False)
-    return p, r
-
-
 def f1(pred, truth, paper_literal: bool = False) -> float:
     """Harmonic mean of precision and recall (2PR/(P+R); 0 when both are 0).
 

@@ -32,10 +32,6 @@ class ImputationSpec:
     attribute_names: list[str]
     train_attribute_means: np.ndarray
 
-    @property
-    def scheme(self) -> str:
-        return scheme_name(self.method, self.bias_correct)
-
 
 def scheme_name(method: ImputationMethod, bias_correct: bool) -> str:
     return method.value + ("+bc" if bias_correct else "")

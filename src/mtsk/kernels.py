@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Cohort, MTSample
+from .cohort import Cohort
 
 SYMMETRY_RTOL = 1e-12
 PSD_TOL = 1e-8  # min eigenvalue >= -PSD_TOL * trace
@@ -50,10 +50,6 @@ class KernelMatrix:
                     f"{self.gram.shape}"
                 )
 
-    @property
-    def n_train(self) -> int:
-        return self.gram.shape[0]
-
     def validate(self) -> "KernelMatrix":
         """Check positive semi-definiteness up to accumulation round-off."""
         if self.gram.size:
@@ -67,13 +63,10 @@ class KernelMatrix:
         return self
 
 
-def _require_complete(x: MTSample | Cohort, kernel: str) -> None:
-    """Raise unless every cell of the sample, or of every sample in the cohort, is observed."""
-    if not x.is_complete:
-        if isinstance(x, MTSample):
-            sid = x.id
-        else:
-            sid = x.ids()[int(np.argmin(x.mask.min(axis=(1, 2))))]
+def _require_complete(cohort: Cohort, kernel: str) -> None:
+    """Raise unless every cell of every sample in the cohort is observed."""
+    if not cohort.is_complete:
+        sid = cohort.ids()[int(np.argmin(cohort.mask.min(axis=(1, 2))))]
         raise ValueError(f"{kernel} kernel requires complete inputs; impute sample {sid!r} first")
 
 
@@ -120,9 +113,8 @@ def fit_gak_params(train: Cohort) -> GAKParams:
     """
     if len(train) < 2:
         raise ValueError("need at least 2 training samples")
+    _require_complete(train, "gak")
     F = train.values.reshape(len(train), -1)
-    if not train.is_complete:
-        raise ValueError("gak heuristics require complete (imputed) data")
     sq = np.sum(F * F, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (F @ F.T), 0.0)
     iu = np.triu_indices(len(train), k=1)
@@ -161,15 +153,6 @@ def _gak_logs(a: np.ndarray, b: np.ndarray, params: GAKParams) -> np.ndarray:
             cur[j] = np.logaddexp(np.logaddexp(prev[j], cur[j - 1]), prev[j - 1]) + local
         prev = cur
     return prev[t2]
-
-
-def gak_log(x: MTSample, y: MTSample, params: GAKParams) -> float:
-    """Log of the unnormalized global alignment kernel between two samples."""
-    _require_complete(x, "gak")
-    _require_complete(y, "gak")
-    if x.n_attributes != y.n_attributes:
-        raise ValueError("samples must share the attribute dimension")
-    return float(_gak_logs(x.values[None], y.values[None], params)[0, 0])
 
 
 def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> KernelMatrix:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cohort import Cohort
 from .kernels import KernelMatrix, _load_npz, _save_npz
@@ -27,6 +26,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 EMPTY_COMPONENT_WEIGHT = 1e-8
 VARIANCE_FLOOR_FACTOR = 1e-4
 MONOTONICITY_TOL = 1e-10
+EM_TOL = 1e-6  # relative objective gain below which EM stops
 
 
 @dataclass
@@ -126,7 +126,8 @@ def _posteriors(params, X, R) -> tuple[np.ndarray, np.ndarray]:
             int(bad.sum()),
         )
         logw[bad] = 0.0
-    evidence = logsumexp(logw, axis=1)
+    top = logw.max(axis=1)  # finite: underflowed rows were just set to 0
+    evidence = top + np.log(np.exp(logw - top[:, None]).sum(axis=1))
     post = np.exp(logw - evidence[:, None])
     return post, evidence
 
@@ -148,7 +149,6 @@ def fit_diaggmm(
     prior: MemberPrior,
     seed,
     max_iter: int = 20,
-    tol: float = 1e-6,
 ) -> FitResult:
     """MAP-EM for the masked diagonal GMM.
 
@@ -214,7 +214,7 @@ def fit_diaggmm(
             )
         trace.append(obj)
         posteriors = post
-        if prev_obj is not None and obj - prev_obj < tol * (1.0 + abs(prev_obj)):
+        if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
             break
         prev_obj = obj
         if len(trace) >= max_iter:
@@ -302,7 +302,6 @@ def tck_train(
     C: int | None = None,
     seed: int = 0,
     max_iter: int = 20,
-    tol: float = 1e-6,
 ) -> tuple[KernelMatrix, TCKModel]:
     """Train the ensemble and return the normalized train Gram plus the model.
 
@@ -345,7 +344,7 @@ def tck_train(
                 Xs = X[np.ix_(subset, attrs)][:, :, seg_start:seg_start + seg_len]
                 Rs = R[np.ix_(subset, attrs)][:, :, seg_start:seg_start + seg_len]
                 try:
-                    fit = fit_diaggmm(Xs, Rs, q2, prior, rng, max_iter=max_iter, tol=tol)
+                    fit = fit_diaggmm(Xs, Rs, q2, prior, rng, max_iter=max_iter)
                     break
                 except Exception:
                     logger.warning(
@@ -369,7 +368,7 @@ def tck_train(
     K /= len(members)
     np.clip(K, 0.0, 1.0, out=K)
     np.fill_diagonal(K, 1.0)
-    km = KernelMatrix(K, "tck").validate()
+    km = KernelMatrix(K, "tck")
     return km, TCKModel(members, Q, C, N, V, T, km.gram)
 
 

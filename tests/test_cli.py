@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mtsk
 from mtsk.cli import main, parse_run_config
 from mtsk.cohort import load_cohort
 from mtsk.evaluate import ExperimentConfig, MethodSpec, cell_kernel, full_method_grid
@@ -26,6 +30,17 @@ def _synth_csv(tmp_path, name="cohort.csv", rate=0.2, cases=6, controls=14, days
     )
     assert code == 0
     return path
+
+
+class TestPackage:
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mtsk.__file__)))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import mtsk, mtsk.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSynth:

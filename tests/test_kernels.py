@@ -13,9 +13,9 @@ from mtsk.impute import ALL_SCHEMES, ImputationMethod, fit_imputer, impute, pars
 from mtsk.kernels import (
     GAKParams,
     KernelMatrix,
+    _gak_logs,
     fit_gak_params,
     gak_gram,
-    gak_log,
     gram_matrix,
     load_matrix,
     save_matrix,
@@ -28,6 +28,11 @@ def _sample(values, sid="x", mask=None, label=None):
     values = np.asarray(values, dtype=float)
     mask = np.ones_like(values) if mask is None else np.asarray(mask, dtype=float)
     return MTSample(sid, values, mask, label)
+
+
+def gak_log(x, y, params):
+    """Log of the unnormalized GAK between two samples, through the batched DP."""
+    return float(_gak_logs(x.values[None], y.values[None], params)[0, 0])
 
 
 def enumerate_gak(x, y, sigma, triangular):
@@ -82,7 +87,7 @@ def _oracle_gak_log(x, y, params):
     """The scalar per-pair dynamic program, one lattice cell at a time."""
     ll = _oracle_log_local_similarity(x.values, y.values, params.sigma, params.triangular)
     ll = ll.tolist()
-    tx, ty = x.n_days, y.n_days
+    tx, ty = x.values.shape[1], y.values.shape[1]
     tri = params.triangular
     neg_inf = float("-inf")
     prev = [neg_inf] * (ty + 1)
@@ -149,14 +154,6 @@ class TestLinear:
         cohort = _cohort(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
         gram = gram_matrix("linear", cohort).gram
         assert gram[0, 0] == pytest.approx(np.sum(cohort.values[0] ** 2))
-
-    def test_incomplete_input_rejected(self):
-        mask = np.ones((2, 3))
-        mask[0, 0] = 0
-        x = _sample(np.zeros((2, 3)), sid="x", mask=mask)
-        y = _sample(np.zeros((2, 3)), sid="y")
-        with pytest.raises(ValueError, match="impute"):
-            gram_matrix("linear", Cohort([x, y], ["a", "b"], 3))
 
     def test_one_hot_gram_is_identity(self):
         samples = [_sample(np.eye(4)[i].reshape(1, 4), sid=f"s{i}") for i in range(4)]
@@ -299,6 +296,17 @@ class TestGram:
         assert np.array_equal(km.gram, km.gram.T)
         km.validate()
         assert km.cross.shape == (30, 10)
+
+    @pytest.mark.parametrize("kernel", ["linear", "gak"])
+    def test_incomplete_input_rejected(self, kernel):
+        mask = np.ones((2, 3))
+        mask[0, 0] = 0
+        full = _sample(np.zeros((2, 3)), sid="full")
+        holey = _sample(np.zeros((2, 3)), sid="holey", mask=mask)
+        # The error names the first incomplete sample, here the second row.
+        with pytest.raises(ValueError, match=f"^{kernel} kernel requires complete inputs; "
+                                             "impute sample 'holey' first$"):
+            gram_matrix(kernel, Cohort([full, holey], ["a", "b"], 3))
 
     def test_unknown_kernel_rejected(self):
         cohort = generate_synthetic_cohort(2, 2, 2, 6, 1.0, seed=0)

@@ -39,7 +39,7 @@ def _blocks(forest):
 
 
 def _oracle_segment_matrix(x: MTSample, l, p, v_pred, v_tgt):
-    T = x.n_days
+    T = x.values.shape[1]
     row_pred = np.where(x.mask[v_pred] > 0, x.values[v_pred], np.nan)
     row_tgt = np.where(x.mask[v_tgt] > 0, x.values[v_tgt], np.nan)
     S = T - l - p + 1

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import mtsk.tck as tck_mod
 from mtsk.cohort import Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness, generate_synthetic_cohort
 from mtsk.tck import (
     DiagGMMParams,
@@ -109,6 +111,30 @@ class TestPosterior:
         post = diaggmm_posterior(params, rng.normal(size=(3, 4)), np.ones((3, 4)))
         assert post == pytest.approx([0.3, 0.7], abs=1e-12)
 
+    def test_evidence_matches_scipy_logsumexp(self):
+        # Oracle: scipy's log-sum-exp of the same weighted log-likelihoods.
+        # Component 0 has weight 0, the samples sit far from the components
+        # (log-likelihoods from -164 to -1332, past where exp underflows), and
+        # the last sample underflows every component.
+        rng = np.random.default_rng(12)
+        means = rng.normal(scale=3.0, size=(4, 3, 5))
+        params = DiagGMMParams([0.0, 0.2, 0.3, 0.5], means, rng.uniform(0.01, 2.0, (4, 3)))
+        X = rng.normal(scale=10.0, size=(9, 3, 5))
+        X[-1] = 1e300
+        R = (rng.random(X.shape) < 0.7).astype(float)
+        R[-1] = 1.0
+        post, evidence = _posteriors(params, X, R)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logw = np.log(params.weights)[None, :] + tck_mod._log_likelihoods(params, X, R)
+        assert not np.isfinite(logw[-1]).any() and np.isinf(logw[:-1, 0]).all()
+        logw[-1] = 0.0
+        want = logsumexp(logw, axis=1)
+        assert logw[:-1].max() < -100.0
+        np.testing.assert_allclose(evidence, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(post, np.exp(logw - want[:, None]), rtol=1e-12, atol=0)
+        assert post[-1].tolist() == [0.25] * 4
+
 
 class TestFit:
     def test_single_component_matches_map_oracle(self):
@@ -203,8 +229,6 @@ class TestTrain:
         assert default_max_components(10_000) == 40
 
     def test_failed_member_skipped_and_divisor_adjusted(self, cohort, monkeypatch):
-        import mtsk.tck as tck_mod
-
         real_fit = tck_mod.fit_diaggmm
         calls = {"n": 0}
 
@@ -221,8 +245,6 @@ class TestTrain:
         km.validate()
 
     def test_failed_member_retried_with_fresh_seed(self, cohort, monkeypatch):
-        import mtsk.tck as tck_mod
-
         real_fit = tck_mod.fit_diaggmm
         calls = {"n": 0}
 
