@@ -13,8 +13,8 @@ import sys
 
 from . import evaluate
 from .cohort import (
-    Missingness, MissingnessSpec, apply_missingness, generate_synthetic_cohort,
-    load_cohort, write_cohort,
+    CohortFormatError, Missingness, MissingnessSpec, apply_missingness,
+    generate_synthetic_cohort, load_cohort, write_cohort,
 )
 from .impute import ALL_SCHEMES
 from .kernels import save_matrix
@@ -147,17 +147,24 @@ def _parse_methods(raw, errors) -> tuple:
     return tuple(out)
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 # Optional keys, top level (None) and per section: JSON key -> (ExperimentConfig
 # field, conversion or None to pass the value through).  Absent keys are not
 # passed, so the defaults live in ExperimentConfig alone.
 _OPTIONS = {
     None: {"runs": ("runs", int), "base_seed": ("base_seed", int),
-           "train_fraction": ("train_fraction", float), "stratify": ("stratify", bool)},
+           "train_fraction": ("train_fraction", float),
+           "stratify": ("stratify", _json_bool)},
     "pipeline": {"kpca_dim": ("kpca_dim", int), "k_clusters": ("k_clusters", int),
                  "knn_k": ("knn_k", int), "kmeans_restarts": ("kmeans_restarts", int)},
-    "baselines": {"supervised": ("supervised_baseline", bool),
-                  "manual_features": ("manual_baseline", bool)},
-    "evaluation": {"paper_literal_f1": ("paper_literal_f1", bool)},
+    "baselines": {"supervised": ("supervised_baseline", _json_bool),
+                  "manual_features": ("manual_baseline", _json_bool)},
+    "evaluation": {"paper_literal_f1": ("paper_literal_f1", _json_bool)},
     "tck": {"Q": ("tck_q", int), "C": ("tck_c", None), "max_iter": ("tck_max_iter", int)},
     "lps": {"trees": ("lps_trees", int), "max_depth": ("lps_depth", int)},
     "embedding_dumps": {"methods": ("embedding_dump_methods", tuple),
@@ -223,17 +230,25 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
         fields["windows"] = _parse_windows(doc["windows"], errors)
     sections = {s: doc if s is None else doc.get(s, {}) for s in _OPTIONS}
     for section, obj in sections.items():
+        if not isinstance(obj, dict):
+            errors.append(f"{section}: must be an object")
+            continue
         if section is not None:
             _check_keys(obj, _OPTIONS[section], section, errors)
+        for key, (name, convert) in _OPTIONS[section].items():
+            if key in obj:
+                try:
+                    fields[name] = obj[key] if convert is None else convert(obj[key])
+                except (TypeError, ValueError) as exc:
+                    where = key if section is None else f"{section}.{key}"
+                    errors.append(f"{where}: {exc}")
 
     if errors:
         raise ConfigError(errors)
-
-    for section, obj in sections.items():
-        for key, (name, convert) in _OPTIONS[section].items():
-            if key in obj:
-                fields[name] = obj[key] if convert is None else convert(obj[key])
-    config = evaluate.ExperimentConfig(**fields)
+    try:
+        config = evaluate.ExperimentConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([str(exc)]) from None
     return cohort_source, output_dir, config
 
 
@@ -326,10 +341,15 @@ def cmd_report(args) -> int:
         if header != "method,imputation,window,run,split,precision,recall,f1":
             print("error: unrecognized rows header", file=sys.stderr)
             return EXIT_USAGE
-        for line in fh:
-            method, imputation, window, run, split, p, r, score = line.strip().split(",")
-            rows.append(evaluate.MetricRow(method, imputation, int(window), int(run), split,
-                                           float(p), float(r), float(score)))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                method, imputation, window, run, split, p, r, score = line.strip().split(",")
+                rows.append(evaluate.MetricRow(method, imputation, int(window), int(run),
+                                               split, float(p), float(r), float(score)))
+            except ValueError:
+                print(f"error: {args.rows} line {lineno}: malformed row {line.strip()!r}",
+                      file=sys.stderr)
+                return EXIT_USAGE
     # Re-aggregation needs the rows only; the sweep's config is not in the file.
     report = evaluate.ExperimentReport(rows, [], config=None)
     if args.out:
@@ -393,7 +413,11 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CohortFormatError as exc:
+        print(f"error: invalid cohort file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -232,7 +232,8 @@ def load_cohort(
         return Cohort([], list(attributes or []), window_length or 0)
 
     max_day = max(r[2] for r in rows)
-    T = window_length if window_length is not None else max_day
+    # A file whose days are all below 1 gives an empty window, and its first row is reported.
+    T = window_length if window_length is not None else max(max_day, 0)
     attr_names = list(attributes) if attributes is not None else sorted({r[3] for r in rows})
     attr_index = {a: i for i, a in enumerate(attr_names)}
     # Patients in first-appearance order, filled straight into the cohort arrays.

@@ -223,20 +223,41 @@ def load_matrix(path) -> tuple[str, np.ndarray]:
     return tag, arr
 
 
-# Model archives (TCK models, LPS forests): named arrays plus a JSON header.
-_FORMAT_VERSION = 1
+# Model archives (TCK models, LPS forests), format version 2: a JSON header,
+# plain named arrays, and records (members, trees) stored field by field.  A
+# field's values over all records lie end to end in "<field>.values", and each
+# record's shape is one row of "<field>.shape".
+_FORMAT_VERSION = 2
 
 
-def _save_npz(path, meta: dict, arrays: dict) -> None:
-    """Write ``arrays`` with ``meta`` and the format version as a ``__meta__`` JSON entry."""
-    meta = {"version": _FORMAT_VERSION, **meta}
-    np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+def _save_npz(path, meta: dict, records: list[dict], arrays: dict) -> None:
+    """Write one archive.  Records share their keys; a field keeps its ndim across records."""
+    fields = list(records[0]) if records else []
+    out = dict(arrays)
+    for f in fields:
+        column = [np.asarray(r[f]) for r in records]
+        out[f"{f}.values"] = np.concatenate([c.ravel() for c in column])
+        out[f"{f}.shape"] = np.array([c.shape for c in column], dtype=int)
+    header = {"version": _FORMAT_VERSION, "fields": fields, **meta}
+    np.savez_compressed(path, __meta__=json.dumps(header, sort_keys=True), **out)
 
 
-def _load_npz(path, what: str) -> tuple[dict, dict]:
-    """The header and the arrays of an archive written by ``_save_npz``."""
+def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
+    """Header, records and plain arrays of an archive; 0-d fields come back as Python scalars."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"]))
-        if meta["version"] != _FORMAT_VERSION:
-            raise ValueError(f"unsupported {what} version {meta['version']}")
-        return meta, {k: data[k] for k in data.files if k != "__meta__"}
+        version = meta.pop("version")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported {what} version {version}")
+        fields = meta.pop("fields")
+        columns = []
+        for f in fields:
+            flat, shapes = data[f"{f}.values"], data[f"{f}.shape"]
+            if shapes.shape[1] == 0:
+                columns.append(flat.tolist())
+            else:
+                ends = np.cumsum(np.prod(shapes, axis=1))[:-1]
+                columns.append([p.reshape(s) for p, s in zip(np.split(flat, ends), shapes)])
+        stored = {"__meta__", *(f"{f}.{part}" for f in fields for part in ("values", "shape"))}
+        arrays = {k: data[k] for k in data.files if k not in stored}
+    return meta, [dict(zip(fields, values)) for values in zip(*columns)], arrays

@@ -260,44 +260,10 @@ def lps_gram(
 
 
 def save_lps_forest(forest: LPSForest, path) -> None:
-    meta = {
-        "window_length": forest.window_length,
-        "trees": [
-            {
-                "segment_length": t.segment_length,
-                "lag": t.lag,
-                "predictor_attr": t.predictor_attr,
-                "target_attr": t.target_attr,
-            }
-            for t in forest.trees
-        ],
-    }
-    arrays = {}
-    for k, t in enumerate(forest.trees):
-        arrays[f"t{k}_feature"] = t.feature
-        arrays[f"t{k}_threshold"] = t.threshold
-        arrays[f"t{k}_left"] = t.left
-        arrays[f"t{k}_right"] = t.right
-        arrays[f"t{k}_missing_left"] = t.missing_left
-        arrays[f"t{k}_leaf_slot"] = t.leaf_slot
-    _save_npz(path, meta, arrays)
+    _save_npz(path, {"window_length": forest.window_length},
+              [vars(t) for t in forest.trees], {})
 
 
 def load_lps_forest(path) -> LPSForest:
-    meta, data = _load_npz(path, "LPS forest")
-    trees = [
-        LPSTree(
-            segment_length=tm["segment_length"],
-            lag=tm["lag"],
-            predictor_attr=tm["predictor_attr"],
-            target_attr=tm["target_attr"],
-            feature=data[f"t{k}_feature"],
-            threshold=data[f"t{k}_threshold"],
-            left=data[f"t{k}_left"],
-            right=data[f"t{k}_right"],
-            missing_left=data[f"t{k}_missing_left"],
-            leaf_slot=data[f"t{k}_leaf_slot"],
-        )
-        for k, tm in enumerate(meta["trees"])
-    ]
-    return LPSForest(trees, meta["window_length"])
+    meta, records, _ = _load_npz(path, "LPS forest")
+    return LPSForest([LPSTree(**r) for r in records], meta["window_length"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -108,10 +108,11 @@ def _log_likelihoods(params: DiagGMMParams, X: np.ndarray, R: np.ndarray) -> np.
     out = np.empty((N, G))
     inv2 = 1.0 / (2.0 * params.variances)            # (G, V)
     cst = -0.5 * (LOG_2PI + np.log(params.variances))  # (G, V)
-    for g in range(G):
-        d2 = (X - params.means[g][None]) ** 2
-        term = cst[g][None, :, None] - d2 * inv2[g][None, :, None]
-        out[:, g] = (R * term).sum(axis=(1, 2))
+    with np.errstate(over="ignore"):  # a wild value gives -inf; _posteriors handles the row
+        for g in range(G):
+            d2 = (X - params.means[g][None]) ** 2
+            term = cst[g][None, :, None] - d2 * inv2[g][None, :, None]
+            out[:, g] = (R * term).sum(axis=(1, 2))
     return out
 
 
@@ -398,61 +399,20 @@ def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
 
 
 def save_tck_model(model: TCKModel, path) -> None:
-    meta = {
-        "Q": model.Q,
-        "C": model.C,
-        "n_train": model.n_train,
-        "n_attributes": model.n_attributes,
-        "window_length": model.window_length,
-        "members": [
-            {
-                "q1": m.q1,
-                "q2": m.q2,
-                "segment_start": m.segment_start,
-                "segment_length": m.segment_length,
-                "strength": m.prior.strength,
-                "smoothing_width": m.prior.smoothing_width,
-                "a0": m.prior.a0,
-                "b0_scale": m.prior.b0_scale,
-            }
-            for m in model.members
-        ],
-    }
-    arrays = {"train_gram": model.train_gram}
-    for k, m in enumerate(model.members):
-        arrays[f"m{k}_attrs"] = m.attributes
-        arrays[f"m{k}_subset"] = m.train_subset
-        arrays[f"m{k}_weights"] = m.params.weights
-        arrays[f"m{k}_means"] = m.params.means
-        arrays[f"m{k}_variances"] = m.params.variances
-        arrays[f"m{k}_posteriors"] = m.train_posteriors
-    _save_npz(path, meta, arrays)
+    meta = {k: v for k, v in vars(model).items() if k not in ("members", "train_gram")}
+    records = []
+    for m in model.members:
+        record = {**vars(m), **vars(m.prior), **vars(m.params)}
+        del record["prior"], record["params"]
+        records.append(record)
+    _save_npz(path, meta, records, {"train_gram": model.train_gram})
 
 
 def load_tck_model(path) -> TCKModel:
-    meta, data = _load_npz(path, "TCK model")
-    members = [
-        TCKMember(
-            q1=mm["q1"],
-            q2=mm["q2"],
-            segment_start=mm["segment_start"],
-            segment_length=mm["segment_length"],
-            attributes=data[f"m{k}_attrs"],
-            train_subset=data[f"m{k}_subset"],
-            prior=MemberPrior(mm["strength"], mm["smoothing_width"], mm["a0"], mm["b0_scale"]),
-            params=DiagGMMParams(
-                data[f"m{k}_weights"], data[f"m{k}_means"], data[f"m{k}_variances"]
-            ),
-            train_posteriors=data[f"m{k}_posteriors"],
-        )
-        for k, mm in enumerate(meta["members"])
-    ]
-    return TCKModel(
-        members,
-        meta["Q"],
-        meta["C"],
-        meta["n_train"],
-        meta["n_attributes"],
-        meta["window_length"],
-        data["train_gram"],
-    )
+    meta, records, arrays = _load_npz(path, "TCK model")
+    members = []
+    for r in records:
+        prior = MemberPrior(*(r.pop(f.name) for f in fields(MemberPrior)))
+        params = DiagGMMParams(*(r.pop(f.name) for f in fields(DiagGMMParams)))
+        members.append(TCKMember(**r, prior=prior, params=params))
+    return TCKModel(members, train_gram=arrays["train_gram"], **meta)

@@ -146,6 +146,16 @@ class TestKernel:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_malformed_cohort_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "bad.csv"
+        train.write_text("patient_id,label,day,attribute,value\np1,1,nope,CRP,1.0\n")
+        code = run_cli("kernel", "--method", "tck", "--train", train,
+                       "--out-prefix", tmp_path / "k")
+        assert code == 2
+        assert "error: invalid cohort file: line 2: day must be an integer" in (
+            capsys.readouterr().err
+        )
+
     def test_idempotent_outputs(self, tmp_path):
         train = _synth_csv(tmp_path, cases=4, controls=8, days=10)
         for prefix in ("a", "b"):
@@ -197,6 +207,43 @@ class TestRun:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert run_cli("run", tmp_path / "none.json") == 2
         assert "none.json" in capsys.readouterr().err
+
+    def test_malformed_cohort_exits_2(self, tmp_path, capsys):
+        cohort = tmp_path / "bad.csv"
+        cohort.write_text("patient_id,label,day,attribute,value\np1,1,3,CRP,1.0\n"
+                          "p1,1,3,CRP,2.0\n")
+        assert run_cli("run", _run_config(tmp_path, cohort)) == 2
+        assert "error: invalid cohort file: line 3: duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"runs": "abc"}, "runs: invalid literal"),
+        ({"runs": None}, "runs: int() argument"),
+        ({"pipeline": {"kpca_dim": [2]}}, "pipeline.kpca_dim: int() argument"),
+        ({"pipeline": 5}, "pipeline: must be an object"),
+    ])
+    def test_unconvertible_value_exits_2(self, tmp_path, capsys, overrides, message):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}}, **overrides)
+        assert run_cli("run", config) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"runs": 0}, "runs must be >= 1"),
+        ({"pipeline": {"k_clusters": 3}}, "the pipeline assumes 2 clusters"),
+    ])
+    def test_value_the_config_rejects_exits_2(self, tmp_path, capsys, overrides, message):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}}, **overrides)
+        assert run_cli("run", config) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"stratify": "false"}, "stratify"),
+        ({"baselines": {"supervised": "no"}}, "baselines.supervised"),
+        ({"evaluation": {"paper_literal_f1": 1}}, "evaluation.paper_literal_f1"),
+    ])
+    def test_non_boolean_flag_exits_2(self, tmp_path, capsys, overrides, where):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}}, **overrides)
+        assert run_cli("run", config) == 2
+        assert f"{where}: must be true or false" in capsys.readouterr().err
 
     def test_unknown_keys_reported_exhaustively(self, tmp_path, capsys):
         cohort = _synth_csv(tmp_path)
@@ -326,3 +373,10 @@ class TestReport:
 
     def test_missing_rows_file(self, tmp_path, capsys):
         assert run_cli("report", "--rows", tmp_path / "no.csv") == 2
+
+    def test_short_row_exits_2(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("method,imputation,window,run,split,precision,recall,f1\n"
+                        "tck,none,8,0,test,0.5,0.5,0.5\ntck,none,8\n")
+        assert run_cli("report", "--rows", rows) == 2
+        assert f"error: {rows} line 3: malformed row 'tck,none,8'" in capsys.readouterr().err

@@ -74,6 +74,11 @@ class TestLoad:
         with pytest.raises(CohortFormatError, match="day 25"):
             load_cohort(path, window_length=20)
 
+    def test_days_all_below_one_rejected(self, tmp_path):
+        path = _write(tmp_path, HEADER + "p1,1,-3,CRP,40.0\np1,1,-2,CRP,1.0\n")
+        with pytest.raises(CohortFormatError, match=r"line 2: day -3 outside"):
+            load_cohort(path)
+
     def test_inconsistent_label_rejected(self, tmp_path):
         path = _write(tmp_path, HEADER + "p1,1,3,CRP,40.0\np1,0,4,CRP,1.0\n")
         with pytest.raises(CohortFormatError, match="inconsistent label"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -345,3 +347,18 @@ class TestSerialization:
         save_lps_forest(forest, path)
         loaded = load_lps_forest(path)
         assert np.array_equal(lps_represent(forest, cohort), lps_represent(loaded, cohort))
+
+    def test_round_trip_equals_forest_field_by_field(self, tmp_path, assert_same_fields):
+        cohort = apply_missingness(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21),
+                                   MissingnessSpec(Missingness.MCAR, 0.3, seed=23))
+        forest = lps_train(cohort, n_trees=10, seed=22)
+        path = tmp_path / "forest.npz"
+        save_lps_forest(forest, path)
+        assert_same_fields(load_lps_forest(path), forest)
+
+    def test_version_1_archive_rejected(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        meta = {"version": 1, "window_length": 3, "trees": []}
+        np.savez_compressed(path, __meta__=json.dumps(meta))
+        with pytest.raises(ValueError, match="unsupported LPS forest version 1"):
+            load_lps_forest(path)

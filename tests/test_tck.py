@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -342,3 +343,17 @@ class TestSerialization:
         b = tck_test(loaded, test)
         assert np.array_equal(a.cross, b.cross)
         assert np.array_equal(model.train_gram, loaded.train_gram)
+
+    def test_round_trip_equals_model_field_by_field(self, setup, tmp_path, assert_same_fields):
+        model = setup[3]
+        path = tmp_path / "model.npz"
+        save_tck_model(model, path)
+        assert_same_fields(load_tck_model(path), model)
+
+    def test_version_1_archive_rejected(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        meta = {"version": 1, "Q": 1, "C": 2, "n_train": 2, "n_attributes": 1,
+                "window_length": 3, "members": []}
+        np.savez_compressed(path, __meta__=json.dumps(meta), train_gram=np.eye(2))
+        with pytest.raises(ValueError, match="unsupported TCK model version 1"):
+            load_tck_model(path)
