@@ -115,14 +115,15 @@ def _parse_windows(raw, errors) -> tuple[int, ...]:
     if isinstance(raw, dict):
         _check_keys(raw, {"from", "to"}, "windows", errors)
         try:
-            return tuple(range(int(raw["from"]), int(raw["to"]) + 1))
-        except (KeyError, TypeError, ValueError):
+            return tuple(range(_json_int(raw["from"]), _json_int(raw["to"]) + 1))
+        except (KeyError, TypeError, ValueError, OverflowError):
             errors.append("windows: need integer 'from' and 'to'")
             return ()
-    if isinstance(raw, list) and all(isinstance(w, int) for w in raw):
-        return tuple(raw)
-    errors.append("windows: must be a list of integers or {from, to}")
-    return ()
+    try:
+        return _json_ints(raw)
+    except (TypeError, ValueError, OverflowError):
+        errors.append("windows: must be a list of integers or {from, to}")
+        return ()
 
 
 def _parse_methods(raw, errors) -> tuple:
@@ -153,26 +154,79 @@ def _json_bool(value) -> bool:
     return value
 
 
+def _json_int(value) -> int:
+    number = int(value)  # int()'s own message for strings, null and lists
+    if isinstance(value, bool) or number != value:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return number
+
+
+def _json_ints(value) -> tuple[int, ...]:
+    return tuple(map(_json_int, value))
+
+
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_mechanism(value) -> Missingness:
+    if value not in ("mcar", "mar", "mnar"):
+        raise ValueError("must be mcar, mar or mnar")
+    return Missingness(value)
+
+
 # Optional keys, top level (None) and per section: JSON key -> (ExperimentConfig
-# field, conversion or None to pass the value through).  Absent keys are not
-# passed, so the defaults live in ExperimentConfig alone.
+# field, conversion).  Absent keys are not passed, so the defaults live in
+# ExperimentConfig alone.
 _OPTIONS = {
-    None: {"runs": ("runs", int), "base_seed": ("base_seed", int),
-           "train_fraction": ("train_fraction", float),
+    None: {"runs": ("runs", _json_int), "base_seed": ("base_seed", _json_int),
+           "train_fraction": ("train_fraction", _json_number),
            "stratify": ("stratify", _json_bool)},
-    "pipeline": {"kpca_dim": ("kpca_dim", int), "k_clusters": ("k_clusters", int),
-                 "knn_k": ("knn_k", int), "kmeans_restarts": ("kmeans_restarts", int)},
+    "pipeline": {"kpca_dim": ("kpca_dim", _json_int), "k_clusters": ("k_clusters", _json_int),
+                 "knn_k": ("knn_k", _json_int),
+                 "kmeans_restarts": ("kmeans_restarts", _json_int)},
     "baselines": {"supervised": ("supervised_baseline", _json_bool),
                   "manual_features": ("manual_baseline", _json_bool)},
     "evaluation": {"paper_literal_f1": ("paper_literal_f1", _json_bool)},
-    "tck": {"Q": ("tck_q", int), "C": ("tck_c", None), "max_iter": ("tck_max_iter", int)},
-    "lps": {"trees": ("lps_trees", int), "max_depth": ("lps_depth", int)},
+    "tck": {"Q": ("tck_q", _json_int),
+            "C": ("tck_c", lambda v: None if v is None else _json_int(v)),
+            "max_iter": ("tck_max_iter", _json_int)},
+    "lps": {"trees": ("lps_trees", _json_int), "max_depth": ("lps_depth", _json_int)},
     "embedding_dumps": {"methods": ("embedding_dump_methods", tuple),
-                        "windows": ("embedding_dump_windows", tuple)},
+                        "windows": ("embedding_dump_windows", _json_ints)},
 }
 _TOP_KEYS = {"cohort", "output_dir", "methods", "windows", *_OPTIONS[None],
              *filter(None, _OPTIONS)}
-_SYNTH_KEYS = {"cases", "controls", "attributes", "days", "effect_size", "seed", "missing"}
+# cohort.synthetic keys -> (generate_synthetic_cohort argument, conversion), and
+# the keys of its missing object -> (MissingnessSpec field, conversion).
+_SYNTH_KEYS = {"cases": ("n_cases", _json_int), "controls": ("n_controls", _json_int),
+               "attributes": ("n_attributes", _json_int), "days": ("n_days", _json_int),
+               "effect_size": ("effect_size", _json_number), "seed": ("seed", _json_int)}
+_MISSING_KEYS = {"mechanism": ("mechanism", _json_mechanism), "rate": ("rate", _json_number),
+                 "seed": ("seed", _json_int)}
+
+
+def _section(obj, options: dict, where: str | None, errors: list[str], also=()) -> dict:
+    """{name: converted value} of a config object; ``options`` maps key -> (name, conversion).
+
+    A non-object, a failed conversion and, except at the top level (``where``
+    None), a key in neither ``options`` nor ``also`` are listed in ``errors``.
+    """
+    if not isinstance(obj, dict):
+        errors.append(f"{where}: must be an object")
+        return {}
+    if where is not None:
+        _check_keys(obj, {*options, *also}, where, errors)
+    out = {}
+    for key, (name, convert) in options.items():
+        if key in obj:
+            try:
+                out[name] = convert(obj[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                errors.append(f"{key if where is None else f'{where}.{key}'}: {exc}")
+    return out
 
 
 def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
@@ -203,19 +257,13 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
                 cohort_source = ("path", path, cohort.get("window_length"))
         elif "synthetic" in cohort:
             synth = cohort["synthetic"]
-            if not isinstance(synth, dict):
-                errors.append("cohort.synthetic: must be an object")
-            else:
-                _check_keys(synth, _SYNTH_KEYS, "cohort.synthetic", errors)
-                missing = synth.get("missing")
-                if missing is not None:
-                    _check_keys(missing, {"mechanism", "rate", "seed"},
-                                "cohort.synthetic.missing", errors)
-                    if missing.get("mechanism") not in ("mcar", "mar", "mnar"):
-                        errors.append(
-                            "cohort.synthetic.missing.mechanism: must be mcar, mar or mnar"
-                        )
-                cohort_source = ("synthetic", synth)
+            arguments = _section(synth, _SYNTH_KEYS, "cohort.synthetic", errors, {"missing"})
+            missing = synth.get("missing") if isinstance(synth, dict) else None
+            if isinstance(missing, dict) and "mechanism" not in missing:
+                errors.append("cohort.synthetic.missing.mechanism: must be mcar, mar or mnar")
+            if missing is not None:
+                missing = _section(missing, _MISSING_KEYS, "cohort.synthetic.missing", errors)
+            cohort_source = ("synthetic", arguments, missing)
         else:
             errors.append("cohort: need either 'path' or 'synthetic'")
 
@@ -228,20 +276,9 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
     fields = {"methods": _parse_methods(doc.get("methods", "full"), errors)}
     if "windows" in doc:
         fields["windows"] = _parse_windows(doc["windows"], errors)
-    sections = {s: doc if s is None else doc.get(s, {}) for s in _OPTIONS}
-    for section, obj in sections.items():
-        if not isinstance(obj, dict):
-            errors.append(f"{section}: must be an object")
-            continue
-        if section is not None:
-            _check_keys(obj, _OPTIONS[section], section, errors)
-        for key, (name, convert) in _OPTIONS[section].items():
-            if key in obj:
-                try:
-                    fields[name] = obj[key] if convert is None else convert(obj[key])
-                except (TypeError, ValueError) as exc:
-                    where = key if section is None else f"{section}.{key}"
-                    errors.append(f"{where}: {exc}")
+    for section, options in _OPTIONS.items():
+        obj = doc if section is None else doc.get(section, {})
+        fields.update(_section(obj, options, section, errors))
 
     if errors:
         raise ConfigError(errors)
@@ -255,23 +292,12 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
 def _load_run_cohort(source):
     if source[0] == "path":
         return load_cohort(source[1], window_length=source[2])
-    synth = source[1]
-    cohort = generate_synthetic_cohort(
-        n_cases=int(synth.get("cases", 50)),
-        n_controls=int(synth.get("controls", 150)),
-        n_attributes=int(synth.get("attributes", 11)),
-        n_days=int(synth.get("days", 20)),
-        effect_size=float(synth.get("effect_size", 1.5)),
-        seed=int(synth.get("seed", 0)),
-    )
-    missing = synth.get("missing")
-    if missing and float(missing.get("rate", 0)) > 0:
-        spec = MissingnessSpec(
-            Missingness(missing["mechanism"]),
-            float(missing["rate"]),
-            seed=int(missing.get("seed", 0)),
-        )
-        cohort = apply_missingness(cohort, spec)
+    _, arguments, missing = source
+    cohort = generate_synthetic_cohort(**{"n_cases": 50, "n_controls": 150, "n_attributes": 11,
+                                          "n_days": 20, "effect_size": 1.5, "seed": 0,
+                                          **arguments})
+    if missing and missing.get("rate", 0) > 0:
+        cohort = apply_missingness(cohort, MissingnessSpec(**missing))
     return cohort
 
 

@@ -8,6 +8,14 @@ series need no imputation.  Each ensemble member contributes the cosine
 similarities of its posterior vectors, and the kernel is their average,
 which also supports out-of-sample evaluation against stored training
 posteriors.
+
+The likelihood is computed over the flattened V·T cells.  With the square
+expanded, the masked log-density of every sample under every component is
+one product of the data rows [R_v, R·X², R·X, R] (R_v: observed cells per
+attribute) with the coefficient rows [c, −a, 2μa, −μ²a] (c = −(log 2π +
+log σ²)/2 and a = 1/(2σ²), repeated over days), and the M-step's weighted
+sums are the product of the posteriors with the same rows.  Each attribute
+is first centered on one value, since the expansion cancels when |x| ≫ σ.
 """
 from __future__ import annotations
 
@@ -76,50 +84,38 @@ class FitResult:
 
 
 def smoothed_mean_curve(X: np.ndarray, R: np.ndarray, width: int) -> np.ndarray:
-    """Per-attribute observed-mean curve, Gaussian-smoothed along time."""
+    """Observed-mean curve of centered data (0 on empty days), Gaussian-smoothed along time."""
     counts = R.sum(axis=0)                 # (V, T)
-    sums = (X * R).sum(axis=0)
-    attr_counts = counts.sum(axis=1)       # (V,)
-    attr_means = np.divide(
-        sums.sum(axis=1), attr_counts, out=np.zeros_like(attr_counts), where=attr_counts > 0
-    )
-    raw = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    raw = np.where(counts > 0, raw, attr_means[:, None])
+    raw = np.divide((X * R).sum(axis=0), counts, out=np.zeros_like(counts), where=counts > 0)
     T = X.shape[2]
     offsets = np.arange(T)
     w = np.exp(-((offsets[:, None] - offsets[None, :]) ** 2) / (2.0 * width * width))
     return (raw @ w) / w.sum(axis=0)[None, :]
 
 
-def observed_attribute_variance(X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Variance of each attribute's observed cells, floored to stay usable."""
-    counts = R.sum(axis=(0, 2))
-    sums = (X * R).sum(axis=(0, 2))
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    sq = (R * (X - means[None, :, None]) ** 2).sum(axis=(0, 2))
-    var = np.divide(sq, counts, out=np.ones_like(sq), where=counts > 0)
-    return np.maximum(var, 1e-8)
+def _flat_data(X: np.ndarray, R: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Data rows [R_v, R·X², R·X, R], (N, V + 3·V·T), of X centered on ``center`` (V,)."""
+    Xc = R * (X - center[None, :, None])
+    with np.errstate(over="ignore"):  # a wild value squares to inf; see _flat_posteriors
+        rows = [R.sum(axis=2), Xc * Xc, Xc, R]
+    return np.concatenate([r.reshape(len(X), -1) for r in rows], axis=1)
 
 
-def _log_likelihoods(params: DiagGMMParams, X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Masked log-density of every sample under every component, (N, G)."""
-    N = X.shape[0]
-    G = params.n_components
-    out = np.empty((N, G))
-    inv2 = 1.0 / (2.0 * params.variances)            # (G, V)
-    cst = -0.5 * (LOG_2PI + np.log(params.variances))  # (G, V)
-    with np.errstate(over="ignore"):  # a wild value gives -inf; _posteriors handles the row
-        for g in range(G):
-            d2 = (X - params.means[g][None]) ** 2
-            term = cst[g][None, :, None] - d2 * inv2[g][None, :, None]
-            out[:, g] = (R * term).sum(axis=(1, 2))
-    return out
+def _log_likelihoods(params: DiagGMMParams, F: np.ndarray) -> np.ndarray:
+    """Masked log-density (N, G) of data rows ``F``, centered like ``params.means``."""
+    G, V, T = params.means.shape
+    a = np.repeat(1.0 / (2.0 * params.variances), T, axis=1)  # (G, V·T)
+    mu = params.means.reshape(G, V * T)
+    cst = -0.5 * (LOG_2PI + np.log(params.variances))         # (G, V)
+    coef = np.concatenate([cst, -a, 2.0 * mu * a, -mu * mu * a], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a wild value gives -inf or nan
+        return F @ coef.T
 
 
-def _posteriors(params, X, R) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior matrix (N, G) and per-sample log-evidence (N,)."""
-    with np.errstate(divide="ignore"):  # a fully emptied component has weight 0
-        logw = np.log(params.weights)[None, :] + _log_likelihoods(params, X, R)
+def _flat_posteriors(params: DiagGMMParams, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior matrix (N, G) and per-sample log-evidence (N,) of data rows ``F``."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # weight 0 gives -inf, a wild row nan
+        logw = np.log(params.weights)[None, :] + _log_likelihoods(params, F)
     bad = ~np.isfinite(logw.max(axis=1))
     if bad.any():
         logger.warning(
@@ -131,6 +127,18 @@ def _posteriors(params, X, R) -> tuple[np.ndarray, np.ndarray]:
     evidence = top + np.log(np.exp(logw - top[:, None]).sum(axis=1))
     post = np.exp(logw - evidence[:, None])
     return post, evidence
+
+
+def _posteriors(params, X, R) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior matrix (N, G) and per-sample log-evidence (N,).
+
+    Each attribute is centered on the mean of the component means, which
+    depends on the mixture alone, not on the samples being scored.
+    """
+    center = params.means.mean(axis=(0, 2))
+    means = params.means - center[None, :, None]
+    return _flat_posteriors(DiagGMMParams(params.weights, means, params.variances),
+                            _flat_data(X, R, center))
 
 
 def _log_prior(params: DiagGMMParams, smooth: np.ndarray, prior: MemberPrior,
@@ -155,9 +163,11 @@ def fit_diaggmm(
 
     Alternates posterior computation with closed-form coordinate updates of
     weights, means (shrunk toward the smoothed population curve) and
-    variances, so the penalized objective never decreases.  Components that
-    lose all responsibility are re-seeded once from a random sample; a
-    recurrence is accepted with a warning.
+    variances, so the penalized objective never decreases; a decrease or a
+    non-finite objective raises FloatingPointError.  Components that lose
+    all responsibility are re-seeded once from a random sample; a recurrence
+    is accepted with a warning.  EM runs on data centered on each
+    attribute's observed mean, and the returned means are moved back.
     """
     N, V, T = X.shape
     G = int(n_components)
@@ -167,15 +177,23 @@ def fit_diaggmm(
         raise ValueError("need at least one component")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    smooth = smoothed_mean_curve(X, R, prior.smoothing_width)
-    attr_var = observed_attribute_variance(X, R)
+    # Center each attribute on its observed mean; the rows then hold its variance too.
+    n_obs = R.sum(axis=(0, 2))
+    center = np.divide((X * R).sum(axis=(0, 2)), n_obs, out=np.zeros(V), where=n_obs > 0)
+    F = _flat_data(X, R, center)
+    D = V * T
+    sq = F[:, V:V + D].reshape(N, V, T)
+    RX = F[:, V + D:V + 2 * D].reshape(N, V, T)
+    attr_var = np.maximum(np.divide(sq.sum(axis=(0, 2)), n_obs, out=np.ones(V),
+                                    where=n_obs > 0), 1e-8)
+    smooth = smoothed_mean_curve(RX, R, prior.smoothing_width)
     b0 = prior.b0_scale * attr_var
     floor = VARIANCE_FLOOR_FACTOR * attr_var
     lam = prior.strength
 
     def seeded_mean(idx: int) -> np.ndarray:
         # Blend of the sample's observed cells and the smoothed curve.
-        return (R[idx] * X[idx] + lam * smooth) / (R[idx] + lam)
+        return (RX[idx] + lam * smooth) / (R[idx] + lam)
 
     init_idx = rng.choice(N, size=G, replace=N < G)
     params = DiagGMMParams(
@@ -192,7 +210,7 @@ def fit_diaggmm(
     steps = 0
     while steps < max_iter + G:  # small headroom for re-seed rounds
         steps += 1
-        post, evidence = _posteriors(params, X, R)
+        post, evidence = _flat_posteriors(params, F)
         counts = post.sum(axis=0)
         empty = np.flatnonzero(counts < EMPTY_COMPONENT_WEIGHT)
         fresh = [g for g in empty if g not in reseeded]
@@ -209,10 +227,10 @@ def fit_diaggmm(
             logger.warning("component(s) %s stayed empty after re-seeding", empty.tolist())
 
         obj = float(evidence.sum()) + _log_prior(params, smooth, prior, b0)
-        if __debug__ and prev_obj is not None:
-            assert obj >= prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj)), (
-                f"EM objective decreased: {prev_obj} -> {obj}"
-            )
+        if not math.isfinite(obj):
+            raise FloatingPointError(f"EM objective is not finite: {obj}")
+        if prev_obj is not None and obj < prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj)):
+            raise FloatingPointError(f"EM objective decreased: {prev_obj} -> {obj}")
         trace.append(obj)
         posteriors = post
         if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
@@ -223,22 +241,20 @@ def fit_diaggmm(
 
         # M-step: exact coordinate maximization of the penalized bound.
         weights = counts / N
-        W = np.einsum("ng,nvt->gvt", post, R)
-        S = np.einsum("ng,nvt->gvt", post, R * X)
+        Wv, S2, S, W = np.split(post.T @ F, [V, V + D, V + 2 * D], axis=1)
+        S2, S, W = (M.reshape(G, V, T) for M in (S2, S, W))
         means = (S + lam * smooth[None]) / (W + lam)
-        ss = np.empty((G, V))
-        for g in range(G):
-            ss[g] = (post[:, g][:, None, None] * R * (X - means[g][None]) ** 2).sum(
-                axis=(0, 2)
-            )
+        ss = (S2 - 2.0 * means * S + means * means * W).sum(axis=2)
         pen = lam * ((means - smooth[None]) ** 2).sum(axis=2)
-        variances = (ss + pen + 2.0 * b0[None, :]) / (W.sum(axis=2) + 2.0 * prior.a0)
+        variances = (ss + pen + 2.0 * b0[None, :]) / (Wv + 2.0 * prior.a0)
         variances = np.maximum(variances, floor[None, :])
         params = DiagGMMParams(weights, means, variances)
 
     if posteriors is None:  # every round ended in a re-seed
-        posteriors, _ = _posteriors(params, X, R)
-    return FitResult(params, posteriors, trace, reseed_points)
+        posteriors, _ = _flat_posteriors(params, F)
+    means = params.means + center[None, :, None]
+    return FitResult(DiagGMMParams(params.weights, means, params.variances), posteriors,
+                     trace, reseed_points)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +358,10 @@ def tck_train(
                 prior, seg_start, seg_len, attrs, subset = _draw_member(
                     rng, N, V, T, n_min, v_min, t_min
                 )
-                Xs = X[np.ix_(subset, attrs)][:, :, seg_start:seg_start + seg_len]
-                Rs = R[np.ix_(subset, attrs)][:, :, seg_start:seg_start + seg_len]
+                Xa = X[:, attrs, seg_start:seg_start + seg_len]
+                Ra = R[:, attrs, seg_start:seg_start + seg_len]
                 try:
-                    fit = fit_diaggmm(Xs, Rs, q2, prior, rng, max_iter=max_iter)
+                    fit = fit_diaggmm(Xa[subset], Ra[subset], q2, prior, rng, max_iter=max_iter)
                     break
                 except Exception:
                     logger.warning(
@@ -355,8 +371,6 @@ def tck_train(
             if fit is None:
                 logger.warning("skipping member (q1=%d, q2=%d) after 3 attempts", q1, q2)
                 continue
-            Xa = X[:, attrs, seg_start:seg_start + seg_len]
-            Ra = R[:, attrs, seg_start:seg_start + seg_len]
             post, _ = _posteriors(fit.params, Xa, Ra)
             unit = _unit_rows(post)
             K += unit @ unit.T

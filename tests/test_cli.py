@@ -245,6 +245,38 @@ class TestRun:
         assert run_cli("run", config) == 2
         assert f"{where}: must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"runs": 2.7}, "runs: must be an integer, got 2.7"),
+        ({"runs": True}, "runs: must be an integer, got True"),
+        ({"lps": {"trees": "8"}}, "lps.trees: must be an integer, got '8'"),
+        ({"tck": {"C": "abc"}}, "tck.C: invalid literal"),
+        ({"tck": {"C": 2.5}}, "tck.C: must be an integer, got 2.5"),
+        ({"tck": {"C": True}}, "tck.C: must be an integer, got True"),
+        ({"windows": {"from": 7.5, "to": 9}}, "windows: need integer 'from' and 'to'"),
+        ({"windows": [8, True]}, "windows: must be a list of integers"),
+        ({"embedding_dumps": {"windows": [8.5]}},
+         "embedding_dumps.windows: must be an integer, got 8.5"),
+    ])
+    def test_non_integer_value_exits_2(self, tmp_path, capsys, overrides, message):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}}, **overrides)
+        assert run_cli("run", config, "--dry-run") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synthetic, message", [
+        ({"cases": "abc"}, "cohort.synthetic.cases: invalid literal"),
+        ({"days": 20.5}, "cohort.synthetic.days: must be an integer, got 20.5"),
+        ({"effect_size": "big"}, "cohort.synthetic.effect_size: must be a number"),
+        ({"missing": 5}, "cohort.synthetic.missing: must be an object"),
+        ({"missing": {"mechanism": "mcar", "rate": "0.3"}},
+         "cohort.synthetic.missing.rate: must be a number"),
+        ({"missing": {"mechanism": "mcar", "rate": 0.3, "seed": 1.5}},
+         "cohort.synthetic.missing.seed: must be an integer, got 1.5"),
+    ])
+    def test_bad_synthetic_cohort_key_exits_2(self, tmp_path, capsys, synthetic, message):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": synthetic})
+        assert run_cli("run", config, "--dry-run") == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_keys_reported_exhaustively(self, tmp_path, capsys):
         cohort = _synth_csv(tmp_path)
         config = _run_config(tmp_path, cohort, typo_key=1, another_typo=2)
@@ -316,6 +348,11 @@ class TestRun:
 class TestRunConfig:
     def test_minimal_document_gives_config_defaults(self, tmp_path):
         doc = {"cohort": {"synthetic": {}}, "output_dir": str(tmp_path)}
+        _, _, config = parse_run_config(doc)
+        assert config == ExperimentConfig(methods=full_method_grid())
+
+    def test_null_component_count_means_the_default(self, tmp_path):
+        doc = {"cohort": {"synthetic": {}}, "output_dir": str(tmp_path), "tck": {"C": None}}
         _, _, config = parse_run_config(doc)
         assert config == ExperimentConfig(methods=full_method_grid())
 

@@ -1,17 +1,35 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 import mtsk.tck as tck_mod
-from mtsk.cohort import Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness, generate_synthetic_cohort
+from mtsk.cohort import (
+    Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
+    generate_synthetic_cohort, train_test_split,
+)
 from mtsk.tck import (
+    EM_TOL,
+    EMPTY_COMPONENT_WEIGHT,
+    LOG_2PI,
+    MONOTONICITY_TOL,
+    VARIANCE_FLOOR_FACTOR,
     DiagGMMParams,
+    FitResult,
     MemberPrior,
     TCKMember,
     TCKModel,
+    _log_prior,
     _posteriors,
     default_max_components,
     fit_diaggmm,
@@ -20,6 +38,135 @@ from mtsk.tck import (
     tck_test,
     tck_train,
 )
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-component EM that the flattened matrix-product form
+# replaced, with the same arithmetic and without its warnings.  The two
+# compute the same quantities in a different order (expanded squares,
+# centered data, one product per step), so they agree to rounding: the
+# ensemble Gram and cross to ORACLE_TOL.
+
+ORACLE_TOL = 1e-10
+
+
+def oracle_smoothed_mean_curve(X, R, width):
+    counts = R.sum(axis=0)
+    sums = (X * R).sum(axis=0)
+    attr_counts = counts.sum(axis=1)
+    attr_means = np.divide(
+        sums.sum(axis=1), attr_counts, out=np.zeros_like(attr_counts), where=attr_counts > 0
+    )
+    raw = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    raw = np.where(counts > 0, raw, attr_means[:, None])
+    T = X.shape[2]
+    offsets = np.arange(T)
+    w = np.exp(-((offsets[:, None] - offsets[None, :]) ** 2) / (2.0 * width * width))
+    return (raw @ w) / w.sum(axis=0)[None, :]
+
+
+def oracle_observed_attribute_variance(X, R):
+    counts = R.sum(axis=(0, 2))
+    sums = (X * R).sum(axis=(0, 2))
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    sq = (R * (X - means[None, :, None]) ** 2).sum(axis=(0, 2))
+    var = np.divide(sq, counts, out=np.ones_like(sq), where=counts > 0)
+    return np.maximum(var, 1e-8)
+
+
+def oracle_log_likelihoods(params, X, R):
+    N = X.shape[0]
+    G = params.n_components
+    out = np.empty((N, G))
+    inv2 = 1.0 / (2.0 * params.variances)
+    cst = -0.5 * (LOG_2PI + np.log(params.variances))
+    with np.errstate(over="ignore"):
+        for g in range(G):
+            d2 = (X - params.means[g][None]) ** 2
+            term = cst[g][None, :, None] - d2 * inv2[g][None, :, None]
+            out[:, g] = (R * term).sum(axis=(1, 2))
+    return out
+
+
+def oracle_posteriors(params, X, R):
+    with np.errstate(divide="ignore"):
+        logw = np.log(params.weights)[None, :] + oracle_log_likelihoods(params, X, R)
+    bad = ~np.isfinite(logw.max(axis=1))
+    logw[bad] = 0.0
+    top = logw.max(axis=1)
+    evidence = top + np.log(np.exp(logw - top[:, None]).sum(axis=1))
+    post = np.exp(logw - evidence[:, None])
+    return post, evidence
+
+
+def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
+    N, V, T = X.shape
+    G = int(n_components)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+    smooth = oracle_smoothed_mean_curve(X, R, prior.smoothing_width)
+    attr_var = oracle_observed_attribute_variance(X, R)
+    b0 = prior.b0_scale * attr_var
+    floor = VARIANCE_FLOOR_FACTOR * attr_var
+    lam = prior.strength
+
+    def seeded_mean(idx):
+        return (R[idx] * X[idx] + lam * smooth) / (R[idx] + lam)
+
+    init_idx = rng.choice(N, size=G, replace=N < G)
+    params = DiagGMMParams(
+        weights=np.full(G, 1.0 / G),
+        means=np.stack([seeded_mean(i) for i in init_idx]),
+        variances=np.tile(attr_var, (G, 1)),
+    )
+
+    trace, reseed_points, reseeded = [], [], set()
+    posteriors = None
+    prev_obj = None
+    steps = 0
+    while steps < max_iter + G:
+        steps += 1
+        post, evidence = oracle_posteriors(params, X, R)
+        counts = post.sum(axis=0)
+        empty = np.flatnonzero(counts < EMPTY_COMPONENT_WEIGHT)
+        fresh = [g for g in empty if g not in reseeded]
+        if fresh:
+            means = params.means.copy()
+            for g in fresh:
+                means[g] = seeded_mean(int(rng.integers(N)))
+                reseeded.add(g)
+            params = DiagGMMParams(params.weights, means, params.variances)
+            reseed_points.append(len(trace))
+            prev_obj = None
+            continue
+
+        obj = float(evidence.sum()) + _log_prior(params, smooth, prior, b0)
+        if prev_obj is not None:
+            assert obj >= prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj))
+        trace.append(obj)
+        posteriors = post
+        if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
+            break
+        prev_obj = obj
+        if len(trace) >= max_iter:
+            break
+
+        weights = counts / N
+        W = np.einsum("ng,nvt->gvt", post, R)
+        S = np.einsum("ng,nvt->gvt", post, R * X)
+        means = (S + lam * smooth[None]) / (W + lam)
+        ss = np.empty((G, V))
+        for g in range(G):
+            ss[g] = (post[:, g][:, None, None] * R * (X - means[g][None]) ** 2).sum(
+                axis=(0, 2)
+            )
+        pen = lam * ((means - smooth[None]) ** 2).sum(axis=2)
+        variances = (ss + pen + 2.0 * b0[None, :]) / (W.sum(axis=2) + 2.0 * prior.a0)
+        variances = np.maximum(variances, floor[None, :])
+        params = DiagGMMParams(weights, means, variances)
+
+    if posteriors is None:
+        posteriors, _ = oracle_posteriors(params, X, R)
+    return FitResult(params, posteriors, trace, reseed_points)
 
 
 def single_component_map_oracle(X, R, prior):
@@ -127,7 +274,7 @@ class TestPosterior:
         post, evidence = _posteriors(params, X, R)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logw = np.log(params.weights)[None, :] + tck_mod._log_likelihoods(params, X, R)
+            logw = np.log(params.weights)[None, :] + oracle_log_likelihoods(params, X, R)
         assert not np.isfinite(logw[-1]).any() and np.isinf(logw[:-1, 0]).all()
         logw[-1] = 0.0
         want = logsumexp(logw, axis=1)
@@ -357,3 +504,122 @@ class TestSerialization:
         np.savez_compressed(path, __meta__=json.dumps(meta), train_gram=np.eye(2))
         with pytest.raises(ValueError, match="unsupported TCK model version 1"):
             load_tck_model(path)
+
+
+@pytest.fixture(scope="module")
+def mar_split():
+    full = generate_synthetic_cohort(10, 30, 4, 12, 1.5, seed=1)
+    masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=1))
+    return train_test_split(masked, 0.75, seed=1)
+
+
+class TestOracle:
+    def test_ensemble_matches_oracle(self, mar_split, monkeypatch):
+        train, test = mar_split
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(fit_diaggmm(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(tck_mod, "fit_diaggmm", recording)
+        km, model = tck_train(train, Q=2, C=8, seed=1)
+        cross = tck_test(model, test).cross
+        assert any(fit.reseed_points for fit in fits), "no member re-seeded a component"
+
+        monkeypatch.setattr(tck_mod, "fit_diaggmm", oracle_fit_diaggmm)
+        monkeypatch.setattr(tck_mod, "_posteriors", oracle_posteriors)
+        km_oracle, model_oracle = tck_train(train, Q=2, C=8, seed=1)
+        np.testing.assert_allclose(km.gram, km_oracle.gram, rtol=0, atol=ORACLE_TOL)
+        np.testing.assert_allclose(cross, tck_test(model_oracle, test).cross,
+                                   rtol=0, atol=ORACLE_TOL)
+
+    def test_posteriors_match_oracle(self, caplog):
+        # Means and data sit around a baseline of 10, component 0 has weight
+        # 0, and the last sample underflows every component.
+        rng = np.random.default_rng(12)
+        means = 10.0 + rng.normal(scale=3.0, size=(4, 3, 5))
+        params = DiagGMMParams([0.0, 0.2, 0.3, 0.5], means, rng.uniform(0.01, 2.0, (4, 3)))
+        X = 10.0 + rng.normal(scale=3.0, size=(9, 3, 5))
+        X[-1] = 1e300
+        R = (rng.random(X.shape) < 0.7).astype(float)
+        R[-1] = 1.0
+        with caplog.at_level(logging.WARNING):
+            post, evidence = _posteriors(params, X, R)
+        assert "1 sample(s) underflowed" in caplog.text
+        want_post, want_evidence = oracle_posteriors(params, X, R)
+        np.testing.assert_allclose(evidence, want_evidence, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(post, want_post, rtol=1e-11, atol=0)
+        assert post[-1].tolist() == [0.25] * 4
+        assert (post[:-1, 0] == 0.0).all()
+
+
+@pytest.fixture(scope="module")
+def mask_case():
+    full = generate_synthetic_cohort(6, 14, 3, 10, 1.5, seed=30)
+    masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=31))
+    train, test = train_test_split(masked, 0.75, seed=32)
+    km, model = tck_train(train, Q=2, C=3, seed=33)
+    return train, test, km.gram, tck_test(model, test).cross
+
+
+def _poisoned(cohort, data, label):
+    """The cohort with values drawn from [-1e300, 1e300] under every masked cell."""
+    hidden = cohort.mask == 0
+    fill = data.draw(arrays(float, int(hidden.sum()),
+                            elements=st.floats(-1e300, 1e300, allow_nan=False)), label=label)
+    values = cohort.values.copy()
+    values[hidden] = fill
+    return Cohort([MTSample(s.id, v, s.mask, s.label) for s, v in zip(cohort.samples, values)],
+                  cohort.attribute_names, cohort.window_length)
+
+
+class TestMaskInvariance:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_values_under_the_mask_change_no_gram_or_cross(self, mask_case, data):
+        train, test, gram, cross = mask_case
+        km, model = tck_train(_poisoned(train, data, "train fill"), Q=2, C=3, seed=33)
+        assert np.array_equal(km.gram, gram)
+        assert np.array_equal(tck_test(model, _poisoned(test, data, "test fill")).cross, cross)
+
+
+class TestEMGuard:
+    def test_decrease_and_non_finite_objective_raise_under_python_O(self):
+        # python -O strips assert statements; the guard must still fire, and a
+        # member it stops must reach tck_train's retry and skip path.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tck_mod.__file__)))
+        code = textwrap.dedent(f"""
+            import itertools, logging, sys
+            sys.path.insert(0, {src!r})
+            import numpy as np
+            import mtsk.tck as tck
+            from mtsk.cohort import generate_synthetic_cohort
+            logging.disable(logging.WARNING)
+            rng = np.random.default_rng(0)
+            X = rng.normal(size=(20, 3, 8))
+            R = (rng.random(X.shape) >= 0.3).astype(float)
+            prior = tck.MemberPrior(1.0, 2, 0.1, 0.05)
+
+            def fit_error(prior_values):
+                tck._log_prior = lambda *args: next(prior_values)
+                try:
+                    tck.fit_diaggmm(X, R, 2, prior, seed=0)
+                except FloatingPointError as exc:
+                    return str(exc)
+                return "no error"
+
+            print(sys.flags.optimize)
+            print(fit_error(itertools.count(0.0, -1e6)))
+            print(fit_error(itertools.repeat(float("nan"))))
+            try:
+                tck.tck_train(generate_synthetic_cohort(3, 5, 2, 8, 1.5, seed=0), Q=1, C=2)
+            except ValueError as exc:
+                print(exc)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out[0] == "1"
+        assert out[1].startswith("EM objective decreased: ")
+        assert out[2] == "EM objective is not finite: nan"
+        assert out[3] == "every ensemble member failed to train"
