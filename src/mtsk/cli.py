@@ -1,7 +1,10 @@
 """Command-line entry point: synth, kernel, run and report subcommands.
 
 Exit codes: 0 when everything succeeded, 1 when some experiment cells
-failed, 2 for configuration or input errors.
+failed, 2 for every input error (arguments, ``MTSK_WORKERS``, which only
+``run`` reads, and ``MTSK_LOG``; config and cohort files; missing or
+unwritable paths; out-of-range values).  Commands raise; ``main`` alone
+prints the error and returns 2, and ``MTSK_LOG=debug`` adds its traceback.
 """
 from __future__ import annotations
 
@@ -68,15 +71,7 @@ _SAVE_MODEL = {"tck": save_tck_model, "lps": save_lps_forest}
 
 
 def cmd_kernel(args) -> int:
-    try:
-        method = evaluate.MethodSpec(args.method, None if args.impute == "none" else args.impute)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for path in filter(None, (args.train, args.test)):
-        if not os.path.exists(path):
-            print(f"error: input file not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
+    method = evaluate.MethodSpec(args.method, None if args.impute == "none" else args.impute)
     train = load_cohort(args.train)
     test = load_cohort(args.test, window_length=train.window_length,
                        attributes=train.attribute_names) if args.test else None
@@ -105,49 +100,6 @@ def cmd_kernel(args) -> int:
 # run
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str, errors: list[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
-
-
-def _parse_windows(raw, errors) -> tuple[int, ...]:
-    if isinstance(raw, dict):
-        _check_keys(raw, {"from", "to"}, "windows", errors)
-        try:
-            return tuple(range(_json_int(raw["from"]), _json_int(raw["to"]) + 1))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            errors.append("windows: need integer 'from' and 'to'")
-            return ()
-    try:
-        return _json_ints(raw)
-    except (TypeError, ValueError, OverflowError):
-        errors.append("windows: must be a list of integers or {from, to}")
-        return ()
-
-
-def _parse_methods(raw, errors) -> tuple:
-    if raw == "full":
-        return tuple(evaluate.full_method_grid())
-    if not isinstance(raw, list):
-        errors.append("methods: must be \"full\" or a list of {kernel, imputation}")
-        return ()
-    out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            errors.append(f"methods[{i}]: must be an object")
-            continue
-        _check_keys(entry, {"kernel", "imputation"}, f"methods[{i}]", errors)
-        imputation = entry.get("imputation")
-        if imputation == "none":
-            imputation = None
-        try:
-            out.append(evaluate.MethodSpec(entry.get("kernel", ""), imputation))
-        except ValueError as exc:
-            errors.append(f"methods[{i}]: {exc}")
-    return tuple(out)
-
-
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
@@ -171,170 +123,189 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _json_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def _json_strs(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list of strings, got {value!r}")
+    return tuple(map(_json_str, value))
+
+
 def _json_mechanism(value) -> Missingness:
     if value not in ("mcar", "mar", "mnar"):
         raise ValueError("must be mcar, mar or mnar")
     return Missingness(value)
 
 
-# Optional keys, top level (None) and per section: JSON key -> (ExperimentConfig
-# field, conversion).  Absent keys are not passed, so the defaults live in
-# ExperimentConfig alone.
-_OPTIONS = {
-    None: {"runs": ("runs", _json_int), "base_seed": ("base_seed", _json_int),
-           "train_fraction": ("train_fraction", _json_number),
-           "stratify": ("stratify", _json_bool)},
-    "pipeline": {"kpca_dim": ("kpca_dim", _json_int), "k_clusters": ("k_clusters", _json_int),
-                 "knn_k": ("knn_k", _json_int),
-                 "kmeans_restarts": ("kmeans_restarts", _json_int)},
-    "baselines": {"supervised": ("supervised_baseline", _json_bool),
-                  "manual_features": ("manual_baseline", _json_bool)},
-    "evaluation": {"paper_literal_f1": ("paper_literal_f1", _json_bool)},
-    "tck": {"Q": ("tck_q", _json_int),
-            "C": ("tck_c", lambda v: None if v is None else _json_int(v)),
-            "max_iter": ("tck_max_iter", _json_int)},
-    "lps": {"trees": ("lps_trees", _json_int), "max_depth": ("lps_depth", _json_int)},
-    "embedding_dumps": {"methods": ("embedding_dump_methods", tuple),
-                        "windows": ("embedding_dump_windows", _json_ints)},
+def _json_windows(value) -> tuple[int, ...]:
+    try:
+        if not isinstance(value, dict):
+            return _json_ints(value)
+        if set(value) == {"from", "to"}:
+            return tuple(range(_json_int(value["from"]), _json_int(value["to"]) + 1))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("need integer 'from' and 'to' and no other key" if isinstance(value, dict)
+                     else "must be a list of integers or {from, to}")
+
+
+def _json_methods(value) -> tuple:
+    if value == "full":
+        return tuple(evaluate.full_method_grid())
+    if not isinstance(value, list):
+        raise ValueError("must be \"full\" or a list of {kernel, imputation}")
+    errors, methods = [], []
+    for i, entry in enumerate(value):
+        where, before = f"methods[{i}]", len(errors)
+        try:
+            fields = _walk(entry, _METHOD, where, errors)
+            if len(errors) == before:  # MethodSpec checks only fully converted entries
+                methods.append(evaluate.MethodSpec(**fields))
+        except ConfigError as exc:
+            errors += exc.errors
+        except (TypeError, ValueError) as exc:
+            errors.append(f"{where}: {exc}")
+    if errors:
+        raise ConfigError(errors)
+    return tuple(methods)
+
+
+# Each JSON object of a run config is read through a table: key -> (name,
+# conversion).  A conversion is a function of the JSON value or, for a nested
+# object, that object's table; the fields of a nested object named None join
+# its parent's.  Absent keys are not passed, so the defaults live in
+# ExperimentConfig and _load_run_cohort alone.
+_METHOD = {"kernel": ("kernel", _json_str),
+           "imputation": ("imputation", lambda v: None if v in (None, "none") else _json_str(v))}
+_MISSING = {"mechanism": ("mechanism", _json_mechanism), "rate": ("rate", _json_number),
+            "seed": ("seed", _json_int)}
+_SYNTHETIC = {"cases": ("n_cases", _json_int), "controls": ("n_controls", _json_int),
+              "attributes": ("n_attributes", _json_int), "days": ("n_days", _json_int),
+              "effect_size": ("effect_size", _json_number), "seed": ("seed", _json_int),
+              "missing": ("missing", _MISSING)}
+_CONFIG = {
+    "cohort": ("cohort", {"path": ("path", _json_str),
+                          "window_length": ("window_length", _json_int),
+                          "synthetic": ("synthetic", _SYNTHETIC)}),
+    "output_dir": ("output_dir", _json_str),
+    "methods": ("methods", _json_methods),
+    "windows": ("windows", _json_windows),
+    "runs": ("runs", _json_int), "base_seed": ("base_seed", _json_int),
+    "train_fraction": ("train_fraction", _json_number), "stratify": ("stratify", _json_bool),
+    "pipeline": (None, {"kpca_dim": ("kpca_dim", _json_int),
+                        "k_clusters": ("k_clusters", _json_int),
+                        "knn_k": ("knn_k", _json_int),
+                        "kmeans_restarts": ("kmeans_restarts", _json_int)}),
+    "baselines": (None, {"supervised": ("supervised_baseline", _json_bool),
+                         "manual_features": ("manual_baseline", _json_bool)}),
+    "evaluation": (None, {"paper_literal_f1": ("paper_literal_f1", _json_bool)}),
+    "tck": (None, {"Q": ("tck_q", _json_int),
+                   "C": ("tck_c", lambda v: None if v is None else _json_int(v)),
+                   "max_iter": ("tck_max_iter", _json_int)}),
+    "lps": (None, {"trees": ("lps_trees", _json_int), "max_depth": ("lps_depth", _json_int)}),
+    "embedding_dumps": (None, {"methods": ("embedding_dump_methods", _json_strs),
+                               "windows": ("embedding_dump_windows", _json_ints)}),
 }
-_TOP_KEYS = {"cohort", "output_dir", "methods", "windows", *_OPTIONS[None],
-             *filter(None, _OPTIONS)}
-# cohort.synthetic keys -> (generate_synthetic_cohort argument, conversion), and
-# the keys of its missing object -> (MissingnessSpec field, conversion).
-_SYNTH_KEYS = {"cases": ("n_cases", _json_int), "controls": ("n_controls", _json_int),
-               "attributes": ("n_attributes", _json_int), "days": ("n_days", _json_int),
-               "effect_size": ("effect_size", _json_number), "seed": ("seed", _json_int)}
-_MISSING_KEYS = {"mechanism": ("mechanism", _json_mechanism), "rate": ("rate", _json_number),
-                 "seed": ("seed", _json_int)}
 
 
-def _section(obj, options: dict, where: str | None, errors: list[str], also=()) -> dict:
-    """{name: converted value} of a config object; ``options`` maps key -> (name, conversion).
+def _walk(obj, table: dict, where: str, errors: list[str]) -> dict:
+    """{name: converted value} of one config object, read through ``table``.
 
-    A non-object, a failed conversion and, except at the top level (``where``
-    None), a key in neither ``options`` nor ``also`` are listed in ``errors``.
+    Unknown keys and failed conversions go to ``errors`` under their dotted
+    path; a value that is not a JSON object raises ConfigError.
     """
     if not isinstance(obj, dict):
-        errors.append(f"{where}: must be an object")
-        return {}
-    if where is not None:
-        _check_keys(obj, {*options, *also}, where, errors)
+        raise ConfigError([f"{where}: must be an object"])
     out = {}
-    for key, (name, convert) in options.items():
-        if key in obj:
-            try:
-                out[name] = convert(obj[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                errors.append(f"{key if where is None else f'{where}.{key}'}: {exc}")
+    for key, value in obj.items():
+        path = f"{where}.{key}" if where else key
+        if key not in table:
+            errors.append(f"{where or 'config'}: unknown key {key!r}")
+            continue
+        name, convert = table[key]
+        try:
+            value = (_walk(value, convert, path, errors) if isinstance(convert, dict)
+                     else convert(value))
+        except ConfigError as exc:
+            errors += exc.errors
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append(f"{path}: {exc}")
+        else:
+            out.update(value if name is None else {name: value})
     return out
 
 
 def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
     """Validate a run-config document; returns (cohort_source, output_dir, config).
 
-    Raises ConfigError carrying the exhaustive list of problems.
+    ``cohort_source`` is the converted ``cohort`` object, its path joined to
+    ``config_dir``.  Raises ConfigError carrying the exhaustive list of problems.
     """
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be an object"])
-    _check_keys(doc, _TOP_KEYS, "config", errors)
+    errors: list[str] = []
+    fields = _walk(doc, _CONFIG, "", errors)
 
-    cohort_source = None
-    cohort = doc.get("cohort")
-    if not isinstance(cohort, dict):
-        errors.append("cohort: required object with 'path' or 'synthetic'")
-    else:
-        _check_keys(cohort, {"path", "window_length", "synthetic"}, "cohort", errors)
-        if "path" in cohort:
-            path = cohort["path"]
-            if not isinstance(path, str):
-                errors.append("cohort.path: must be a string")
-            else:
-                if not os.path.isabs(path):
-                    path = os.path.join(config_dir, path)
-                if not os.path.exists(path):
-                    errors.append(f"cohort.path: input file not found: {path}")
-                cohort_source = ("path", path, cohort.get("window_length"))
-        elif "synthetic" in cohort:
-            synth = cohort["synthetic"]
-            arguments = _section(synth, _SYNTH_KEYS, "cohort.synthetic", errors, {"missing"})
-            missing = synth.get("missing") if isinstance(synth, dict) else None
-            if isinstance(missing, dict) and "mechanism" not in missing:
-                errors.append("cohort.synthetic.missing.mechanism: must be mcar, mar or mnar")
-            if missing is not None:
-                missing = _section(missing, _MISSING_KEYS, "cohort.synthetic.missing", errors)
-            cohort_source = ("synthetic", arguments, missing)
-        else:
-            errors.append("cohort: need either 'path' or 'synthetic'")
-
-    output_dir = doc.get("output_dir")
-    if not isinstance(output_dir, str):
+    cohort = fields.pop("cohort", {})
+    given = doc.get("cohort", {})
+    if isinstance(given, dict) and ("path" in given) == ("synthetic" in given):
+        errors.append("cohort: need exactly one of 'path' or 'synthetic'")
+    if "path" in cohort:
+        cohort["path"] = os.path.join(config_dir, cohort["path"])
+        if not os.path.exists(cohort["path"]):
+            errors.append(f"cohort.path: input file not found: {cohort['path']}")
+    if "missing" in cohort.get("synthetic", {}) and (
+            "mechanism" not in doc["cohort"]["synthetic"]["missing"]):
+        errors.append("cohort.synthetic.missing.mechanism: must be mcar, mar or mnar")
+    if "output_dir" not in doc:
         errors.append("output_dir: required string")
-    elif not os.path.isabs(output_dir):
-        output_dir = os.path.join(config_dir, output_dir)
-
-    fields = {"methods": _parse_methods(doc.get("methods", "full"), errors)}
-    if "windows" in doc:
-        fields["windows"] = _parse_windows(doc["windows"], errors)
-    for section, options in _OPTIONS.items():
-        obj = doc if section is None else doc.get(section, {})
-        fields.update(_section(obj, options, section, errors))
+    output_dir = os.path.join(config_dir, fields.pop("output_dir", ""))
 
     if errors:
         raise ConfigError(errors)
     try:
-        config = evaluate.ExperimentConfig(**fields)
+        config = evaluate.ExperimentConfig(**{"methods": evaluate.full_method_grid(), **fields})
     except (TypeError, ValueError) as exc:
         raise ConfigError([str(exc)]) from None
-    return cohort_source, output_dir, config
+    return cohort, output_dir, config
 
 
-def _load_run_cohort(source):
-    if source[0] == "path":
-        return load_cohort(source[1], window_length=source[2])
-    _, arguments, missing = source
-    cohort = generate_synthetic_cohort(**{"n_cases": 50, "n_controls": 150, "n_attributes": 11,
-                                          "n_days": 20, "effect_size": 1.5, "seed": 0,
-                                          **arguments})
-    if missing and missing.get("rate", 0) > 0:
+def _load_run_cohort(source: dict):
+    if "path" in source:
+        return load_cohort(source["path"], window_length=source.get("window_length"))
+    arguments = {"n_cases": 50, "n_controls": 150, "n_attributes": 11, "n_days": 20,
+                 "effect_size": 1.5, "seed": 0, **source["synthetic"]}
+    missing = arguments.pop("missing", {})
+    cohort = generate_synthetic_cohort(**arguments)
+    if missing.get("rate", 0) != 0:  # any other rate meets MissingnessSpec's range check
         cohort = apply_missingness(cohort, MissingnessSpec(**missing))
     return cohort
 
 
 def cmd_run(args) -> int:
-    if not os.path.exists(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
     with open(args.config) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        source, output_dir, config = parse_run_config(doc, os.path.dirname(args.config))
-    except ConfigError as exc:
-        print("error: invalid config:", file=sys.stderr)
-        for problem in exc.errors:
-            print(f"  - {problem}", file=sys.stderr)
-        return EXIT_USAGE
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from None
+    source, output_dir, config = parse_run_config(doc, os.path.dirname(args.config))
 
     methods = config.effective_methods()
     n_cells = config.runs * len(config.windows) * len(methods)
     if args.dry_run:
-        print(f"cohort: {source[0]}")
+        print(f"cohort: {source.get('path', 'synthetic')}")
         print(f"methods ({len(methods)}): " + ", ".join(m.label for m in methods))
         print(f"windows ({len(config.windows)}): " + ", ".join(map(str, config.windows)))
         print(f"runs: {config.runs}")
         print(f"planned cells: {n_cells}")
         return EXIT_OK
 
-    try:
-        os.makedirs(output_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output_dir {output_dir}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     cohort = _load_run_cohort(source)
+    os.makedirs(output_dir, exist_ok=True)
     report = evaluate.run_experiment(cohort, config, n_workers=args.workers)
     evaluate.write_rows_csv(report, os.path.join(output_dir, "report_rows.csv"))
     evaluate.write_aggregate_csv(report, os.path.join(output_dir, "report_aggregate.csv"))
@@ -342,13 +313,9 @@ def cmd_run(args) -> int:
     evaluate.write_embedding_dumps(report, output_dir)
     print(f"wrote report for {n_cells} cells to {output_dir}")
     if report.errors:
-        print(f"{len(report.errors)} cell(s) failed:", file=sys.stderr)
-        for err in report.errors:
-            print(
-                f"  - {err.method}/{err.imputation} window={err.window} "
-                f"run={err.run}: {err.error}",
-                file=sys.stderr,
-            )
+        print(f"{len(report.errors)} cell(s) failed:", *(
+            f"  - {e.method}/{e.imputation} window={e.window} run={e.run}: {e.error}"
+            for e in report.errors), sep="\n", file=sys.stderr)
         return EXIT_CELL_FAILURES
     return EXIT_OK
 
@@ -358,24 +325,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not os.path.exists(args.rows):
-        print(f"error: rows file not found: {args.rows}", file=sys.stderr)
-        return EXIT_USAGE
     rows = []
     with open(args.rows) as fh:
-        header = fh.readline().strip()
-        if header != "method,imputation,window,run,split,precision,recall,f1":
-            print("error: unrecognized rows header", file=sys.stderr)
-            return EXIT_USAGE
+        if fh.readline().strip() != evaluate.ROWS_HEADER:
+            raise ValueError(f"{args.rows}: unrecognized rows header")
         for lineno, line in enumerate(fh, start=2):
             try:
                 method, imputation, window, run, split, p, r, score = line.strip().split(",")
                 rows.append(evaluate.MetricRow(method, imputation, int(window), int(run),
                                                split, float(p), float(r), float(score)))
             except ValueError:
-                print(f"error: {args.rows} line {lineno}: malformed row {line.strip()!r}",
-                      file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(
+                    f"{args.rows} line {lineno}: malformed row {line.strip()!r}") from None
     # Re-aggregation needs the rows only; the sweep's config is not in the file.
     report = evaluate.ExperimentReport(rows, [], config=None)
     if args.out:
@@ -421,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment sweep from a JSON config")
     p.add_argument("config")
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("MTSK_WORKERS", "1")))
+    # argparse converts a string default with ``type`` only when ``run`` runs.
+    p.add_argument("--workers", type=int, default=os.environ.get("MTSK_WORKERS", "1"))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="re-aggregate a rows CSV")
@@ -433,17 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("MTSK_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    """Run one subcommand; the only place where an input error becomes exit status 2."""
     args = build_parser().parse_args(argv)
     try:
+        logging.basicConfig(
+            level=os.environ.get("MTSK_LOG", "WARNING").upper(),
+            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr,
+        )
         return args.func(args)
+    except ConfigError as exc:
+        print("error: invalid config:", *(f"  - {p}" for p in exc.errors), sep="\n",
+              file=sys.stderr)
     except CohortFormatError as exc:
         print(f"error: invalid cohort file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        logger.debug("input error", exc_info=True)
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -309,9 +309,10 @@ def generate_synthetic_cohort(
     Deterministic for a fixed seed.
     """
     if n_cases < 1 or n_controls < 1 or n_attributes < 1 or n_days < 1:
-        raise ValueError("all counts must be positive")
+        raise ValueError(f"all counts must be positive, got cases={n_cases}, "
+                         f"controls={n_controls}, attributes={n_attributes}, days={n_days}")
     if effect_size < 0:
-        raise ValueError("effect_size must be >= 0")
+        raise ValueError(f"effect_size must be >= 0, got {effect_size}")
     rng = np.random.default_rng([7, seed])
     V, T = n_attributes, n_days
 

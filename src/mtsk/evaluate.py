@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 KERNEL_CHOICES = ("tck", "lps", "gak", "linear", "manual")
 IMPUTING_KERNELS = ("gak", "linear", "manual")
 SUPERVISED_SUFFIX = "+sup"
+ROWS_HEADER = "method,imputation,window,run,split,precision,recall,f1"
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,12 @@ class ExperimentConfig:
             raise ValueError("at least one window is required")
         if self.k_clusters != 2:
             raise ValueError("the pipeline assumes 2 clusters")
+        unknown = set(self.embedding_dump_methods) - {m.label for m in self.effective_methods()}
+        if unknown:
+            raise ValueError(f"embedding dump methods {sorted(unknown)} are not in the grid")
+        outside = set(self.embedding_dump_windows) - set(self.windows)
+        if outside:
+            raise ValueError(f"embedding dump windows {sorted(outside)} are not in windows")
 
     def effective_methods(self) -> tuple[MethodSpec, ...]:
         methods = list(self.methods)
@@ -417,7 +424,7 @@ def run_experiment(cohort: Cohort, config: ExperimentConfig,
 
 def write_rows_csv(report: ExperimentReport, path) -> None:
     with open(path, "w") as fh:
-        fh.write("method,imputation,window,run,split,precision,recall,f1\n")
+        fh.write(ROWS_HEADER + "\n")
         for r in report.rows:
             fh.write(
                 f"{r.method},{r.imputation},{r.window},{r.run},{r.split},"

@@ -3,6 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mtsk.cohort import Cohort, MTSample
 
 # Property tests run without a per-example deadline, because wall time per
 # example varies with machine load, and with a fixed derivation of their
@@ -35,3 +39,20 @@ def assert_same_fields():
     shape and value (NaN equal to NaN), and everything else by type and ``==``.
     """
     return _assert_same
+
+
+def _poisoned(cohort, data, label):
+    hidden = cohort.mask == 0
+    fill = data.draw(arrays(float, int(hidden.sum()),
+                            elements=st.floats(-1e300, 1e300, allow_nan=False)), label=label)
+    values = cohort.values.copy()
+    values[hidden] = fill
+    return Cohort([MTSample(s.id, v, s.mask, s.label) for s, v in zip(cohort.samples, values)],
+                  cohort.attribute_names, cohort.window_length)
+
+
+@pytest.fixture(scope="session")
+def poisoned():
+    """``poisoned(cohort, data, label)``: the cohort with values drawn by hypothesis's
+    ``data`` from [-1e300, 1e300] under every masked cell."""
+    return _poisoned

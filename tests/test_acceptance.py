@@ -202,6 +202,7 @@ class TestCriterion4KPCAOracle:
                    f"max per-column deviation {worst:.2e} (up to sign)")
 
 
+@pytest.mark.slow
 class TestCriterion5EndToEnd:
     def test_unsupervised_detection_f1(self, headline_results):
         scores, seconds = headline_results
@@ -213,6 +214,7 @@ class TestCriterion5EndToEnd:
                    f"(threshold 0.80); window-20 runtime {seconds:.0f}s < 600s")
 
 
+@pytest.mark.slow
 class TestCriterion6WindowTrend:
     def test_f1_non_decreasing_in_window(self, headline_results):
         scores, _ = headline_results
@@ -228,6 +230,7 @@ class TestCriterion6WindowTrend:
         _criterion(6, "window trend", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 class TestCriterion7MissingnessRobustness:
     def test_tck_stable_linear_degrades(self, mcar_robustness_results):
         res = mcar_robustness_results
@@ -243,6 +246,7 @@ class TestCriterion7MissingnessRobustness:
         )
 
 
+@pytest.mark.slow
 class TestCriterion8SupervisedParity:
     def test_unsupervised_close_to_supervised(self, headline_results):
         scores, _ = headline_results

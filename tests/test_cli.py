@@ -417,3 +417,106 @@ class TestReport:
                         "tck,none,8,0,test,0.5,0.5,0.5\ntck,none,8\n")
         assert run_cli("report", "--rows", rows) == 2
         assert f"error: {rows} line 3: malformed row 'tck,none,8'" in capsys.readouterr().err
+
+
+def _one_patient_csv(tmp_path):
+    rows = _synth_csv(tmp_path, name="two.csv", cases=1, controls=1, rate=0).read_text()
+    path = tmp_path / "one.csv"
+    path.write_text("".join(r for r in rows.splitlines(True) if not r.startswith("ctrl")))
+    return path
+
+
+_SYNTH = ("synth", "--controls", 3, "--days", 5)
+_INPUT_ERRORS = {
+    "synth-no-cases": (lambda t: [*_SYNTH, "--cases", 0, "--attrs", 2, "--out", t / "x.csv"],
+                       "all counts must be positive, got cases=0"),
+    "synth-rate-above-1": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 2, "--missing", "mcar",
+                                      "--rate", 1.5, "--out", t / "x.csv"],
+                           "rate must be in [0, 1], got 1.5"),
+    "synth-mar-one-attribute": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 1, "--missing",
+                                           "mar", "--rate", 0.3, "--out", t / "x.csv"],
+                                "MAR requires at least 2 attributes"),
+    "synth-out-in-missing-dir": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 2,
+                                            "--out", t / "nodir" / "x.csv"], "nodir/x.csv"),
+    "kernel-one-patient": (lambda t: ["kernel", "--method", "tck", "--train",
+                                      _one_patient_csv(t), "--out-prefix", t / "k"],
+                           "need at least 2 training samples"),
+    "kernel-out-prefix-in-missing-dir": (
+        lambda t: ["kernel", "--method", "linear", "--impute", "mean", "--train",
+                   _synth_csv(t, cases=2, controls=3, days=5), "--out-prefix", t / "nodir" / "k"],
+        "nodir/k.gram.csv"),
+    "report-rows-is-a-directory": (lambda t: ["report", "--rows", t], "Is a directory"),
+}
+# (cohort, embedding_dumps, message); a cohort without "synthetic" reads a CSV.
+_RUN_INPUT_ERRORS = {
+    "window-length-string": ({"window_length": "12"}, {},
+                             "cohort.window_length: must be an integer, got '12'"),
+    "window-length-float": ({"window_length": 2.5}, {},
+                            "cohort.window_length: must be an integer, got 2.5"),
+    "window-length-bool": ({"window_length": True}, {},
+                           "cohort.window_length: must be an integer, got True"),
+    "synthetic-no-cases": ({"synthetic": {"cases": 0}}, {},
+                           "all counts must be positive, got cases=0"),
+    "synthetic-negative-effect": ({"synthetic": {"effect_size": -1}}, {},
+                                  "effect_size must be >= 0, got -1"),
+    "synthetic-rate-above-1": ({"synthetic": {"missing": {"mechanism": "mcar", "rate": 1.5}}},
+                               {}, "rate must be in [0, 1], got 1.5"),
+    "synthetic-rate-1": ({"synthetic": {"missing": {"mechanism": "mcar", "rate": 1.0}}}, {},
+                         "rate = 1 would produce"),
+    "dump-methods-string": ({"synthetic": {}}, {"methods": "tck/none"},
+                            "embedding_dumps.methods: must be a list of strings, got 'tck/none'"),
+    "dump-method-outside-grid": ({"synthetic": {}}, {"methods": ["linear"], "windows": [8]},
+                                 "embedding dump methods ['linear'] are not in the grid"),
+    "dump-window-outside-grid": ({"synthetic": {}}, {"methods": ["tck/none"], "windows": [99]},
+                                 "embedding dump windows [99] are not in windows"),
+}
+
+
+def _env_cli(*args, **env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtsk.__file__)))
+    return subprocess.run([sys.executable, "-m", "mtsk.cli", *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+
+
+class TestInputErrors:
+    """Every input error exits 2 with one ``error:`` message and no traceback."""
+
+    def _assert_input_error(self, code, err, message):
+        assert code == 2
+        assert "error: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS)
+    def test_command_input_error_exits_2(self, tmp_path, capsys, argv, message):
+        args = argv(tmp_path)
+        capsys.readouterr()
+        code = run_cli(*args)
+        self._assert_input_error(code, capsys.readouterr().err, message)
+
+    @pytest.mark.parametrize("cohort, dumps, message", _RUN_INPUT_ERRORS.values(),
+                             ids=_RUN_INPUT_ERRORS)
+    def test_run_input_error_exits_2(self, tmp_path, capsys, cohort, dumps, message):
+        if "synthetic" not in cohort:
+            cohort = {"path": str(_synth_csv(tmp_path)), **cohort}
+        config = _run_config(tmp_path, "ignored", cohort=cohort, embedding_dumps=dumps)
+        capsys.readouterr()
+        code = run_cli("run", config)
+        self._assert_input_error(code, capsys.readouterr().err, message)
+        assert not (tmp_path / "out").exists()
+
+    def test_environment_errors_reach_only_their_readers(self, tmp_path):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}})
+        synth = [*_SYNTH, "--cases", 1, "--attrs", 2, "--out", tmp_path / "x.csv"]
+        bad_workers = _env_cli("run", config, "--dry-run", MTSK_WORKERS="abc")
+        self._assert_input_error(bad_workers.returncode, bad_workers.stderr,
+                                 "argument --workers: invalid int value: 'abc'")
+        bad_log = _env_cli(*synth, MTSK_LOG="bogus")
+        self._assert_input_error(bad_log.returncode, bad_log.stderr, "Unknown level: 'BOGUS'")
+        assert _env_cli(*synth, MTSK_WORKERS="abc").returncode == 0
+
+    def test_debug_log_shows_the_traceback(self, tmp_path):
+        out = _env_cli(*_SYNTH, "--cases", 0, "--attrs", 2, "--out", tmp_path / "x.csv",
+                       MTSK_LOG="debug")
+        assert out.returncode == 2
+        assert "Traceback" in out.stderr and "error: all counts must be positive" in out.stderr

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtsk.cohort import (
@@ -349,6 +349,43 @@ class TestMaskInvariance:
 
         for a, b in zip(grams(masked), grams(poisoned), strict=True):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_any_finite_value_under_the_mask_changes_nothing(self, masked_grams, poisoned,
+                                                            data):
+        grams, train, test, expected = masked_grams
+        got = grams(poisoned(train, data, "train fill"), poisoned(test, data, "test fill"))
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
+
+
+def _lps_grams(train, test):
+    km = lps_gram(lps_train(train, n_trees=5, seed=25), train, test)
+    return [km.gram, km.cross]
+
+
+def _imputed_grams(kernel, schemes):
+    def grams(train, test):
+        out = []
+        for scheme in schemes:
+            spec = fit_imputer(train, *parse_scheme(scheme))
+            km = gram_matrix(kernel, impute(spec, train), impute(spec, test))
+            out += [km.gram, km.cross]
+        return out
+    return grams
+
+
+@pytest.fixture(scope="module", params=[
+    _lps_grams, _imputed_grams("gak", ["mean+bc", "locf+bc"]),
+    _imputed_grams("linear", ALL_SCHEMES),
+], ids=["lps", "gak", "linear"])
+def masked_grams(request):
+    """(grams, train, test, grams(train, test)) on a 30% MAR split."""
+    full = generate_synthetic_cohort(6, 14, 3, 10, 1.5, seed=26)
+    masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=27))
+    train, test = train_test_split(masked, 0.75, seed=28)
+    return request.param, train, test, request.param(train, test)
 
 
 @pytest.fixture(scope="module")

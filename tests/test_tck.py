@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 import mtsk.tck as tck_mod
@@ -563,25 +562,14 @@ def mask_case():
     return train, test, km.gram, tck_test(model, test).cross
 
 
-def _poisoned(cohort, data, label):
-    """The cohort with values drawn from [-1e300, 1e300] under every masked cell."""
-    hidden = cohort.mask == 0
-    fill = data.draw(arrays(float, int(hidden.sum()),
-                            elements=st.floats(-1e300, 1e300, allow_nan=False)), label=label)
-    values = cohort.values.copy()
-    values[hidden] = fill
-    return Cohort([MTSample(s.id, v, s.mask, s.label) for s, v in zip(cohort.samples, values)],
-                  cohort.attribute_names, cohort.window_length)
-
-
 class TestMaskInvariance:
     @settings(max_examples=40)
     @given(data=st.data())
-    def test_values_under_the_mask_change_no_gram_or_cross(self, mask_case, data):
+    def test_values_under_the_mask_change_no_gram_or_cross(self, mask_case, poisoned, data):
         train, test, gram, cross = mask_case
-        km, model = tck_train(_poisoned(train, data, "train fill"), Q=2, C=3, seed=33)
+        km, model = tck_train(poisoned(train, data, "train fill"), Q=2, C=3, seed=33)
         assert np.array_equal(km.gram, gram)
-        assert np.array_equal(tck_test(model, _poisoned(test, data, "test fill")).cross, cross)
+        assert np.array_equal(tck_test(model, poisoned(test, data, "test fill")).cross, cross)
 
 
 class TestEMGuard:
