@@ -254,6 +254,9 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
     given = doc.get("cohort", {})
     if isinstance(given, dict) and ("path" in given) == ("synthetic" in given):
         errors.append("cohort: need exactly one of 'path' or 'synthetic'")
+    if isinstance(given, dict) and {"synthetic", "window_length"} <= given.keys():
+        errors.append("cohort.window_length: not read for a synthetic cohort; "
+                      "set synthetic.days instead")
     if "path" in cohort:
         cohort["path"] = os.path.join(config_dir, cohort["path"])
         if not os.path.exists(cohort["path"]):
@@ -305,6 +308,9 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     cohort = _load_run_cohort(source)
+    if max(config.windows) > cohort.window_length:
+        raise ConfigError([f"windows: {max(config.windows)} exceeds the cohort's "
+                           f"{cohort.window_length} days"])
     os.makedirs(output_dir, exist_ok=True)
     report = evaluate.run_experiment(cohort, config, n_workers=args.workers)
     evaluate.write_rows_csv(report, os.path.join(output_dir, "report_rows.csv"))
@@ -325,20 +331,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    with open(args.rows) as fh:
-        if fh.readline().strip() != evaluate.ROWS_HEADER:
-            raise ValueError(f"{args.rows}: unrecognized rows header")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                method, imputation, window, run, split, p, r, score = line.strip().split(",")
-                rows.append(evaluate.MetricRow(method, imputation, int(window), int(run),
-                                               split, float(p), float(r), float(score)))
-            except ValueError:
-                raise ValueError(
-                    f"{args.rows} line {lineno}: malformed row {line.strip()!r}") from None
     # Re-aggregation needs the rows only; the sweep's config is not in the file.
-    report = evaluate.ExperimentReport(rows, [], config=None)
+    report = evaluate.ExperimentReport(evaluate.read_rows_csv(args.rows), [], config=None)
     if args.out:
         evaluate.write_aggregate_csv(report, args.out)
         print(f"wrote {args.out}")

@@ -27,7 +27,6 @@ class KPCAModel:
     eigenvalues: np.ndarray   # (d,) descending, zeros for discarded directions
     row_means: np.ndarray     # (N,) of the raw train Gram
     total_mean: float
-    d: int
 
 
 @dataclass
@@ -42,9 +41,7 @@ class Embedding:
 
 @dataclass
 class ClusterAssignment:
-    ids: list[str]
-    labels: np.ndarray     # (N,) cluster indices
-    centroids: np.ndarray  # (k, d)
+    labels: np.ndarray  # (N,) cluster indices
     inertia: float
 
 
@@ -92,7 +89,7 @@ def kpca_fit(gram: np.ndarray, d: int,
 
     points = eigvecs * np.sqrt(eigvals)[None, :]
     ids = ids if ids is not None else [str(i) for i in range(N)]
-    model = KPCAModel(eigvecs, eigvals, row_means, total, d)
+    model = KPCAModel(eigvecs, eigvals, row_means, total)
     return model, Embedding(points, list(ids))
 
 
@@ -131,7 +128,7 @@ def dump_embedding(path, emb: Embedding, labels, clusters) -> None:
 # k-means
 
 
-def _kmeans_once(X: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
+def _kmeans_once(X: np.ndarray, k: int, rng) -> ClusterAssignment:
     n = X.shape[0]
     # k-means++ seeding
     centroids = np.empty((k, X.shape[1]))
@@ -162,8 +159,7 @@ def _kmeans_once(X: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray, fl
             members = labels == c
             if members.any():
                 centroids[c] = X[members].mean(axis=0)
-    inertia = float(((X - centroids[labels]) ** 2).sum())
-    return labels, centroids, inertia
+    return ClusterAssignment(labels, float(((X - centroids[labels]) ** 2).sum()))
 
 
 def kmeans(emb, k: int = 2, restarts: int = 20, seed: int = 0) -> ClusterAssignment:
@@ -177,12 +173,10 @@ def kmeans(emb, k: int = 2, restarts: int = 20, seed: int = 0) -> ClusterAssignm
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([31, seed, r])
-        labels, centroids, inertia = _kmeans_once(X, k, rng)
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia)
-    labels, centroids, inertia = best
-    ids = emb.ids if isinstance(emb, Embedding) else [str(i) for i in range(n)]
-    return ClusterAssignment(list(ids), labels, centroids, inertia)
+        fit = _kmeans_once(X, k, rng)
+        if best is None or fit.inertia < best.inertia:  # the first of equal inertias wins
+            best = fit
+    return best
 
 
 # ---------------------------------------------------------------------------

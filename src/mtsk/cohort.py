@@ -199,11 +199,8 @@ def load_cohort(
     rows = []  # (patient_id, label, day, attribute, value, lineno)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return Cohort([], list(attributes or []), window_length or 0)
-        if [h.strip() for h in header] != CSV_HEADER:
+        header = next(reader, None)  # None for an empty file, whose loop below reads no row
+        if header is not None and [h.strip() for h in header] != CSV_HEADER:
             raise CohortFormatError(
                 f"line 1: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
             )
@@ -452,26 +449,20 @@ def train_test_split(
         raise ValueError("train_fraction must be in (0, 1)")
     N = len(cohort)
     rng = np.random.default_rng([23, seed])
+    ids, labels = cohort.ids(), cohort.labels()
+    groups = [np.arange(N)]  # an unstratified split shuffles one group
     if stratify:
-        if any(lab is None for lab in cohort.labels()):
+        if any(lab is None for lab in labels):
             raise ValueError("stratified split requires labels on every sample")
-        train_idx = []
-        test_idx = []
-        labels = np.array(cohort.labels())
-        for lab in sorted(set(labels.tolist())):
-            members = np.flatnonzero(labels == lab)
-            perm = members[rng.permutation(members.size)]
-            n_tr = int(np.floor(train_fraction * members.size + 0.5))
-            train_idx.extend(perm[:n_tr].tolist())
-            test_idx.extend(perm[n_tr:].tolist())
-    else:
-        perm = rng.permutation(N)
-        n_tr = int(np.floor(train_fraction * N + 0.5))
-        train_idx = perm[:n_tr].tolist()
-        test_idx = perm[n_tr:].tolist()
+        groups = [np.flatnonzero(np.array(labels) == lab) for lab in sorted(set(labels))]
+    train_idx, test_idx = [], []
+    for members in groups:
+        perm = members[rng.permutation(members.size)]
+        n_tr = int(np.floor(train_fraction * members.size + 0.5))
+        train_idx.extend(perm[:n_tr].tolist())
+        test_idx.extend(perm[n_tr:].tolist())
     if not train_idx or not test_idx:
         raise ValueError(f"split of {N} samples at fraction {train_fraction} leaves a side empty")
-    ids, labels = cohort.ids(), cohort.labels()
 
     def take(rows):
         return Cohort._from_arrays(

@@ -177,10 +177,19 @@ class ExperimentConfig:
         )
         if not self.methods:
             raise ValueError("at least one method is required")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
         if not self.windows:
             raise ValueError("at least one window is required")
+        # The ranges the cells would reject, checked once for the whole grid.
+        counts = {"runs": self.runs, "kpca_dim": self.kpca_dim, "knn_k": self.knn_k,
+                  "kmeans_restarts": self.kmeans_restarts, "tck_q": self.tck_q,
+                  "lps_trees": self.lps_trees, "windows": min(self.windows)}
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.tck_c is not None and self.tck_c < 2:
+            raise ValueError(f"tck_c must be >= 2, got {self.tck_c}")
         if self.k_clusters != 2:
             raise ValueError("the pipeline assumes 2 clusters")
         unknown = set(self.embedding_dump_methods) - {m.label for m in self.effective_methods()}
@@ -236,17 +245,13 @@ class ExperimentReport:
     embedding_dumps: dict = field(default_factory=dict)
 
     def aggregates(self) -> list[AggregateRow]:
-        groups: dict[tuple, list[float]] = {}
-        order: list[tuple] = []
+        groups: dict[tuple, list[float]] = {}  # keys in order of first appearance
         for row in self.rows:
             key = (row.method, row.imputation, row.window, row.split)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row.f1)
+            groups.setdefault(key, []).append(row.f1)
         out = []
-        for key in order:
-            vals = np.array(groups[key])
+        for key, f1s in groups.items():
+            vals = np.array(f1s)
             se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else None
             out.append(AggregateRow(*key, mean_f1=float(vals.mean()), se_f1=se))
         return out
@@ -430,6 +435,22 @@ def write_rows_csv(report: ExperimentReport, path) -> None:
                 f"{r.method},{r.imputation},{r.window},{r.run},{r.split},"
                 f"{r.precision!r},{r.recall!r},{r.f1!r}\n"
             )
+
+
+def read_rows_csv(path) -> list[MetricRow]:
+    """The metric rows of a file written by ``write_rows_csv``."""
+    rows = []
+    with open(path) as fh:
+        if fh.readline().strip() != ROWS_HEADER:
+            raise ValueError(f"{path}: unrecognized rows header")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                method, imputation, window, run, split, p, r, score = line.strip().split(",")
+                rows.append(MetricRow(method, imputation, int(window), int(run),
+                                      split, float(p), float(r), float(score)))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: malformed row {line.strip()!r}") from None
+    return rows
 
 
 def aggregate_csv(report: ExperimentReport) -> str:

@@ -101,82 +101,52 @@ class LPSForest:
         return sum(t.n_leaves for t in self.trees)
 
 
-class _TreeBuilder:
-    def __init__(self, rng, max_depth):
-        self.rng = rng
-        self.max_depth = max_depth
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.missing_left = []
+def _grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
+          depth: int = 0) -> int:
+    """Append the subtree of these rows to ``nodes`` depth first; returns its root id.
 
-    def _add_node(self):
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.missing_left.append(False)
-        return len(self.feature) - 1
-
-    def grow(self, pred: np.ndarray, tgt: np.ndarray, depth: int = 0) -> int:
-        node = self._add_node()
-        n = tgt.size
-        if depth >= self.max_depth or n < MIN_SPLIT_ROWS:
-            return node
-        node_sse = float(((tgt - tgt.mean()) ** 2).sum())
-        if node_sse == 0.0:
-            return node
-        f = int(self.rng.integers(pred.shape[1]))
-        col = pred[:, f]
-        observed = ~np.isnan(col)
-        vals = col[observed]
-        if np.unique(vals).size < 2:
-            return node
-        cand = np.unique(self.rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
-                                         replace=False))
-        best = None
-        for theta in cand:
-            go_left = col <= theta  # NaN compares False; reassigned below
-            n_left_obs = int((vals <= theta).sum())
-            n_right_obs = vals.size - n_left_obs
-            if n_left_obs == 0 or n_right_obs == 0:
-                continue
-            missing_left = n_left_obs >= n_right_obs
-            if missing_left:
-                go_left = go_left | ~observed
-            tl, tr = tgt[go_left], tgt[~go_left]
-            sse = float(((tl - tl.mean()) ** 2).sum()) + float(((tr - tr.mean()) ** 2).sum())
-            gain = node_sse - sse
-            if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, theta, missing_left, go_left)
-        if best is None:
-            return node
-        _, theta, missing_left, go_left = best
-        self.feature[node] = f
-        self.threshold[node] = theta
-        self.missing_left[node] = missing_left
-        self.left[node] = self.grow(pred[go_left], tgt[go_left], depth + 1)
-        self.right[node] = self.grow(pred[~go_left], tgt[~go_left], depth + 1)
+    Each node is one ``[feature, threshold, left, right, missing_left]`` row;
+    a leaf keeps ``[-1, nan, -1, -1, False]``.
+    """
+    node = len(nodes)
+    nodes.append([-1, np.nan, -1, -1, False])
+    n = tgt.size
+    if depth >= max_depth or n < MIN_SPLIT_ROWS:
         return node
-
-    def finish(self, segment_length, lag, v_pred, v_tgt) -> LPSTree:
-        feature = np.array(self.feature, dtype=int)
-        leaf_slot = np.full(feature.size, -1, dtype=int)
-        leaves = np.flatnonzero(feature < 0)
-        leaf_slot[leaves] = np.arange(leaves.size)
-        return LPSTree(
-            segment_length=segment_length,
-            lag=lag,
-            predictor_attr=v_pred,
-            target_attr=v_tgt,
-            feature=feature,
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=int),
-            right=np.array(self.right, dtype=int),
-            missing_left=np.array(self.missing_left, dtype=bool),
-            leaf_slot=leaf_slot,
-        )
+    node_sse = float(((tgt - tgt.mean()) ** 2).sum())
+    if node_sse == 0.0:
+        return node
+    f = int(rng.integers(pred.shape[1]))
+    col = pred[:, f]
+    observed = ~np.isnan(col)
+    vals = col[observed]
+    if np.unique(vals).size < 2:
+        return node
+    cand = np.unique(rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
+                                replace=False))
+    best = None
+    for theta in cand:
+        go_left = col <= theta  # NaN compares False; reassigned below
+        n_left_obs = int((vals <= theta).sum())
+        n_right_obs = vals.size - n_left_obs
+        if n_left_obs == 0 or n_right_obs == 0:
+            continue
+        missing_left = n_left_obs >= n_right_obs
+        if missing_left:
+            go_left = go_left | ~observed
+        tl, tr = tgt[go_left], tgt[~go_left]
+        sse = float(((tl - tl.mean()) ** 2).sum()) + float(((tr - tr.mean()) ** 2).sum())
+        gain = node_sse - sse
+        if gain > 0 and (best is None or gain > best[0]):
+            best = (gain, theta, missing_left, go_left)
+    if best is None:
+        return node
+    _, theta, missing_left, go_left = best
+    nodes[node] = [f, theta,
+                   _grow(pred[go_left], tgt[go_left], rng, max_depth, nodes, depth + 1),
+                   _grow(pred[~go_left], tgt[~go_left], rng, max_depth, nodes, depth + 1),
+                   missing_left]
+    return node
 
 
 def segment_ranges(T: int) -> tuple[int, int, int]:
@@ -213,10 +183,15 @@ def lps_train(
         v_tgt = int(rng.integers(V))
         pred, tgt = build_segment_matrix(train, l, p, v_pred, v_tgt)
         keep = ~np.isnan(tgt)  # rows with an absent target teach nothing
-        builder = _TreeBuilder(rng, max_depth)
-        # Masking pools the rows patient by patient; grow()'s threshold draws depend on that order.
-        builder.grow(pred[keep], tgt[keep])
-        trees.append(builder.finish(l, p, v_pred, v_tgt))
+        nodes = []
+        # Masking pools the rows patient by patient; _grow's threshold draws depend on that order.
+        _grow(pred[keep], tgt[keep], rng, max_depth, nodes)
+        feature, threshold, left, right, missing_left = (
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
+        leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
+        trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
+                             missing_left, leaf_slot))
     return LPSForest(trees, T)
 
 

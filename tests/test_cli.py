@@ -229,11 +229,20 @@ class TestRun:
     @pytest.mark.parametrize("overrides, message", [
         ({"runs": 0}, "runs must be >= 1"),
         ({"pipeline": {"k_clusters": 3}}, "the pipeline assumes 2 clusters"),
+        # Sweep settings that every cell would reject.
+        ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+        ({"pipeline": {"kpca_dim": 0}}, "kpca_dim must be >= 1, got 0"),
+        ({"tck": {"Q": 2, "C": 1}}, "tck_c must be >= 2, got 1"),
+        ({"windows": [0, 8]}, "windows must be >= 1, got 0"),
+        ({"windows": [8, 99]}, "windows: 99 exceeds the cohort's 10 days"),
     ])
     def test_value_the_config_rejects_exits_2(self, tmp_path, capsys, overrides, message):
-        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}}, **overrides)
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {"days": 10}},
+                             **overrides)
         assert run_cli("run", config) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("error:") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, where", [
         ({"stratify": "false"}, "stratify"),
@@ -469,6 +478,9 @@ _RUN_INPUT_ERRORS = {
                                  "embedding dump methods ['linear'] are not in the grid"),
     "dump-window-outside-grid": ({"synthetic": {}}, {"methods": ["tck/none"], "windows": [99]},
                                  "embedding dump windows [99] are not in windows"),
+    "synthetic-window-length": ({"synthetic": {"days": 10}, "window_length": 4}, {},
+                                "cohort.window_length: not read for a synthetic cohort; "
+                                "set synthetic.days instead"),
 }
 
 

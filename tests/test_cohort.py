@@ -54,6 +54,30 @@ class TestLoad:
         cohort = load_cohort(_write(tmp_path, "", name="blank.csv"))
         assert len(cohort) == 0
 
+    def test_empty_file_keeps_requested_shape(self, tmp_path):
+        for text in ("", HEADER):
+            cohort = load_cohort(_write(tmp_path, text), window_length=7, attributes=["CRP"])
+            assert (len(cohort), cohort.attribute_names, cohort.window_length) == (0, ["CRP"], 7)
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,day\n", "line 1: expected header patient_id,label,day,attribute,value, got id,day"),
+        (HEADER + "p1,1,3,CRP\n", "line 2: expected 5 fields, got 4"),
+        (HEADER + " ,1,3,CRP,1\n", "line 2: empty patient_id"),
+        (HEADER + "p1,2,3,CRP,1\n", "line 2: label must be 0, 1 or NA, got '2'"),
+        (HEADER + "p1,1,x,CRP,1\n", "line 2: day must be an integer, got 'x'"),
+        (HEADER + "p1,1,3,CRP,y\n", "line 2: value must be a number, got 'y'"),
+        (HEADER + "p1,1,3,CRP,inf\n", "line 2: value must be finite, got 'inf'"),
+        (HEADER + "p1,1,3,CRP,1\np1,1,4,WBC,1\n", "line 3: unknown attribute 'WBC'"),
+        (HEADER + "p1,1,3,CRP,1\np1,1,30,CRP,1\n", "line 3: day 30 outside [1, 20]"),
+        (HEADER + "p1,1,3,CRP,1\np1,1,3,CRP,2\n",
+         "line 3: duplicate observation for (p1, day 3, CRP)"),
+        (HEADER + "p1,1,3,CRP,1\np1,0,4,CRP,2\n", "line 3: inconsistent label for patient 'p1'"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        with pytest.raises(CohortFormatError) as err:
+            load_cohort(_write(tmp_path, text), window_length=20, attributes=["CRP"])
+        assert str(err.value) == message
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = _write(tmp_path, HEADER + "p1,1,3,CRP,40.0\np1,1,nope,CRP,1.0\n")
         with pytest.raises(CohortFormatError, match="line 3"):
@@ -203,7 +227,40 @@ class TestMissingness:
             apply_missingness(once, MissingnessSpec(Missingness.MCAR, 0.3, seed=2))
 
 
+def _oracle_split_ids(cohort, train_fraction, seed, stratify):
+    """(train ids, test ids) of the two-branch split: one shuffle, or one per label."""
+    N = len(cohort)
+    rng = np.random.default_rng([23, seed])
+    if stratify:
+        train_idx = []
+        test_idx = []
+        labels = np.array(cohort.labels())
+        for lab in sorted(set(labels.tolist())):
+            members = np.flatnonzero(labels == lab)
+            perm = members[rng.permutation(members.size)]
+            n_tr = int(np.floor(train_fraction * members.size + 0.5))
+            train_idx.extend(perm[:n_tr].tolist())
+            test_idx.extend(perm[n_tr:].tolist())
+    else:
+        perm = rng.permutation(N)
+        n_tr = int(np.floor(train_fraction * N + 0.5))
+        train_idx = perm[:n_tr].tolist()
+        test_idx = perm[n_tr:].tolist()
+    ids = cohort.ids()
+    return [ids[i] for i in train_idx], [ids[i] for i in test_idx]
+
+
 class TestSplit:
+    @pytest.mark.parametrize("stratify", [False, True])
+    @pytest.mark.parametrize("n_cases, n_controls", [(3, 7), (10, 30), (25, 50)])
+    def test_ids_match_two_branch_split(self, n_cases, n_controls, stratify):
+        cohort = generate_synthetic_cohort(n_cases, n_controls, 2, 6, 1.0, seed=0)
+        for seed in range(20):
+            for fraction in (0.3, 0.5, 0.8):
+                train, test = train_test_split(cohort, fraction, seed=seed, stratify=stratify)
+                expected = _oracle_split_ids(cohort, fraction, seed, stratify)
+                assert (train.ids(), test.ids()) == expected
+
     def test_eighty_twenty_sizes(self):
         cohort = generate_synthetic_cohort(5, 5, 3, 10, 1.0, seed=0)
         train, test = train_test_split(cohort, 0.8, seed=1)

@@ -11,6 +11,7 @@ from mtsk.evaluate import (
     clustering_f1,
     f1,
     full_method_grid,
+    read_rows_csv,
     run_experiment,
     write_aggregate_csv,
     write_rows_csv,
@@ -300,3 +301,29 @@ class TestConfig:
         lines = path.read_text().splitlines()
         assert lines[0] == "method,imputation,window,run,split,precision,recall,f1"
         assert lines[1].startswith("linear,zero,10,0,train,")
+
+    def test_rows_csv_round_trip(self, tmp_path):
+        cohort = _small_cohort(seed=8)
+        config = ExperimentConfig(
+            methods=(MethodSpec("linear", "zero"),), windows=(10, 12), runs=2, **FAST
+        )
+        report = run_experiment(cohort, config)
+        path = tmp_path / "rows.csv"
+        write_rows_csv(report, path)
+        assert read_rows_csv(path) == report.rows
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"runs": 0}, "runs must be >= 1, got 0"),
+        ({"kpca_dim": 0}, "kpca_dim must be >= 1, got 0"),
+        ({"knn_k": -1}, "knn_k must be >= 1, got -1"),
+        ({"kmeans_restarts": 0}, "kmeans_restarts must be >= 1, got 0"),
+        ({"tck_q": 0}, "tck_q must be >= 1, got 0"),
+        ({"lps_trees": 0}, "lps_trees must be >= 1, got 0"),
+        ({"windows": (8, 0)}, "windows must be >= 1, got 0"),
+        ({"train_fraction": 1.5}, r"train_fraction must be in \(0, 1\), got 1.5"),
+        ({"train_fraction": 0.0}, r"train_fraction must be in \(0, 1\), got 0.0"),
+        ({"tck_c": 1}, "tck_c must be >= 2, got 1"),
+    ])
+    def test_settings_every_cell_would_reject(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(methods=(MethodSpec("tck"),), **overrides)

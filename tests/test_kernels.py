@@ -9,6 +9,7 @@ from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
     generate_synthetic_cohort, train_test_split,
 )
+from mtsk.evaluate import ExperimentConfig, MethodSpec, cell_kernel
 from mtsk.impute import ALL_SCHEMES, ImputationMethod, fit_imputer, impute, parse_scheme
 from mtsk.kernels import (
     GAKParams,
@@ -322,6 +323,26 @@ class TestGram:
         bad = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="eigenvalue"):
             KernelMatrix(bad, "test").validate()
+
+
+class TestEveryGram:
+    @pytest.mark.parametrize("kernel", ["tck", "lps", "gak", "linear", "manual"])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_cell_gram_exactly_symmetric_and_psd(self, kernel, data):
+        scheme = None if kernel in ("tck", "lps") else data.draw(st.sampled_from(ALL_SCHEMES))
+        n_cases, n_controls = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 8))
+        V, T = data.draw(st.integers(2, 4)), data.draw(st.integers(6, 12))
+        seed = data.draw(st.integers(0, 2**16))
+        spec = MissingnessSpec(data.draw(st.sampled_from(list(Missingness))),
+                               data.draw(st.sampled_from([0.1, 0.3, 0.5])), seed=seed + 1)
+        cohort = apply_missingness(
+            generate_synthetic_cohort(n_cases, n_controls, V, T, 1.5, seed=seed), spec)
+        method = MethodSpec(kernel, scheme)
+        config = ExperimentConfig(methods=(method,), tck_q=2, tck_c=3, lps_trees=5)
+        km, _ = cell_kernel(method, cohort, None, config, seed)
+        assert np.array_equal(km.gram, km.gram.T)
+        km.validate()
 
 
 class TestMaskInvariance:

@@ -10,6 +10,10 @@ from mtsk.cohort import (
     generate_synthetic_cohort, train_test_split,
 )
 from mtsk.lps import (
+    MIN_SPLIT_ROWS,
+    N_THRESHOLD_CANDIDATES,
+    LPSForest,
+    LPSTree,
     build_segment_matrix,
     load_lps_forest,
     lps_gram,
@@ -78,6 +82,103 @@ def _oracle_kernel(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"representation lengths differ: {a.shape} vs {b.shape}")
     return float(np.minimum(a, b).sum() / a.size)
+
+
+class _TreeBuilder:
+    def __init__(self, rng, max_depth):
+        self.rng = rng
+        self.max_depth = max_depth
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.missing_left = []
+
+    def _add_node(self):
+        self.feature.append(-1)
+        self.threshold.append(np.nan)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.missing_left.append(False)
+        return len(self.feature) - 1
+
+    def grow(self, pred: np.ndarray, tgt: np.ndarray, depth: int = 0) -> int:
+        node = self._add_node()
+        n = tgt.size
+        if depth >= self.max_depth or n < MIN_SPLIT_ROWS:
+            return node
+        node_sse = float(((tgt - tgt.mean()) ** 2).sum())
+        if node_sse == 0.0:
+            return node
+        f = int(self.rng.integers(pred.shape[1]))
+        col = pred[:, f]
+        observed = ~np.isnan(col)
+        vals = col[observed]
+        if np.unique(vals).size < 2:
+            return node
+        cand = np.unique(self.rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
+                                         replace=False))
+        best = None
+        for theta in cand:
+            go_left = col <= theta  # NaN compares False; reassigned below
+            n_left_obs = int((vals <= theta).sum())
+            n_right_obs = vals.size - n_left_obs
+            if n_left_obs == 0 or n_right_obs == 0:
+                continue
+            missing_left = n_left_obs >= n_right_obs
+            if missing_left:
+                go_left = go_left | ~observed
+            tl, tr = tgt[go_left], tgt[~go_left]
+            sse = float(((tl - tl.mean()) ** 2).sum()) + float(((tr - tr.mean()) ** 2).sum())
+            gain = node_sse - sse
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, theta, missing_left, go_left)
+        if best is None:
+            return node
+        _, theta, missing_left, go_left = best
+        self.feature[node] = f
+        self.threshold[node] = theta
+        self.missing_left[node] = missing_left
+        self.left[node] = self.grow(pred[go_left], tgt[go_left], depth + 1)
+        self.right[node] = self.grow(pred[~go_left], tgt[~go_left], depth + 1)
+        return node
+
+    def finish(self, segment_length, lag, v_pred, v_tgt) -> LPSTree:
+        feature = np.array(self.feature, dtype=int)
+        leaf_slot = np.full(feature.size, -1, dtype=int)
+        leaves = np.flatnonzero(feature < 0)
+        leaf_slot[leaves] = np.arange(leaves.size)
+        return LPSTree(
+            segment_length=segment_length,
+            lag=lag,
+            predictor_attr=v_pred,
+            target_attr=v_tgt,
+            feature=feature,
+            threshold=np.array(self.threshold),
+            left=np.array(self.left, dtype=int),
+            right=np.array(self.right, dtype=int),
+            missing_left=np.array(self.missing_left, dtype=bool),
+            leaf_slot=leaf_slot,
+        )
+
+
+def _oracle_train(train: Cohort, n_trees: int, max_depth: int, seed: int) -> LPSForest:
+    """The list-building tree grower, with ``lps_train``'s per-tree draws."""
+    T, V = train.window_length, train.n_attributes
+    l_min, l_max, p_max = segment_ranges(T)
+    trees = []
+    for j in range(n_trees):
+        rng = np.random.default_rng([seed, j])
+        l = int(rng.integers(l_min, l_max + 1))
+        p = int(rng.integers(1, min(p_max, T - l) + 1))
+        v_pred = int(rng.integers(V))
+        v_tgt = int(rng.integers(V))
+        pred, tgt = build_segment_matrix(train, l, p, v_pred, v_tgt)
+        keep = ~np.isnan(tgt)
+        builder = _TreeBuilder(rng, max_depth)
+        builder.grow(pred[keep], tgt[keep])
+        trees.append(builder.finish(l, p, v_pred, v_tgt))
+    return LPSForest(trees, T)
 
 
 def _oracle_matrix(forest, rows: Cohort, cols: Cohort):
@@ -307,6 +408,25 @@ class TestOracle:
         km = lps_gram(forest, train, test)
         assert np.array_equal(km.gram, _oracle_matrix(forest, train, train))
         assert np.array_equal(km.cross, _oracle_matrix(forest, train, test))
+
+    @pytest.mark.parametrize("mechanism", [Missingness.MCAR, Missingness.MAR])
+    def test_trees_match_list_builder(self, mechanism, assert_same_fields):
+        full = generate_synthetic_cohort(10, 30, 4, 16, 1.5, seed=54)
+        cohort = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=55))
+        forest = lps_train(cohort, n_trees=24, max_depth=6, seed=56)
+        # Deep trees, with absent split values sent both ways.
+        assert max(t.left.size for t in forest.trees) > 2 ** 4
+        sides = np.concatenate([t.missing_left[t.feature >= 0] for t in forest.trees])
+        assert sides.any() and not sides.all()
+        assert_same_fields(forest, _oracle_train(cohort, 24, 6, 56))
+
+    def test_constant_cohort_trees_match_list_builder(self, assert_same_fields):
+        values = np.full((2, 10), 3.0)
+        cohort = Cohort([MTSample(f"s{i}", values, np.ones((2, 10))) for i in range(4)],
+                        ["a", "b"], 10)
+        forest = lps_train(cohort, n_trees=20, max_depth=6, seed=57)
+        assert all(t.feature.tolist() == [-1] for t in forest.trees)
+        assert_same_fields(forest, _oracle_train(cohort, 20, 6, 57))
 
     def test_represent_matches_per_sample_histograms(self):
         train, test = _mar_split(8, 24, 4, 14, seed=52)

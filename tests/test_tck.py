@@ -559,17 +559,29 @@ def mask_case():
     masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=31))
     train, test = train_test_split(masked, 0.75, seed=32)
     km, model = tck_train(train, Q=2, C=3, seed=33)
-    return train, test, km.gram, tck_test(model, test).cross
+    return train, test, km.gram, tck_test(model, test).cross, model
 
 
 class TestMaskInvariance:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_values_under_the_mask_change_no_gram_or_cross(self, mask_case, poisoned, data):
-        train, test, gram, cross = mask_case
+        train, test, gram, cross, _ = mask_case
         km, model = tck_train(poisoned(train, data, "train fill"), Q=2, C=3, seed=33)
         assert np.array_equal(km.gram, gram)
         assert np.array_equal(tck_test(model, poisoned(test, data, "test fill")).cross, cross)
+
+
+class TestPermutation:
+    @given(data=st.data())
+    def test_permuting_test_patients_permutes_cross(self, mask_case, data):
+        # The Gram cannot be permuted: members draw their sample subsets by position.
+        _, test, _, cross, model = mask_case
+        q = np.array(data.draw(st.permutations(range(len(test))), label="test order"))
+        samples = test.samples
+        shuffled = Cohort([samples[i] for i in q], test.attribute_names, test.window_length)
+        np.testing.assert_allclose(tck_test(model, shuffled).cross, cross[:, q],
+                                   rtol=1e-12, atol=0)
 
 
 class TestEMGuard:
