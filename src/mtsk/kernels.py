@@ -208,7 +208,7 @@ def save_matrix(path, tag: str, matrix: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"{tag},{arr.shape[0]},{arr.shape[1]}\n")
         for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_matrix(path) -> tuple[str, np.ndarray]:

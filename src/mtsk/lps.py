@@ -27,6 +27,9 @@ MAX_SEGMENT_FRACTION = 0.5
 MAX_LAG_FRACTION = 0.2
 MIN_SPLIT_ROWS = 8
 N_THRESHOLD_CANDIDATES = 20
+# Gains within this fraction of node_sse of the best split are scored again by
+# the direct formula: prefix sums round differently, though by far less.
+_TIE_TOLERANCE = 1e-9
 
 
 def build_segment_matrix(
@@ -106,39 +109,56 @@ def _grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
     """Append the subtree of these rows to ``nodes`` depth first; returns its root id.
 
     Each node is one ``[feature, threshold, left, right, missing_left]`` row;
-    a leaf keeps ``[-1, nan, -1, -1, False]``.
+    a leaf keeps ``[-1, nan, -1, -1, False]``.  A node draws its feature, then
+    up to N_THRESHOLD_CANDIDATES thresholds among the observed values; rows
+    missing the feature join the side with more observed rows.  One pass over
+    the sorted column scores every threshold: prefix sums of the centred
+    target give each side's sum, and the gain is the between-sides sum of
+    squares.  The split keeps a positive gain, the first best in ascending
+    threshold.  Prefix sums round differently from the direct formula, so
+    gains within _TIE_TOLERANCE * node_sse of the best are scored again by
+    it; a lone clear winner needs no second score.
     """
     node = len(nodes)
     nodes.append([-1, np.nan, -1, -1, False])
     n = tgt.size
     if depth >= max_depth or n < MIN_SPLIT_ROWS:
         return node
-    node_sse = float(((tgt - tgt.mean()) ** 2).sum())
+    centred = tgt - tgt.mean()
+    node_sse = float((centred ** 2).sum())
     if node_sse == 0.0:
         return node
     f = int(rng.integers(pred.shape[1]))
     col = pred[:, f]
     observed = ~np.isnan(col)
     vals = col[observed]
-    if np.unique(vals).size < 2:
+    order = np.argsort(vals)
+    ordered = vals[order]
+    if vals.size == 0 or ordered[0] == ordered[-1]:  # fewer than 2 distinct values
         return node
     cand = np.unique(rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
                                 replace=False))
+    cand = cand[cand < ordered[-1]]  # the maximum would leave no observed row on the right
+    if cand.size == 0:
+        return node
+    n_left_obs = np.searchsorted(ordered, cand, side="right")
+    missing_left = n_left_obs >= vals.size - n_left_obs
+    n_left = n_left_obs + (n - vals.size) * missing_left
+    s_left = np.cumsum(centred[observed][order])[n_left_obs - 1]
+    s_left += centred[~observed].sum() * missing_left
+    gains = s_left ** 2 / n_left + (centred.sum() - s_left) ** 2 / (n - n_left)
+    tol = _TIE_TOLERANCE * node_sse  # no split gains more than node_sse
+    near = np.flatnonzero(gains >= gains.max() - tol)
     best = None
-    for theta in cand:
-        go_left = col <= theta  # NaN compares False; reassigned below
-        n_left_obs = int((vals <= theta).sum())
-        n_right_obs = vals.size - n_left_obs
-        if n_left_obs == 0 or n_right_obs == 0:
-            continue
-        missing_left = n_left_obs >= n_right_obs
-        if missing_left:
-            go_left = go_left | ~observed
-        tl, tr = tgt[go_left], tgt[~go_left]
-        sse = float(((tl - tl.mean()) ** 2).sum()) + float(((tr - tr.mean()) ** 2).sum())
-        gain = node_sse - sse
+    for i in near:
+        go_left = (col <= cand[i]) | (missing_left[i] & ~observed)
+        gain = gains[i]
+        if near.size > 1 or gain <= tol:
+            tl, tr = tgt[go_left], tgt[~go_left]
+            gain = node_sse - (float(((tl - tl.mean()) ** 2).sum())
+                               + float(((tr - tr.mean()) ** 2).sum()))
         if gain > 0 and (best is None or gain > best[0]):
-            best = (gain, theta, missing_left, go_left)
+            best = (gain, cand[i], missing_left[i], go_left)
     if best is None:
         return node
     _, theta, missing_left, go_left = best
@@ -214,10 +234,18 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
 
 
 def _intersection(H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Histogram intersection of every row of H with every row of B, divided by the row length."""
-    out = np.empty((H.shape[0], B.shape[0]))
-    for i, h in enumerate(H):
-        out[i] = np.minimum(h, B).sum(axis=1)
+    """Histogram intersection of every row of H with every row of B, divided by the row length.
+
+    Counts are non-negative integers and min(a, b) = sum over k >= 1 of
+    [a >= k][b >= k], so the sums are one matrix product of 0/1 indicators
+    per count level k, over the columns where both sides reach k.  Every
+    partial sum is an integer far below 2**53, so float64 holds it exactly.
+    """
+    out = np.zeros((H.shape[0], B.shape[0]))
+    h_top, b_top = H.max(axis=0, initial=0), B.max(axis=0, initial=0)
+    for k in range(1, int(np.minimum(h_top, b_top).max(initial=0)) + 1):
+        cols = np.flatnonzero((h_top >= k) & (b_top >= k))
+        out += (H[:, cols] >= k).astype(float) @ (B[:, cols] >= k).astype(float).T
     return out / H.shape[1]
 
 

@@ -446,3 +446,12 @@ class TestSerialization:
         assert np.array_equal(arr, back)
         first = path.read_text().splitlines()[0]
         assert first == "tck,4,7"
+
+    def test_matrix_bytes_match_per_entry_writer(self, tmp_path):
+        arr = np.vstack([[0.0, -0.0, 1e-300, 0.1, 1 / 3, 1e300],
+                         np.random.default_rng(6).normal(size=(3, 6))])
+        path = tmp_path / "m.csv"
+        save_matrix(path, "lps", arr)
+        expected = "lps,4,6\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in arr)
+        assert path.read_bytes() == expected.encode()

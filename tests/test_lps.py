@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mtsk.lps import (
     N_THRESHOLD_CANDIDATES,
     LPSForest,
     LPSTree,
+    _grow,
     build_segment_matrix,
     load_lps_forest,
     lps_gram,
@@ -82,6 +84,14 @@ def _oracle_kernel(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"representation lengths differ: {a.shape} vs {b.shape}")
     return float(np.minimum(a, b).sum() / a.size)
+
+
+def _oracle_intersection(H, B):
+    """Histogram intersection of every row of H with every row of B, one row of H at a time."""
+    out = np.empty((H.shape[0], B.shape[0]))
+    for i, h in enumerate(H):
+        out[i] = np.minimum(h, B).sum(axis=1)
+    return out / H.shape[1]
 
 
 class _TreeBuilder:
@@ -179,6 +189,33 @@ def _oracle_train(train: Cohort, n_trees: int, max_depth: int, seed: int) -> LPS
         builder.grow(pred[keep], tgt[keep])
         trees.append(builder.finish(l, p, v_pred, v_tgt))
     return LPSForest(trees, T)
+
+
+def _assert_grows_like_builder(pred, tgt, seed, max_depth=6):
+    """``_grow`` and the list builder give the same nodes from the same draws; returns the nodes.
+
+    Any warning inside ``_grow`` fails the test.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _grow(pred, tgt, rng, max_depth, nodes)
+    builder = _TreeBuilder(np.random.default_rng(seed), max_depth)
+    builder.grow(pred, tgt)
+    expected = (builder.feature, builder.threshold, builder.left, builder.right,
+                builder.missing_left)
+    for got, want in zip(zip(*nodes), expected):
+        assert np.array_equal(np.array(got, dtype=float), np.array(want, dtype=float),
+                              equal_nan=True)
+    assert rng.bit_generator.state == builder.rng.bit_generator.state
+    return nodes
+
+
+def _rounded(cohort: Cohort) -> Cohort:
+    """The cohort with every value rounded to an integer."""
+    return Cohort([MTSample(s.id, np.round(s.values), s.mask, s.label)
+                   for s in cohort.samples], cohort.attribute_names, cohort.window_length)
 
 
 def _oracle_matrix(forest, rows: Cohort, cols: Cohort):
@@ -427,6 +464,67 @@ class TestOracle:
         forest = lps_train(cohort, n_trees=20, max_depth=6, seed=57)
         assert all(t.feature.tolist() == [-1] for t in forest.trees)
         assert_same_fields(forest, _oracle_train(cohort, 20, 6, 57))
+
+    @pytest.mark.parametrize("mechanism", [Missingness.MCAR, Missingness.MAR])
+    def test_integer_cohort_trees_match_list_builder(self, mechanism, assert_same_fields):
+        # Integer values and targets make many candidate gains tie exactly, and
+        # some best gains round to zero: both go through the direct re-score.
+        full = _rounded(generate_synthetic_cohort(10, 30, 4, 16, 1.5, seed=54))
+        cohort = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=55))
+        forest = lps_train(cohort, n_trees=40, seed=56)
+        assert_same_fields(forest, _oracle_train(cohort, 40, 6, 56))
+
+    def test_default_depth_forest_matches_list_builder(self, assert_same_fields):
+        train, _ = _mar_split(20, 60, 5, 20, seed=58)
+        forest = lps_train(train, n_trees=40, seed=59)
+        assert max(t.left.size for t in forest.trees) > 2 ** 5
+        assert_same_fields(forest, _oracle_train(train, 40, 6, 59))
+
+    def test_small_integer_nodes_break_ties_like_builder(self):
+        # Few rows on a few integer levels: splits often tie exactly, and the
+        # first in ascending threshold must win as in the direct formula.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(MIN_SPLIT_ROWS, 20))
+            pred = rng.integers(0, 6, size=(n, 2)).astype(float)
+            pred[rng.random((n, 2)) < 0.2] = np.nan
+            _assert_grows_like_builder(pred, rng.integers(0, 3, size=n) * 1.0, seed)
+
+    def test_candidates_at_column_extremes(self):
+        # At most N_THRESHOLD_CANDIDATES observed values: every value is a
+        # candidate, so the minimum leaves one row on the left and the
+        # maximum none on the right.
+        rng = np.random.default_rng(70)
+        col = rng.normal(size=(16, 1))
+        col[[2, 9, 13]] = np.nan
+        nodes = _assert_grows_like_builder(col, rng.normal(size=16), seed=71)
+        assert nodes[0][0] == 0
+
+    def test_all_missing_split_column(self):
+        rng = np.random.default_rng(72)
+        tgt = rng.normal(size=40)
+        absent = np.full((40, 1), np.nan)
+        nodes = _assert_grows_like_builder(absent, tgt, seed=73)
+        assert len(nodes) == 1 and nodes[0][0] == -1
+        # Nodes that draw the absent second column stay leaves; the first one splits.
+        both = np.hstack([rng.normal(size=(40, 1)), absent])
+        assert len(_assert_grows_like_builder(both, tgt, seed=74)) > 1
+
+    def test_constant_child_is_a_leaf(self):
+        # With 16 rows every value is a candidate, and the split at the step
+        # leaves two children of 8 equal targets each (node_sse == 0).
+        x = np.arange(16.0)[:, None]
+        nodes = _assert_grows_like_builder(x, (x[:, 0] >= 8) * 1.0, seed=75)
+        assert nodes[0][:4] == [0, 7.0, 1, 2] and len(nodes) == 3
+
+    def test_gram_and_cross_match_row_loop(self):
+        train, test = _mar_split(8, 24, 3, 30, seed=76)
+        forest = lps_train(train, n_trees=30, seed=77)
+        H, B = lps_represent(forest, train), lps_represent(forest, test)
+        assert H.max() > 5  # several count levels
+        km = lps_gram(forest, train, test)
+        assert np.array_equal(km.gram, _oracle_intersection(H, H))
+        assert np.array_equal(km.cross, _oracle_intersection(H, B))
 
     def test_represent_matches_per_sample_histograms(self):
         train, test = _mar_split(8, 24, 4, 14, seed=52)
