@@ -186,13 +186,20 @@ class ExperimentConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        labels = [m.label for m in self.effective_methods()]
+        for name, values in (("windows", self.windows), ("method labels", labels)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {name} {repeated}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.tck_c is not None and self.tck_c < 2:
             raise ValueError(f"tck_c must be >= 2, got {self.tck_c}")
         if self.k_clusters != 2:
             raise ValueError("the pipeline assumes 2 clusters")
-        unknown = set(self.embedding_dump_methods) - {m.label for m in self.effective_methods()}
+        unknown = set(self.embedding_dump_methods) - set(labels)
         if unknown:
             raise ValueError(f"embedding dump methods {sorted(unknown)} are not in the grid")
         outside = set(self.embedding_dump_windows) - set(self.windows)
@@ -444,6 +451,8 @@ def read_rows_csv(path) -> list[MetricRow]:
         if fh.readline().strip() != ROWS_HEADER:
             raise ValueError(f"{path}: unrecognized rows header")
         for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             try:
                 method, imputation, window, run, split, p, r, score = line.strip().split(",")
                 rows.append(MetricRow(method, imputation, int(window), int(run),

@@ -7,8 +7,8 @@ the triangular window (1 - |s - t|/triangular)+, summed over all monotone
 alignments of the two time axes in the log domain.  Cells beyond the
 triangular parameter carry zero weight, and the window's positive-definiteness
 keeps the alignment kernel PSD (a flat cut-off band would not).  One dynamic
-program runs over all patient pairs at once, each lattice cell an (N, M)
-array step.
+program runs over the upper triangle of the stacked train+test pairs at once,
+each lattice cell one array step.
 """
 from __future__ import annotations
 
@@ -127,49 +127,50 @@ def fit_gak_params(train: Cohort) -> GAKParams:
     return GAKParams(sigma=sigma, triangular=triangular)
 
 
-def _gak_logs(a: np.ndarray, b: np.ndarray, params: GAKParams) -> np.ndarray:
-    """Log of the unnormalized GAK between every a[n] and b[m]: an (N, M) array.
+def _gak_logs(x: np.ndarray, params: GAKParams) -> np.ndarray:
+    """Log of the unnormalized GAK between every pair of x's series: a symmetric (K, K) array.
 
-    ``a`` is (N, V, T1) and ``b`` is (M, V, T2).  One dynamic program over
-    monotone alignments of the two time axes, with the pair axis as a batch
-    dimension; the triangular window zeroes every lattice cell at or beyond
-    ``triangular`` steps from the diagonal.  Log-domain throughout, so no
-    underflow for long windows.
+    ``x`` is (K, V, T).  The dynamic program over monotone alignments runs on
+    every upper-triangle pair at once, diagonal included; a lattice cell reads
+    its frame distances from one (K, K) product, and the triangular window
+    zeroes cells ``triangular`` or more steps off the diagonal.  Log-domain
+    throughout, so no underflow for long windows.
     """
-    fa = np.moveaxis(a, 2, 0)  # frame-major: (T1, N, V)
-    fb = np.moveaxis(b, 2, 0)
-    sa = np.sum(fa * fa, axis=2)
-    sb = np.sum(fb * fb, axis=2)
-    t1, t2, tri = fa.shape[0], fb.shape[0], params.triangular
+    frames = np.moveaxis(x, 2, 0)  # frame-major: (T, K, V)
+    sq = np.sum(frames * frames, axis=2)
+    T, tri = frames.shape[0], params.triangular
+    rows, cols = np.triu_indices(len(x))
     # Lattice cells outside the band share one -inf array, so only the band is held.
-    neg_inf = np.full((len(a), len(b)), -np.inf)
-    prev = [np.zeros_like(neg_inf)] + [neg_inf] * t2
-    for i in range(1, t1 + 1):
-        cur = [neg_inf] * (t2 + 1)
-        for j in range(max(1, i - tri + 1), min(t2, i + tri - 1) + 1):
-            d2 = np.maximum(sa[i - 1][:, None] + sb[j - 1] - 2.0 * (fa[i - 1] @ fb[j - 1].T), 0.0)
+    neg_inf = np.full(rows.size, -np.inf)
+    prev = [np.zeros_like(neg_inf)] + [neg_inf] * T
+    for i in range(1, T + 1):
+        cur = [neg_inf] * (T + 1)
+        for j in range(max(1, i - tri + 1), min(T, i + tri - 1) + 1):
+            dot = (frames[i - 1] @ frames[j - 1].T)[rows, cols]
+            d2 = np.maximum(sq[i - 1][rows] + sq[j - 1][cols] - 2.0 * dot, 0.0)
             logk = -d2 / (2.0 * params.sigma * params.sigma)
             local = logk - np.log1p(-np.expm1(logk)) + math.log(1.0 - abs(i - j) / tri)
             cur[j] = np.logaddexp(np.logaddexp(prev[j], cur[j - 1]), prev[j - 1]) + local
         prev = cur
-    return prev[t2]
+    logs = np.empty((len(x), len(x)))
+    logs[rows, cols] = logs[cols, rows] = prev[T]
+    return logs
 
 
 def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> KernelMatrix:
-    """Normalized GAK Gram: exp(log k(x,y) - (log k(x,x) + log k(y,y))/2)."""
+    """Normalized GAK exp(log k(x,y) - (log k(x,x) + log k(y,y))/2) over train and test stacked."""
     _require_complete(train, "gak")
-    logs = _gak_logs(train.values, train.values, params)
-    self_log = np.diag(logs)
-    gram = np.exp(logs - 0.5 * (self_log[:, None] + self_log[None, :]))
-    cross = None
+    x = train.values
     if test is not None:
         _require_complete(test, "gak")
-        test_self = np.diag(_gak_logs(test.values, test.values, params))
-        cross = np.exp(
-            _gak_logs(train.values, test.values, params)
-            - 0.5 * (self_log[:, None] + test_self[None, :])
-        )
-    return KernelMatrix(gram, "gak", cross)
+        if test.values.shape[1:] != x.shape[1:]:
+            raise ValueError(f"test cohort (V, T) = {test.values.shape[1:]} "
+                             f"differs from train's {x.shape[1:]}")
+        x = np.concatenate([x, test.values])
+    logs = _gak_logs(x, params)
+    self_log = np.diag(logs)
+    k = np.exp(logs - 0.5 * (self_log[:, None] + self_log[None, :]))[:len(train)]
+    return KernelMatrix(k[:, :len(train)], "gak", None if test is None else k[:, len(train):])
 
 
 def gram_matrix(

@@ -7,7 +7,7 @@ pooled segment rows of the training cohort; a patient is then represented
 by the counts of its segment rows over every tree's terminal nodes, and
 similarity is the histogram intersection kernel.  Every function works on
 a whole ``Cohort``: segment rows come from one index into its (N, V, T)
-arrays, and each tree routes the rows of all patients in one call.
+arrays, and each tree routes the rows of all patients straight from them.
 Missing cells are carried as NaN markers: rows with a missing target are
 not used to grow trees, and a row missing a split feature follows the
 child that received more training rows.
@@ -73,21 +73,6 @@ class LPSTree:
     @property
     def n_leaves(self) -> int:
         return int((self.leaf_slot >= 0).sum())
-
-    def route(self, predictors: np.ndarray) -> np.ndarray:
-        """Leaf slot of every segment row."""
-        node = np.zeros(predictors.shape[0], dtype=int)
-        while True:
-            internal = self.feature[node] >= 0
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            at = node[rows]
-            vals = predictors[rows, self.feature[at]]
-            absent = np.isnan(vals)
-            go_left = np.where(absent, self.missing_left[at], vals <= self.threshold[at])
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-        return self.leaf_slot[node]
 
 
 @dataclass
@@ -218,17 +203,30 @@ def lps_train(
 def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     """Leaf counts of every patient: an (N, representation_length) int matrix.
 
-    Each tree routes the segment rows of the whole cohort once; its block
-    of columns holds, per patient, how many rows reached each of its leaves.
+    Each tree routes all segment rows at once: row (patient n, start s)
+    reads day s + feature of the tree's predictor attribute from one
+    NaN-marked copy of the cohort arrays.  A tree's block of columns counts,
+    per patient, the rows that reached each of its leaves.
     """
-    N = len(cohort)
+    N, V, T = cohort.values.shape
+    if T != forest.window_length:
+        change = "larger" if T < forest.window_length else "smaller"
+        raise ValueError(f"cohort window of {T} days does not match the forest's "
+                         f"{forest.window_length}; use a {change} window")
+    # Attribute-major: day d of patient n is column n * T + d of each attribute's row.
+    series = np.where(cohort.mask > 0, cohort.values, np.nan).swapaxes(0, 1).reshape(V, N * T)
     blocks = []
     for t in forest.trees:
-        pred, _ = build_segment_matrix(cohort, t.segment_length, t.lag,
-                                       t.predictor_attr, t.target_attr)
-        leaf = t.route(pred.reshape(-1, t.segment_length))
-        sample = np.repeat(np.arange(N), pred.shape[1])
-        counts = np.bincount(sample * t.n_leaves + leaf, minlength=N * t.n_leaves)
+        S = T - t.segment_length - t.lag + 1
+        first_day = (np.arange(N)[:, None] * T + np.arange(S)).ravel()
+        node = np.zeros(N * S, dtype=int)
+        while (rows := np.flatnonzero(t.feature[node] >= 0)).size:
+            at = node[rows]
+            vals = series[t.predictor_attr, first_day[rows] + t.feature[at]]
+            go_left = np.where(np.isnan(vals), t.missing_left[at], vals <= t.threshold[at])
+            node[rows] = np.where(go_left, t.left[at], t.right[at])
+        counts = np.bincount(np.repeat(np.arange(N), S) * t.n_leaves + t.leaf_slot[node],
+                             minlength=N * t.n_leaves)
         blocks.append(counts.reshape(N, t.n_leaves))
     return np.hstack(blocks)
 

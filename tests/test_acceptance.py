@@ -140,7 +140,7 @@ class TestCriterion2GAKOracle:
             a = MTSample("a", rng.normal(size=(V, T)), np.ones((V, T)))
             b = MTSample("b", rng.normal(size=(V, T)), np.ones((V, T)))
             params = GAKParams(float(rng.uniform(0.5, 3.0)), int(rng.integers(1, 5)))
-            got = float(_gak_logs(a.values[None], b.values[None], params)[0, 0])
+            got = float(_gak_logs(np.stack([a.values, b.values]), params)[0, 1])
             want = enumerate_gak(a, b, params.sigma, params.triangular)
             worst = max(worst, abs(got - want))
         _criterion(2, "gak alignment oracle", worst <= 1e-9,

@@ -235,6 +235,10 @@ class TestRun:
         ({"tck": {"Q": 2, "C": 1}}, "tck_c must be >= 2, got 1"),
         ({"windows": [0, 8]}, "windows must be >= 1, got 0"),
         ({"windows": [8, 99]}, "windows: 99 exceeds the cohort's 10 days"),
+        ({"windows": [8, 8]}, "duplicate windows [8]"),
+        ({"methods": [{"kernel": "tck"}, {"kernel": "tck"}]},
+         "duplicate method labels ['tck/none']"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
     ])
     def test_value_the_config_rejects_exits_2(self, tmp_path, capsys, overrides, message):
         config = _run_config(tmp_path, "ignored", cohort={"synthetic": {"days": 10}},

@@ -311,6 +311,10 @@ class TestConfig:
         path = tmp_path / "rows.csv"
         write_rows_csv(report, path)
         assert read_rows_csv(path) == report.rows
+        # Blank lines, inside the file and at its end, are skipped.
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3]) + "\n" + "".join(lines[3:]) + "\n")
+        assert read_rows_csv(path) == report.rows
 
     @pytest.mark.parametrize("overrides, message", [
         ({"runs": 0}, "runs must be >= 1, got 0"),
@@ -323,7 +327,14 @@ class TestConfig:
         ({"train_fraction": 1.5}, r"train_fraction must be in \(0, 1\), got 1.5"),
         ({"train_fraction": 0.0}, r"train_fraction must be in \(0, 1\), got 0.0"),
         ({"tck_c": 1}, "tck_c must be >= 2, got 1"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        # Repeated cells would be rerun and counted twice in the standard errors.
+        ({"windows": (10, 8, 10)}, r"duplicate windows \[10\]"),
+        ({"methods": (MethodSpec("tck"), MethodSpec("lps"), MethodSpec("tck"))},
+         r"duplicate method labels \['tck/none'\]"),
+        ({"methods": (MethodSpec("manual", "zero"),), "manual_baseline": True},
+         r"duplicate method labels \['manual/zero'\]"),
     ])
     def test_settings_every_cell_would_reject(self, overrides, message):
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(methods=(MethodSpec("tck"),), **overrides)
+            ExperimentConfig(**{"methods": (MethodSpec("tck"),), **overrides})

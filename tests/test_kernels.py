@@ -33,7 +33,7 @@ def _sample(values, sid="x", mask=None, label=None):
 
 def gak_log(x, y, params):
     """Log of the unnormalized GAK between two samples, through the batched DP."""
-    return float(_gak_logs(x.values[None], y.values[None], params)[0, 0])
+    return float(_gak_logs(np.stack([x.values, y.values]), params)[0, 1])
 
 
 def enumerate_gak(x, y, sigma, triangular):
@@ -127,6 +127,39 @@ def _oracle_gak_matrices(train, test, params):
         for j, t in enumerate(test_samples):
             lg = _oracle_gak_log(samples[i], t, params)
             cross[i, j] = math.exp(lg - 0.5 * (self_log[i] + test_self[j]))
+    return gram, cross
+
+
+def _oracle_rect_gak_logs(a, b, params):
+    """The rectangular DP: log GAK of every a[n] against every b[m], an (N, M) array."""
+    fa = np.moveaxis(a, 2, 0)  # frame-major: (T1, N, V)
+    fb = np.moveaxis(b, 2, 0)
+    sa = np.sum(fa * fa, axis=2)
+    sb = np.sum(fb * fb, axis=2)
+    t1, t2, tri = fa.shape[0], fb.shape[0], params.triangular
+    neg_inf = np.full((len(a), len(b)), -np.inf)
+    prev = [np.zeros_like(neg_inf)] + [neg_inf] * t2
+    for i in range(1, t1 + 1):
+        cur = [neg_inf] * (t2 + 1)
+        for j in range(max(1, i - tri + 1), min(t2, i + tri - 1) + 1):
+            d2 = np.maximum(sa[i - 1][:, None] + sb[j - 1] - 2.0 * (fa[i - 1] @ fb[j - 1].T), 0.0)
+            logk = -d2 / (2.0 * params.sigma * params.sigma)
+            local = logk - np.log1p(-np.expm1(logk)) + math.log(1.0 - abs(i - j) / tri)
+            cur[j] = np.logaddexp(np.logaddexp(prev[j], cur[j - 1]), prev[j - 1]) + local
+        prev = cur
+    return prev[t2]
+
+
+def _oracle_three_call_gak(train, params, test=None):
+    """Gram and cross from three rectangular DPs: train x train, test x test and train x test."""
+    logs = _oracle_rect_gak_logs(train.values, train.values, params)
+    self_log = np.diag(logs)
+    gram = KernelMatrix(np.exp(logs - 0.5 * (self_log[:, None] + self_log[None, :])), "gak").gram
+    if test is None:
+        return gram, None
+    test_self = np.diag(_oracle_rect_gak_logs(test.values, test.values, params))
+    cross = np.exp(_oracle_rect_gak_logs(train.values, test.values, params)
+                   - 0.5 * (self_log[:, None] + test_self[None, :]))
     return gram, cross
 
 
@@ -276,6 +309,30 @@ class TestGAK:
         np.testing.assert_allclose(km.cross, cross, rtol=1e-12, atol=0)
         assert np.array_equal(np.diag(km.gram), np.ones(len(train)))
         assert np.array_equal(km.gram, km.gram.T)
+
+    @pytest.mark.parametrize("n_test", [None, 1, 12])
+    def test_gram_and_cross_match_three_call_dp_at_paper_width(self, n_test):
+        # 11 attributes bias-corrected to 22, over 20 days: the GAK cell of the paper.
+        train, test = _imputed_mar_split(15, 45, 11, 20, "zero+bc", seed=72)
+        assert train.values.shape[1:] == (22, 20)
+        if n_test is None:
+            test = None
+        else:
+            test = Cohort(test.samples[:n_test], test.attribute_names, test.window_length)
+        params = fit_gak_params(train)
+        km = gak_gram(train, params, test)
+        gram, cross = _oracle_three_call_gak(train, params, test)
+        assert np.array_equal(km.gram, gram)
+        assert (km.cross is None) if test is None else np.array_equal(km.cross, cross)
+
+    def test_test_shape_must_match_train(self):
+        train = generate_synthetic_cohort(4, 4, 3, 10, 1.0, seed=3)
+        params = fit_gak_params(train)
+        for V, T in ((3, 9), (2, 10)):
+            test = generate_synthetic_cohort(2, 2, V, T, 1.0, seed=4)
+            with pytest.raises(ValueError, match=rf"test cohort \(V, T\) = \({V}, {T}\) "
+                                                 r"differs from train's \(3, 10\)"):
+                gak_gram(train, params, test)
 
     def test_gram_exactly_symmetric_at_paper_width(self):
         # At 22 attributes and ~180+ patients, BLAS blocking rounds the frame

@@ -55,8 +55,8 @@ def _oracle_segment_matrix(x: MTSample, l, p, v_pred, v_tgt):
     return row_pred[idx], row_tgt[np.arange(S) + l + p - 1]
 
 
-def _oracle_route(tree, predictors):
-    """Histogram of one sample's segment rows over the tree's leaves."""
+def _route_leaves(tree, predictors):
+    """Leaf slot of every row of a segment matrix: the reference routing."""
     node = np.zeros(predictors.shape[0], dtype=int)
     while True:
         internal = tree.feature[node] >= 0
@@ -68,7 +68,26 @@ def _oracle_route(tree, predictors):
         absent = np.isnan(vals)
         go_left = np.where(absent, tree.missing_left[at], vals <= tree.threshold[at])
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return np.bincount(tree.leaf_slot[node], minlength=tree.n_leaves)
+    return tree.leaf_slot[node]
+
+
+def _oracle_route(tree, predictors):
+    """Histogram of one sample's segment rows over the tree's leaves."""
+    return np.bincount(_route_leaves(tree, predictors), minlength=tree.n_leaves)
+
+
+def _oracle_lps_represent(forest, cohort: Cohort):
+    """The segment-matrix ``lps_represent``: each tree copies an (N, S, l) matrix and routes it."""
+    N = len(cohort)
+    blocks = []
+    for t in forest.trees:
+        pred, _ = build_segment_matrix(cohort, t.segment_length, t.lag,
+                                       t.predictor_attr, t.target_attr)
+        leaf = _route_leaves(t, pred.reshape(-1, t.segment_length))
+        sample = np.repeat(np.arange(N), pred.shape[1])
+        counts = np.bincount(sample * t.n_leaves + leaf, minlength=N * t.n_leaves)
+        blocks.append(counts.reshape(N, t.n_leaves))
+    return np.hstack(blocks)
 
 
 def _oracle_represent(forest, x: MTSample):
@@ -342,6 +361,13 @@ class TestRepresent:
         with pytest.raises(ValueError, match="larger window"):
             lps_represent(forest, short)
 
+    def test_longer_window_rejected(self):
+        cohort = generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=11)
+        forest = lps_train(cohort, n_trees=5, seed=12)
+        longer = generate_synthetic_cohort(2, 2, 3, 16, 1.0, seed=13)
+        with pytest.raises(ValueError, match="window of 16 days does not match the forest's 12"):
+            lps_represent(forest, longer)
+
     def test_stump_matches_direct_thresholding(self):
         # A depth-1 forest of one tree must reproduce a 2-bin histogram
         # computed straight from the recorded split.
@@ -525,6 +551,17 @@ class TestOracle:
         km = lps_gram(forest, train, test)
         assert np.array_equal(km.gram, _oracle_intersection(H, H))
         assert np.array_equal(km.cross, _oracle_intersection(H, B))
+
+    @pytest.mark.parametrize("mechanism", [Missingness.MCAR, Missingness.MAR])
+    def test_represent_matches_segment_matrix_routing(self, mechanism):
+        full = generate_synthetic_cohort(30, 90, 5, 20, 1.5, seed=80)
+        masked = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=81))
+        train, held_out = train_test_split(masked, 0.25, seed=82)
+        assert len(held_out) > len(train)
+        forest = lps_train(train, n_trees=40, seed=83)
+        for cohort in (train, held_out):
+            assert np.array_equal(lps_represent(forest, cohort),
+                                  _oracle_lps_represent(forest, cohort))
 
     def test_represent_matches_per_sample_histograms(self):
         train, test = _mar_split(8, 24, 4, 14, seed=52)
