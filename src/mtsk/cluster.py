@@ -49,6 +49,11 @@ def _as_points(emb) -> np.ndarray:
     return emb.points if isinstance(emb, Embedding) else np.asarray(emb, dtype=float)
 
 
+def _require_finite(X: np.ndarray, name: str) -> None:
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} holds non-finite points")
+
+
 def kpca_fit(gram: np.ndarray, d: int,
              ids: list[str] | None = None) -> tuple[KPCAModel, Embedding]:
     """Double-center the Gram, eigendecompose, and scale by sqrt(eigenvalue).
@@ -128,9 +133,9 @@ def dump_embedding(path, emb: Embedding, labels, clusters) -> None:
 # k-means
 
 
-def _kmeans_once(X: np.ndarray, k: int, rng) -> ClusterAssignment:
+def _kmeans_pp(X: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ seeds (Arthur & Vassilvitskii 2007), (k, d)."""
     n = X.shape[0]
-    # k-means++ seeding
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
     d2 = ((X - centroids[0]) ** 2).sum(axis=1)
@@ -141,68 +146,124 @@ def _kmeans_once(X: np.ndarray, k: int, rng) -> ClusterAssignment:
             break
         centroids[i] = X[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((X - centroids[i]) ** 2).sum(axis=1))
+    return centroids
 
-    labels = np.full(n, -1)
-    for _ in range(KMEANS_MAX_ITER):
-        dist = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dist.argmin(axis=1)
-        for c in range(k):
-            if not (new_labels == c).any():
-                # Re-seed an emptied cluster at the point farthest from its centroid.
-                far = dist[np.arange(n), new_labels].argmax()
-                centroids[c] = X[far]
-                new_labels[far] = c
-        if (new_labels == labels).all():
-            break
-        labels = new_labels
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centroids[c] = X[members].mean(axis=0)
-    return ClusterAssignment(labels, float(((X - centroids[labels]) ** 2).sum()))
+
+def _first_argmin(dist: np.ndarray) -> np.ndarray:
+    """argmin over axis 1 of (A, k, n) distances; the first of equal distances wins.
+
+    k - 1 whole-array comparisons; ``dist.argmin(axis=1)`` runs one short
+    argmin per (restart, point) and is the slowest step of a Lloyd pass.
+    """
+    labels = np.zeros((dist.shape[0], dist.shape[2]), dtype=np.intp)
+    best = dist[:, 0]
+    for c in range(1, dist.shape[1]):
+        closer = dist[:, c] < best
+        labels[closer] = c
+        best = np.minimum(best, dist[:, c])
+    return labels
 
 
 def kmeans(emb, k: int = 2, restarts: int = 20, seed: int = 0) -> ClusterAssignment:
-    """Lloyd iterations from k-means++ seeds; best of ``restarts`` by inertia."""
+    """Lloyd iterations from k-means++ seeds; best of ``restarts`` by inertia.
+
+    Restart r seeds from ``default_rng([31, seed, r])``, and all restarts
+    step together, each until its labels stop changing.  A cluster left
+    empty is re-seeded at the point farthest from its centroid.  Centroids
+    add their members in point order, and the first of equal inertias wins.
+    """
     X = _as_points(emb)
-    n = X.shape[0]
+    n, d = X.shape
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng([31, seed, r])
-        fit = _kmeans_once(X, k, rng)
-        if best is None or fit.inertia < best.inertia:  # the first of equal inertias wins
-            best = fit
-    return best
+    _require_finite(X, "emb")
+    C = np.stack([_kmeans_pp(X, k, np.random.default_rng([31, seed, r]))
+                  for r in range(restarts)])  # (R, k, d)
+    labels = np.full((restarts, n), -1)
+    active = np.arange(restarts)
+    points = np.arange(n)
+    XT = X.T.copy()  # (d, n): the distance sums over d add whole rows
+    for _ in range(KMEANS_MAX_ITER):
+        diff = XT - C[active][..., None]  # (A, k, d, n)
+        dist = np.square(diff, out=diff).sum(axis=2)
+        new = _first_argmin(dist)  # (A, n)
+        slots = new + k * np.arange(active.size)[:, None]
+        counts = np.bincount(slots.ravel(), minlength=active.size * k).reshape(-1, k)
+        for a in np.flatnonzero(counts.min(axis=1) == 0):
+            for c in range(k):
+                if not (new[a] == c).any():
+                    # Re-seed an emptied cluster at the point farthest from its centroid.
+                    far = dist[a, new[a], points].argmax()
+                    C[active[a], c] = X[far]
+                    new[a, far] = c
+            counts[a] = np.bincount(new[a], minlength=k)
+        moved = (new != labels[active]).any(axis=1)
+        labels[active] = new
+        active, new, counts = active[moved], new[moved], counts[moved]
+        if active.size == 0:
+            break
+        # Scatter each point into its cluster's slot and add rows in point
+        # order, so every centroid sums its members as X[members].mean would.
+        rows = np.zeros((n, active.size * k, d))
+        rows[points, new + k * np.arange(active.size)[:, None]] = X
+        sums = rows.sum(axis=0).reshape(-1, k, d)
+        counts = counts[..., None]
+        C[active] = np.where(counts > 0, sums / np.maximum(counts, 1), C[active])
+    sq = (X - C[np.arange(restarts)[:, None], labels]) ** 2
+    inertia = sq.reshape(restarts, -1).sum(axis=1)
+    best = int(np.argmin(inertia))  # the first of equal inertias wins
+    return ClusterAssignment(labels[best], float(inertia[best]))
 
 
 # ---------------------------------------------------------------------------
 # kNN assignment
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, nearest first; overwrites d2.
+
+    k passes of argmin give the order of ``argsort(kind="stable")``: ties go
+    to the lower index.  +inf and NaN entries rank as the largest finite
+    float, so the +inf that marks a taken entry stays above every entry left.
+    """
+    np.fmin(d2, np.finfo(float).max, out=d2)
+    rows = np.arange(d2.shape[0])
+    order = np.empty((d2.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        order[:, j] = d2.argmin(axis=1)
+        d2[rows, order[:, j]] = np.inf
+    return order
+
+
 def knn_assign(train_emb, train_labels, test_emb, k: int = 5) -> np.ndarray:
     """Majority vote of the k nearest training points (Euclidean).
 
-    A tied vote falls back to the single nearest neighbor's label.  With
-    cluster ids as ``train_labels`` this is the unsupervised out-of-sample
-    step; with true labels it is the supervised baseline.
+    ``train_labels`` are binary (0 or 1).  A tied vote falls back to the
+    single nearest neighbor's label.  With cluster ids as ``train_labels``
+    this is the unsupervised out-of-sample step; with true labels it is the
+    supervised baseline.
     """
     Xtr = _as_points(train_emb)
     Xte = _as_points(test_emb)
-    y = np.asarray(train_labels, dtype=int)
-    if y.shape[0] != Xtr.shape[0]:
+    y = np.asarray(train_labels)
+    if y.shape != (Xtr.shape[0],):
         raise ValueError("one label per training point required")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("train_labels must be 0 or 1")
+    y = y.astype(int)
     if not 1 <= k <= Xtr.shape[0]:
         raise ValueError(f"k must be in [1, {Xtr.shape[0]}]")
-    d2 = (
-        (Xte * Xte).sum(axis=1)[:, None]
-        + (Xtr * Xtr).sum(axis=1)[None, :]
-        - 2.0 * (Xte @ Xtr.T)
-    )
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    _require_finite(Xtr, "train_emb")
+    _require_finite(Xte, "test_emb")
+    # (|a|^2 + |b|^2) - 2 a.b built in place: adding -2 a.b rounds as subtracting 2 a.b.
+    d2 = Xte @ Xtr.T
+    d2 *= -2.0
+    d2 += (Xte * Xte).sum(axis=1)[:, None] + (Xtr * Xtr).sum(axis=1)[None, :]
+    order = _nearest(d2, k)
     votes = y[order].sum(axis=1)
     pred = np.where(2 * votes > k, 1, 0)
     tie = 2 * votes == k

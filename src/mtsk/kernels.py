@@ -70,6 +70,12 @@ def _require_complete(cohort: Cohort, kernel: str) -> None:
         raise ValueError(f"{kernel} kernel requires complete inputs; impute sample {sid!r} first")
 
 
+def _require_same_shape(train: Cohort, test: Cohort) -> None:
+    if test.values.shape[1:] != train.values.shape[1:]:
+        raise ValueError(f"test cohort (V, T) = {test.values.shape[1:]} "
+                         f"differs from train's {train.values.shape[1:]}")
+
+
 # ---------------------------------------------------------------------------
 # Linear kernel
 
@@ -163,9 +169,7 @@ def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> Ke
     x = train.values
     if test is not None:
         _require_complete(test, "gak")
-        if test.values.shape[1:] != x.shape[1:]:
-            raise ValueError(f"test cohort (V, T) = {test.values.shape[1:]} "
-                             f"differs from train's {x.shape[1:]}")
+        _require_same_shape(train, test)
         x = np.concatenate([x, test.values])
     logs = _gak_logs(x, params)
     self_log = np.diag(logs)
@@ -190,6 +194,7 @@ def gram_matrix(
         Fte = None
         if test is not None:
             _require_complete(test, "linear")
+            _require_same_shape(train, test)
             Fte = test.values.reshape(len(test), -1)
         return linear_gram(Ftr, Fte)
     if kernel == "gak":

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from mtsk.cluster import (
+    KMEANS_MAX_ITER,
+    ClusterAssignment,
+    _nearest,
     kmeans,
     knn_assign,
     kpca_fit,
@@ -24,6 +27,55 @@ def kpca_oracle(gram, d):
     order = np.argsort(w)[::-1][:d]
     w = np.maximum(w[order], 0.0)
     return u[:, order] * np.sqrt(w)[None, :], w
+
+
+def kmeans_once_oracle(X, k, rng):
+    """One restart, one Lloyd step at a time: k-means++ seeds, then Lloyd.
+
+    Returns the assignment and how many emptied clusters were re-seeded.
+    """
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            centroids[i:] = X[rng.integers(n, size=k - i)]
+            break
+        centroids[i] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((X - centroids[i]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1)
+    reseeds = 0
+    for _ in range(KMEANS_MAX_ITER):
+        dist = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dist.argmin(axis=1)
+        for c in range(k):
+            if not (new_labels == c).any():
+                far = dist[np.arange(n), new_labels].argmax()
+                centroids[c] = X[far]
+                new_labels[far] = c
+                reseeds += 1
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centroids[c] = X[members].mean(axis=0)
+    return ClusterAssignment(labels, float(((X - centroids[labels]) ** 2).sum())), reseeds
+
+
+def kmeans_oracle(X, k, restarts, seed):
+    """Best of the restarts run one after another; the first of equal inertias wins."""
+    best, reseeds = None, 0
+    for r in range(restarts):
+        fit, n_reseeds = kmeans_once_oracle(X, k, np.random.default_rng([31, seed, r]))
+        reseeds += n_reseeds
+        if best is None or fit.inertia < best.inertia:
+            best = fit
+    return best, reseeds
 
 
 def _random_psd(rng, n, rank=None):
@@ -112,6 +164,20 @@ class TestKPCA:
         assert np.array_equal(a, b) or np.array_equal(a, 1 - b)
 
 
+BATTERY_KINDS = ("gaussian", "integer-rounded", "half-duplicated", "all-zero")
+
+
+def _battery_points(kind, rng, n, d):
+    if kind == "all-zero":
+        return np.zeros((n, d))
+    X = rng.normal(size=(n, d))
+    if kind == "integer-rounded":
+        return np.round(2 * X)
+    if kind == "half-duplicated":
+        return np.concatenate([X[: n - n // 2], X[: n // 2]])
+    return X
+
+
 class TestKMeans:
     def test_separated_clusters(self):
         points = np.array([[0.0], [0.1], [10.0], [10.1]])
@@ -143,6 +209,39 @@ class TestKMeans:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((1, 2)), 2, restarts=1, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            kmeans(np.zeros((4, 2)), k, restarts=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.arange(12.0).reshape(6, 2)
+        points[3, 1] = bad
+        with pytest.raises(ValueError, match="emb holds non-finite points"):
+            kmeans(points, 2, restarts=2, seed=0)
+
+    @pytest.mark.parametrize("kind", BATTERY_KINDS)
+    def test_restart_battery_matches_oracle(self, kind):
+        # 22 inputs x 20 restarts per kind; k in 2..4, d in 1..11, n up to 300.
+        rng = np.random.default_rng(BATTERY_KINDS.index(kind))
+        reseeds = 0
+        for i in range(22):
+            k, d = 2 + i % 3, 1 + i % 11
+            n = int(rng.integers(k, 301)) if i % 4 else int(rng.integers(k, k + 6))
+            X = _battery_points(kind, rng, n, d)
+            want, n_reseeds = kmeans_oracle(X, k, 20, seed=i)
+            got = kmeans(X, k, restarts=20, seed=i)
+            reseeds += n_reseeds
+            assert np.array_equal(got.labels, want.labels), (kind, i)
+            if d == 1:
+                # numpy sums a lone column pairwise, and the batched centroids row by row.
+                assert got.inertia == pytest.approx(want.inertia, rel=1e-12, abs=0), (kind, i)
+            else:
+                assert got.inertia == want.inertia, (kind, i)
+        if kind in ("half-duplicated", "all-zero"):
+            assert reseeds > 0  # the emptied-cluster re-seed ran
 
 
 class TestKNN:
@@ -195,6 +294,80 @@ class TestKNN:
         train = np.zeros((3, 2))
         with pytest.raises(ValueError):
             knn_assign(train, [0, 1, 0], np.zeros((1, 2)), k=4)
+
+    def test_labels_must_be_binary(self):
+        # A sum-against-k/2 vote would call three neighbours labelled 2 a 1.
+        train = np.arange(8.0).reshape(-1, 1)
+        with pytest.raises(ValueError, match="train_labels must be 0 or 1"):
+            knn_assign(train, [0, 0, 0, 1, 1, 2, 2, 2], np.array([[7.0]]), k=3)
+
+    @pytest.mark.parametrize("name", ["train_emb", "test_emb"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, name, bad):
+        points = {"train_emb": np.arange(8.0).reshape(4, 2), "test_emb": np.zeros((2, 2))}
+        points[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"{name} holds non-finite points"):
+            knn_assign(points["train_emb"], [0, 1, 0, 1], points["test_emb"], k=3)
+
+    def test_matches_stable_sort_oracle_with_tied_distances(self):
+        rng = np.random.default_rng(15)
+        for trial in range(40):
+            train = np.round(rng.normal(size=(30, 2)))  # duplicates tie distances
+            test = np.round(rng.normal(size=(12, 2)))
+            labels = (rng.random(30) < 0.5).astype(int)
+            k = 1 + trial % 7
+            assert np.array_equal(knn_assign(train, labels, test, k=k),
+                                  knn_oracle(train, labels, test, k))
+
+
+def knn_oracle(train, labels, test, k):
+    """Vote over a full stable sort of the distances."""
+    d2 = ((test * test).sum(axis=1)[:, None] + (train * train).sum(axis=1)[None, :]
+          - 2.0 * (test @ train.T))
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    votes = labels[order].sum(axis=1)
+    pred = np.where(2 * votes > k, 1, 0)
+    tie = 2 * votes == k
+    pred[tie] = labels[order[tie, 0]]
+    return pred
+
+
+INF = np.inf
+
+
+class TestNearest:
+    @pytest.mark.parametrize("d2", [
+        [[1.0, 0.0, 1.0, 0.0, 2.0], [2.0, 2.0, 1.0, 1.0, 0.0]],  # ties
+        [[3.0, 3.0, 3.0, 3.0, 3.0], [-1.0, -1.0, -1.0, -1.0, -1.0]],  # constant rows
+        [[INF, 1.0, INF, 0.0, INF], [INF, INF, INF, INF, INF]],  # +inf distances
+        [[INF, 0.5, INF, 0.5, -0.0], [0.0, INF, 0.0, INF, 0.0]],
+    ], ids=["ties", "constant", "inf", "inf-and-ties"])
+    def test_matches_stable_argsort(self, d2):
+        d2 = np.array(d2)
+        want = np.argsort(d2, axis=1, kind="stable")
+        for k in range(1, d2.shape[1] + 1):
+            got = _nearest(d2.copy(), k)
+            assert np.array_equal(got, want[:, :k]), k
+            assert all(len(set(row)) == k for row in got.tolist())  # no neighbour twice
+
+    def test_random_rows_with_ties_and_inf(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            d2 = rng.integers(0, 4, size=(6, 9)).astype(float)
+            d2[rng.random(d2.shape) < 0.3] = INF
+            k = int(rng.integers(1, 10))
+            want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_nearest(d2, k), want)
+
+    def test_nan_ranks_as_largest_finite_float(self):
+        big = np.finfo(float).max
+        d2 = np.array([[np.nan, 1.0, INF, 0.0, big], [INF, np.nan, 2.0, np.nan, INF]])
+        want = np.argsort(np.fmin(d2, big), axis=1, kind="stable")
+        for k in range(1, 6):
+            got = _nearest(d2.copy(), k)
+            assert np.array_equal(got, want[:, :k]), k
+            assert all(len(set(row)) == k for row in got.tolist())
+
 
 
 class TestManualFeatures:

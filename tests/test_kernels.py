@@ -205,6 +205,14 @@ class TestLinear:
         want = gram_matrix("linear", plain).gram[0, 1] + mask_dot
         assert gram_matrix("linear", stacked).gram[0, 1] == pytest.approx(want)
 
+    def test_test_shape_must_match_train(self):
+        # 4 x 10 and 5 x 8 both flatten to 40 features; the pair must still be rejected.
+        train = generate_synthetic_cohort(3, 3, 4, 10, 1.0, seed=3)
+        test = generate_synthetic_cohort(2, 2, 5, 8, 1.0, seed=4)
+        with pytest.raises(ValueError, match=r"test cohort \(V, T\) = \(5, 8\) "
+                                             r"differs from train's \(4, 10\)"):
+            gram_matrix("linear", train, test)
+
 
 class TestGAKParams:
     def test_sigma_from_median_distance(self):
