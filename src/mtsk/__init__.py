@@ -46,7 +46,6 @@ from .kernels import (
 from .lps import (
     LPSForest,
     LPSTree,
-    build_segment_matrix,
     load_lps_forest,
     lps_gram,
     lps_represent,

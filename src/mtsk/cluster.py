@@ -138,14 +138,14 @@ def _kmeans_pp(X: np.ndarray, k: int, rng) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = np.full(n, np.inf)
     for i in range(1, k):
+        d2 = np.minimum(d2, ((X - centroids[i - 1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total == 0:
             centroids[i:] = X[rng.integers(n, size=k - i)]
             break
         centroids[i] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((X - centroids[i]) ** 2).sum(axis=1))
     return centroids
 
 
@@ -247,14 +247,17 @@ def knn_assign(train_emb, train_labels, test_emb, k: int = 5) -> np.ndarray:
     this is the unsupervised out-of-sample step; with true labels it is the
     supervised baseline.
     """
-    Xtr = _as_points(train_emb)
-    Xte = _as_points(test_emb)
     y = np.asarray(train_labels)
-    if y.shape != (Xtr.shape[0],):
+    if y.shape != (_as_points(train_emb).shape[0],):
         raise ValueError("one label per training point required")
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("train_labels must be 0 or 1")
-    y = y.astype(int)
+    return _knn_vote(_knn_neighbours(train_emb, test_emb, k), y.astype(int))
+
+
+def _knn_neighbours(train_emb, test_emb, k: int) -> np.ndarray:
+    """(M, k) indices of each test point's k nearest training points, nearest first."""
+    Xtr, Xte = _as_points(train_emb), _as_points(test_emb)
     if not 1 <= k <= Xtr.shape[0]:
         raise ValueError(f"k must be in [1, {Xtr.shape[0]}]")
     _require_finite(Xtr, "train_emb")
@@ -263,10 +266,14 @@ def knn_assign(train_emb, train_labels, test_emb, k: int = 5) -> np.ndarray:
     d2 = Xte @ Xtr.T
     d2 *= -2.0
     d2 += (Xte * Xte).sum(axis=1)[:, None] + (Xtr * Xtr).sum(axis=1)[None, :]
-    order = _nearest(d2, k)
+    return _nearest(d2, k)
+
+
+def _knn_vote(order: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Majority of the neighbours' 0/1 int labels ``y``; a tied vote takes the nearest one's."""
     votes = y[order].sum(axis=1)
-    pred = np.where(2 * votes > k, 1, 0)
-    tie = 2 * votes == k
+    pred = np.where(2 * votes > order.shape[1], 1, 0)
+    tie = 2 * votes == order.shape[1]
     if tie.any():
         pred[tie] = y[order[tie, 0]]
     return pred

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import Cohort, train_test_split, truncate_window
-from .cluster import Embedding, dump_embedding, kmeans, knn_assign, kpca_fit, kpca_project, manual_features
+from .cluster import (Embedding, _knn_neighbours, _knn_vote, dump_embedding, kmeans,
+                      knn_assign, kpca_fit, kpca_project, manual_features)
 from .impute import ALL_SCHEMES, fit_imputer, impute, parse_scheme
 from .kernels import fit_gak_params, gram_matrix, linear_gram
 from .lps import lps_gram, lps_train
@@ -182,7 +183,8 @@ class ExperimentConfig:
         # The ranges the cells would reject, checked once for the whole grid.
         counts = {"runs": self.runs, "kpca_dim": self.kpca_dim, "knn_k": self.knn_k,
                   "kmeans_restarts": self.kmeans_restarts, "tck_q": self.tck_q,
-                  "lps_trees": self.lps_trees, "windows": min(self.windows)}
+                  "tck_max_iter": self.tck_max_iter, "lps_trees": self.lps_trees,
+                  "lps_depth": self.lps_depth, "windows": min(self.windows)}
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -340,7 +342,8 @@ def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,
     rows = []
     s, p, r = _clustering_scores(assign.labels, y_tr, lit)
     rows.append(MetricRow(method.kernel, method.imputation_label, window, run, "train", p, r, s))
-    pred_te = knn_assign(emb_tr, assign.labels, emb_te, k=k_nn)
+    neighbours = _knn_neighbours(emb_tr, emb_te, k_nn)  # vote with cluster, then true labels
+    pred_te = _knn_vote(neighbours, assign.labels)
     s, p, r = _clustering_scores(pred_te, y_te, lit)
     rows.append(MetricRow(method.kernel, method.imputation_label, window, run, "test", p, r, s))
 
@@ -351,7 +354,7 @@ def _run_cell(cohort: Cohort, config: ExperimentConfig, run: int, window: int,
         pred = knn_assign(emb_tr, y_tr, emb_tr, k=k_nn)
         p, r, s = _prf(Confusion.from_predictions(pred, y_tr), lit)
         rows.append(MetricRow(name, method.imputation_label, window, run, "train", p, r, s))
-        pred = knn_assign(emb_tr, y_tr, emb_te, k=k_nn)
+        pred = _knn_vote(neighbours, y_tr)
         p, r, s = _prf(Confusion.from_predictions(pred, y_te), lit)
         rows.append(MetricRow(name, method.imputation_label, window, run, "test", p, r, s))
 

@@ -6,8 +6,8 @@ feature per node, best threshold among a random sample) are grown on the
 pooled segment rows of the training cohort; a patient is then represented
 by the counts of its segment rows over every tree's terminal nodes, and
 similarity is the histogram intersection kernel.  Every function works on
-a whole ``Cohort``: segment rows come from one index into its (N, V, T)
-arrays, and each tree routes the rows of all patients straight from them.
+a whole ``Cohort``: trees grow and route all patients' segment rows by
+their start in one NaN-marked copy of its arrays, with no segment matrix.
 Missing cells are carried as NaN markers: rows with a missing target are
 not used to grow trees, and a row missing a split feature follows the
 child that received more training rows.
@@ -32,27 +32,13 @@ N_THRESHOLD_CANDIDATES = 20
 _TIE_TOLERANCE = 1e-9
 
 
-def build_segment_matrix(
-    cohort: Cohort, segment_length: int, lag: int, v_pred: int, v_tgt: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment rows of every patient: (predict window, lagged target value).
-
-    Returns ``(predictors, targets)`` where predictors is (N, S, l) and
-    targets is (N, S), S = T - l - p + 1; missing cells appear as NaN.
-    """
-    l, p = segment_length, lag
-    T = cohort.window_length
-    if l < 1 or p < 1:
-        raise ValueError("segment_length and lag must be >= 1")
-    if l + p > T:
-        raise ValueError(
-            f"segment_length {l} + lag {p} exceeds window {T}; use a larger window"
-        )
-    attrs = [v_pred, v_tgt]
-    series = np.where(cohort.mask[:, attrs] > 0, cohort.values[:, attrs], np.nan)
-    S = T - l - p + 1
-    idx = np.arange(S)[:, None] + np.arange(l)[None, :]
-    return series[:, 0, idx], series[:, 1, l + p - 1:]
+def _segment_rows(cohort: Cohort):
+    """``(series, starts)``: the cohort as a NaN-marked (V, N * T) array, day d of patient n
+    in column n * T + d, and ``starts(l, p)``, the column n * T + s where each segment row
+    (patient n, start s) of length l and lag p begins, patient by patient."""
+    N, V, T = cohort.values.shape
+    series = np.where(cohort.mask > 0, cohort.values, np.nan).swapaxes(0, 1).reshape(V, N * T)
+    return series, lambda l, p: (np.arange(0, N * T, T)[:, None] + np.arange(T - l - p + 1)).ravel()
 
 
 @dataclass
@@ -81,28 +67,27 @@ class LPSForest:
     window_length: int
 
     @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-    @property
     def representation_length(self) -> int:
         return sum(t.n_leaves for t in self.trees)
 
 
-def _grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
-          depth: int = 0) -> int:
+def _grow(x: np.ndarray, starts: np.ndarray, tgt: np.ndarray, l: int, rng, max_depth: int,
+          nodes: list, depth: int = 0) -> int:
     """Append the subtree of these rows to ``nodes`` depth first; returns its root id.
 
-    Each node is one ``[feature, threshold, left, right, missing_left]`` row;
-    a leaf keeps ``[-1, nan, -1, -1, False]``.  A node draws its feature, then
-    up to N_THRESHOLD_CANDIDATES thresholds among the observed values; rows
-    missing the feature join the side with more observed rows.  One pass over
-    the sorted column scores every threshold: prefix sums of the centred
-    target give each side's sum, and the gain is the between-sides sum of
-    squares.  The split keeps a positive gain, the first best in ascending
-    threshold.  Prefix sums round differently from the direct formula, so
-    gains within _TIE_TOLERANCE * node_sse of the best are scored again by
-    it; a lone clear winner needs no second score.
+    Row i predicts ``tgt[i]`` from the l days of ``x`` (the predictor row)
+    from ``starts[i]`` on; a node reads feature f as ``x[starts + f]``, and
+    passes each child its rows' starts.  Each node is one ``[feature,
+    threshold, left, right, missing_left]`` row; a leaf keeps ``[-1, nan, -1,
+    -1, False]``.  A node draws its feature, then up to N_THRESHOLD_CANDIDATES
+    thresholds among the observed values; rows missing the feature join the
+    side with more observed rows.  One pass over the sorted column scores
+    every threshold: prefix sums of the centred target give each side's sum,
+    and the gain is the between-sides sum of squares.  The split keeps a
+    positive gain, the first best in ascending threshold.  Prefix sums round
+    differently from the direct formula, so gains within _TIE_TOLERANCE *
+    node_sse of the best are scored again by it; a lone clear winner needs no
+    second score.
     """
     node = len(nodes)
     nodes.append([-1, np.nan, -1, -1, False])
@@ -113,8 +98,8 @@ def _grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
     node_sse = float((centred ** 2).sum())
     if node_sse == 0.0:
         return node
-    f = int(rng.integers(pred.shape[1]))
-    col = pred[:, f]
+    f = int(rng.integers(l))
+    col = x[starts + f]
     observed = ~np.isnan(col)
     vals = col[observed]
     order = np.argsort(vals)
@@ -148,8 +133,8 @@ def _grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
         return node
     _, theta, missing_left, go_left = best
     nodes[node] = [f, theta,
-                   _grow(pred[go_left], tgt[go_left], rng, max_depth, nodes, depth + 1),
-                   _grow(pred[~go_left], tgt[~go_left], rng, max_depth, nodes, depth + 1),
+                   _grow(x, starts[go_left], tgt[go_left], l, rng, max_depth, nodes, depth + 1),
+                   _grow(x, starts[~go_left], tgt[~go_left], l, rng, max_depth, nodes, depth + 1),
                    missing_left]
     return node
 
@@ -171,14 +156,16 @@ def lps_train(
     """Grow the random-lag forest on pooled segment rows of the cohort."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if len(train) < 2:
         raise ValueError("need at least 2 training samples")
-    T = train.window_length
-    V = train.n_attributes
+    _, V, T = train.values.shape
     l_min, l_max, p_max = segment_ranges(T)
     if l_min + 1 > T:
         raise ValueError(f"window of {T} day(s) is too short for segment rows")
 
+    series, row_starts = _segment_rows(train)
     trees = []
     for j in range(n_trees):
         rng = np.random.default_rng([seed, j])
@@ -186,11 +173,12 @@ def lps_train(
         p = int(rng.integers(1, min(p_max, T - l) + 1))
         v_pred = int(rng.integers(V))
         v_tgt = int(rng.integers(V))
-        pred, tgt = build_segment_matrix(train, l, p, v_pred, v_tgt)
+        starts = row_starts(l, p)
+        tgt = series[v_tgt, starts + l + p - 1]
         keep = ~np.isnan(tgt)  # rows with an absent target teach nothing
         nodes = []
-        # Masking pools the rows patient by patient; _grow's threshold draws depend on that order.
-        _grow(pred[keep], tgt[keep], rng, max_depth, nodes)
+        # Rows are pooled patient by patient; _grow's threshold draws depend on that order.
+        _grow(series[v_pred], starts[keep], tgt[keep], l, rng, max_depth, nodes)
         feature, threshold, left, right, missing_left = (
             np.array(column, dtype=dtype)
             for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
@@ -204,28 +192,26 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     """Leaf counts of every patient: an (N, representation_length) int matrix.
 
     Each tree routes all segment rows at once: row (patient n, start s)
-    reads day s + feature of the tree's predictor attribute from one
-    NaN-marked copy of the cohort arrays.  A tree's block of columns counts,
+    reads day s + feature of the tree's predictor attribute from the
+    ``_segment_rows`` layout.  A tree's block of columns counts,
     per patient, the rows that reached each of its leaves.
     """
-    N, V, T = cohort.values.shape
+    N, _, T = cohort.values.shape
     if T != forest.window_length:
         change = "larger" if T < forest.window_length else "smaller"
         raise ValueError(f"cohort window of {T} days does not match the forest's "
                          f"{forest.window_length}; use a {change} window")
-    # Attribute-major: day d of patient n is column n * T + d of each attribute's row.
-    series = np.where(cohort.mask > 0, cohort.values, np.nan).swapaxes(0, 1).reshape(V, N * T)
+    series, row_starts = _segment_rows(cohort)
     blocks = []
     for t in forest.trees:
-        S = T - t.segment_length - t.lag + 1
-        first_day = (np.arange(N)[:, None] * T + np.arange(S)).ravel()
-        node = np.zeros(N * S, dtype=int)
+        starts = row_starts(t.segment_length, t.lag)
+        node = np.zeros(starts.size, dtype=int)
         while (rows := np.flatnonzero(t.feature[node] >= 0)).size:
             at = node[rows]
-            vals = series[t.predictor_attr, first_day[rows] + t.feature[at]]
+            vals = series[t.predictor_attr, starts[rows] + t.feature[at]]
             go_left = np.where(np.isnan(vals), t.missing_left[at], vals <= t.threshold[at])
             node[rows] = np.where(go_left, t.left[at], t.right[at])
-        counts = np.bincount(np.repeat(np.arange(N), S) * t.n_leaves + t.leaf_slot[node],
+        counts = np.bincount(starts // T * t.n_leaves + t.leaf_slot[node],
                              minlength=N * t.n_leaves)
         blocks.append(counts.reshape(N, t.n_leaves))
     return np.hstack(blocks)

@@ -340,6 +340,8 @@ def tck_train(
         raise ValueError("C must be >= 2")
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    if max_iter < 1:  # checked here: the member loop below retries failed fits
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     # Zero the hidden cells: R * f(X) must see finite X even where R is 0.
     R = train.mask
     X = np.where(R > 0, train.values, 0.0)

@@ -239,6 +239,8 @@ class TestRun:
         ({"methods": [{"kernel": "tck"}, {"kernel": "tck"}]},
          "duplicate method labels ['tck/none']"),
         ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ({"tck": {"Q": 2, "C": 3, "max_iter": 0}}, "tck_max_iter must be >= 1, got 0"),
+        ({"lps": {"trees": 8, "max_depth": 0}}, "lps_depth must be >= 1, got 0"),
     ])
     def test_value_the_config_rejects_exits_2(self, tmp_path, capsys, overrides, message):
         config = _run_config(tmp_path, "ignored", cohort={"synthetic": {"days": 10}},

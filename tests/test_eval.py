@@ -334,6 +334,8 @@ class TestConfig:
          r"duplicate method labels \['tck/none'\]"),
         ({"methods": (MethodSpec("manual", "zero"),), "manual_baseline": True},
          r"duplicate method labels \['manual/zero'\]"),
+        ({"tck_max_iter": -2}, "tck_max_iter must be >= 1, got -2"),
+        ({"lps_depth": -3}, "lps_depth must be >= 1, got -3"),
     ])
     def test_settings_every_cell_would_reject(self, overrides, message):
         with pytest.raises(ValueError, match=message):

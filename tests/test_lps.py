@@ -15,8 +15,9 @@ from mtsk.lps import (
     N_THRESHOLD_CANDIDATES,
     LPSForest,
     LPSTree,
+    _TIE_TOLERANCE,
     _grow,
-    build_segment_matrix,
+    _segment_rows,
     load_lps_forest,
     lps_gram,
     lps_represent,
@@ -55,6 +56,12 @@ def _oracle_segment_matrix(x: MTSample, l, p, v_pred, v_tgt):
     return row_pred[idx], row_tgt[np.arange(S) + l + p - 1]
 
 
+def _oracle_segments(cohort: Cohort, l, p, v_pred, v_tgt):
+    """(N, S, l) predictors and (N, S) targets: the per-sample segment rows, stacked."""
+    rows = [_oracle_segment_matrix(x, l, p, v_pred, v_tgt) for x in cohort.samples]
+    return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+
+
 def _route_leaves(tree, predictors):
     """Leaf slot of every row of a segment matrix: the reference routing."""
     node = np.zeros(predictors.shape[0], dtype=int)
@@ -81,8 +88,8 @@ def _oracle_lps_represent(forest, cohort: Cohort):
     N = len(cohort)
     blocks = []
     for t in forest.trees:
-        pred, _ = build_segment_matrix(cohort, t.segment_length, t.lag,
-                                       t.predictor_attr, t.target_attr)
+        pred, _ = _oracle_segments(cohort, t.segment_length, t.lag,
+                                   t.predictor_attr, t.target_attr)
         leaf = _route_leaves(t, pred.reshape(-1, t.segment_length))
         sample = np.repeat(np.arange(N), pred.shape[1])
         counts = np.bincount(sample * t.n_leaves + leaf, minlength=N * t.n_leaves)
@@ -202,12 +209,105 @@ def _oracle_train(train: Cohort, n_trees: int, max_depth: int, seed: int) -> LPS
         p = int(rng.integers(1, min(p_max, T - l) + 1))
         v_pred = int(rng.integers(V))
         v_tgt = int(rng.integers(V))
-        pred, tgt = build_segment_matrix(train, l, p, v_pred, v_tgt)
+        pred, tgt = _oracle_segments(train, l, p, v_pred, v_tgt)
         keep = ~np.isnan(tgt)
         builder = _TreeBuilder(rng, max_depth)
         builder.grow(pred[keep], tgt[keep])
         trees.append(builder.finish(l, p, v_pred, v_tgt))
     return LPSForest(trees, T)
+
+
+def _matrix_grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
+                 depth: int = 0) -> int:
+    """The segment-matrix ``_grow``: each child gets a copy of its (rows, l) predictors."""
+    node = len(nodes)
+    nodes.append([-1, np.nan, -1, -1, False])
+    n = tgt.size
+    if depth >= max_depth or n < MIN_SPLIT_ROWS:
+        return node
+    centred = tgt - tgt.mean()
+    node_sse = float((centred ** 2).sum())
+    if node_sse == 0.0:
+        return node
+    f = int(rng.integers(pred.shape[1]))
+    col = pred[:, f]
+    observed = ~np.isnan(col)
+    vals = col[observed]
+    order = np.argsort(vals)
+    ordered = vals[order]
+    if vals.size == 0 or ordered[0] == ordered[-1]:
+        return node
+    cand = np.unique(rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
+                                replace=False))
+    cand = cand[cand < ordered[-1]]
+    if cand.size == 0:
+        return node
+    n_left_obs = np.searchsorted(ordered, cand, side="right")
+    missing_left = n_left_obs >= vals.size - n_left_obs
+    n_left = n_left_obs + (n - vals.size) * missing_left
+    s_left = np.cumsum(centred[observed][order])[n_left_obs - 1]
+    s_left += centred[~observed].sum() * missing_left
+    gains = s_left ** 2 / n_left + (centred.sum() - s_left) ** 2 / (n - n_left)
+    tol = _TIE_TOLERANCE * node_sse
+    near = np.flatnonzero(gains >= gains.max() - tol)
+    best = None
+    for i in near:
+        go_left = (col <= cand[i]) | (missing_left[i] & ~observed)
+        gain = gains[i]
+        if near.size > 1 or gain <= tol:
+            tl, tr = tgt[go_left], tgt[~go_left]
+            gain = node_sse - (float(((tl - tl.mean()) ** 2).sum())
+                               + float(((tr - tr.mean()) ** 2).sum()))
+        if gain > 0 and (best is None or gain > best[0]):
+            best = (gain, cand[i], missing_left[i], go_left)
+    if best is None:
+        return node
+    _, theta, missing_left, go_left = best
+    nodes[node] = [f, theta,
+                   _matrix_grow(pred[go_left], tgt[go_left], rng, max_depth, nodes, depth + 1),
+                   _matrix_grow(pred[~go_left], tgt[~go_left], rng, max_depth, nodes, depth + 1),
+                   missing_left]
+    return node
+
+
+def _oracle_matrix_train(train: Cohort, n_trees: int, max_depth: int, seed: int):
+    """The segment-matrix ``lps_train``: ``(forest, generators)``, one generator per tree.
+
+    Each tree copies an (N, S, l) segment matrix and grows by ``_matrix_grow``.
+    """
+    T, V = train.window_length, train.n_attributes
+    l_min, l_max, p_max = segment_ranges(T)
+    trees, generators = [], []
+    for j in range(n_trees):
+        rng = np.random.default_rng([seed, j])
+        l = int(rng.integers(l_min, l_max + 1))
+        p = int(rng.integers(1, min(p_max, T - l) + 1))
+        v_pred = int(rng.integers(V))
+        v_tgt = int(rng.integers(V))
+        pred, tgt = _oracle_segments(train, l, p, v_pred, v_tgt)
+        keep = ~np.isnan(tgt)
+        nodes = []
+        _matrix_grow(pred[keep], tgt[keep], rng, max_depth, nodes)
+        feature, threshold, left, right, missing_left = (
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
+        leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
+        trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
+                             missing_left, leaf_slot))
+        generators.append(rng)
+    return LPSForest(trees, T), generators
+
+
+def _recorded_generators(monkeypatch) -> list:
+    """Every generator ``np.random.default_rng`` makes from now on, in order of creation."""
+    made, make = [], np.random.default_rng
+
+    def default_rng(seed=None):
+        made.append(make(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
 
 
 def _assert_grows_like_builder(pred, tgt, seed, max_depth=6):
@@ -217,9 +317,10 @@ def _assert_grows_like_builder(pred, tgt, seed, max_depth=6):
     """
     rng = np.random.default_rng(seed)
     nodes = []
+    n, l = pred.shape
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _grow(pred, tgt, rng, max_depth, nodes)
+        _grow(pred.ravel(), np.arange(n) * l, tgt, l, rng, max_depth, nodes)
     builder = _TreeBuilder(np.random.default_rng(seed), max_depth)
     builder.grow(pred, tgt)
     expected = (builder.feature, builder.threshold, builder.left, builder.right,
@@ -249,15 +350,22 @@ def _mar_split(n_cases, n_controls, V, T, seed):
     return train_test_split(masked, 0.75, seed=seed + 2)
 
 
+def _indexed_segments(cohort: Cohort, l, p, v_pred, v_tgt):
+    """(N, S, l) predictors and (N, S) targets read by row start from ``_segment_rows``."""
+    series, row_starts = _segment_rows(cohort)
+    starts = row_starts(l, p).reshape(len(cohort), -1)
+    return series[v_pred][starts[..., None] + np.arange(l)], series[v_tgt][starts + l + p - 1]
+
+
 class TestSegmentMatrix:
     def test_row_count(self):
         x = _cohort(_sample(np.arange(5.0).reshape(1, 5)))
-        pred, tgt = build_segment_matrix(x, 2, 1, 0, 0)
+        pred, tgt = _indexed_segments(x, 2, 1, 0, 0)
         assert pred.shape == (1, 3, 2) and tgt.shape == (1, 3)
 
     def test_univariate_indexing(self):
         x = _cohort(_sample([[1.0, 2.0, 3.0, 4.0]]))
-        pred, tgt = build_segment_matrix(x, 2, 1, 0, 0)
+        pred, tgt = _indexed_segments(x, 2, 1, 0, 0)
         assert pred[0].tolist() == [[1.0, 2.0], [2.0, 3.0]]
         assert tgt[0].tolist() == [3.0, 4.0]
 
@@ -265,26 +373,27 @@ class TestSegmentMatrix:
         mask = np.ones((1, 5))
         mask[0, 2] = 0.0
         x = _cohort(_sample([[1.0, 2.0, 3.0, 4.0, 5.0]], mask=mask))
-        pred, tgt = build_segment_matrix(x, 2, 1, 0, 0)
+        pred, tgt = _indexed_segments(x, 2, 1, 0, 0)
         pred, tgt = pred[0], tgt[0]
         assert np.isnan(pred[1, 1]) and np.isnan(pred[2, 0])
         assert np.isnan(tgt[0])
         assert not np.isnan(pred[0]).any()
 
     def test_window_too_short_rejected(self):
-        x = _cohort(_sample(np.zeros((1, 4))))
-        with pytest.raises(ValueError, match="exceeds window"):
-            build_segment_matrix(x, 3, 2, 0, 0)
+        # A one-day window leaves no room for a segment and its lagged target.
+        x = _cohort(_sample(np.zeros((2, 1)), "a"), _sample(np.zeros((2, 1)), "b"))
+        with pytest.raises(ValueError, match="too short for segment rows"):
+            lps_train(x, n_trees=1)
 
     def test_cross_attribute_rows(self):
         x = _cohort(_sample([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
-        pred, tgt = build_segment_matrix(x, 1, 1, 0, 1)
+        pred, tgt = _indexed_segments(x, 1, 1, 0, 1)
         assert pred[0].tolist() == [[1.0], [2.0]]
         assert tgt[0].tolist() == [20.0, 30.0]
 
     def test_patients_match_per_sample_rows(self):
         train, _ = _mar_split(4, 8, 3, 12, seed=30)
-        pred, tgt = build_segment_matrix(train, 3, 2, 1, 2)
+        pred, tgt = _indexed_segments(train, 3, 2, 1, 2)
         for i, s in enumerate(train.samples):
             ref_pred, ref_tgt = _oracle_segment_matrix(s, 3, 2, 1, 2)
             assert np.array_equal(pred[i], ref_pred, equal_nan=True)
@@ -310,6 +419,12 @@ class TestTrain:
         rep = lps_represent(forest, cohort)
         expected = [10 - t.segment_length - t.lag + 1 for t in forest.trees]
         assert rep.tolist() == [expected] * 4
+
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_depth_below_one_rejected(self, max_depth):
+        cohort = generate_synthetic_cohort(3, 3, 2, 10, 1.0, seed=0)
+        with pytest.raises(ValueError, match=f"max_depth must be >= 1, got {max_depth}"):
+            lps_train(cohort, n_trees=2, max_depth=max_depth)
 
     def test_deterministic(self):
         cohort = generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=2)
@@ -375,7 +490,7 @@ class TestRepresent:
         forest = lps_train(cohort, n_trees=1, max_depth=1, seed=14)
         tree = forest.trees[0]
         assert tree.n_leaves == 2
-        pred, _ = build_segment_matrix(
+        pred, _ = _oracle_segments(
             cohort, tree.segment_length, tree.lag, tree.predictor_attr, tree.target_attr
         )
         rep = lps_represent(forest, cohort)
@@ -464,8 +579,8 @@ class TestOracle:
         # Multi-level trees, and rows that reach a split with its feature missing.
         assert max(t.n_leaves for t in forest.trees) > 4
         assert any(
-            np.isnan(build_segment_matrix(train, t.segment_length, t.lag, t.predictor_attr,
-                                          t.target_attr)[0][..., t.feature[0]]).any()
+            np.isnan(_oracle_segments(train, t.segment_length, t.lag, t.predictor_attr,
+                                      t.target_attr)[0][..., t.feature[0]]).any()
             for t in forest.trees if t.feature[0] >= 0
         )
         km = lps_gram(forest, train, test)
@@ -505,6 +620,21 @@ class TestOracle:
         forest = lps_train(train, n_trees=40, seed=59)
         assert max(t.left.size for t in forest.trees) > 2 ** 5
         assert_same_fields(forest, _oracle_train(train, 40, 6, 59))
+
+    @pytest.mark.parametrize("n_trees", [20, 200])
+    @pytest.mark.parametrize("mechanism", [Missingness.MCAR, Missingness.MAR])
+    def test_trees_match_segment_matrix_grower(self, mechanism, n_trees, assert_same_fields,
+                                               monkeypatch):
+        # A paper-scale cohort: 221 patients, 11 attributes, 20 days, 30% missing.
+        full = generate_synthetic_cohort(58, 163, 11, 20, 1.5, seed=90)
+        masked = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=91))
+        train, _ = train_test_split(masked, 0.8, seed=92)
+        expected, oracle_generators = _oracle_matrix_train(train, n_trees, 6, 93)
+        generators = _recorded_generators(monkeypatch)
+        assert_same_fields(lps_train(train, n_trees=n_trees, seed=93), expected)
+        assert len(generators) == n_trees
+        assert ([g.bit_generator.state for g in generators]
+                == [g.bit_generator.state for g in oracle_generators])
 
     def test_small_integer_nodes_break_ties_like_builder(self):
         # Few rows on a few integer levels: splits often tie exactly, and the

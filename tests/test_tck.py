@@ -391,6 +391,15 @@ class TestTrain:
         assert np.array_equal(np.diag(km.gram), np.ones(len(km.gram)))
         km.validate()
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_rejected(self, cohort, monkeypatch, max_iter):
+        # Rejected before the member loop, which would retry a failed fit.
+        calls = []
+        monkeypatch.setattr(tck_mod, "fit_diaggmm", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            tck_mod.tck_train(cohort, Q=2, C=3, seed=23, max_iter=max_iter)
+        assert calls == []
+
     def test_failed_member_retried_with_fresh_seed(self, cohort, monkeypatch):
         real_fit = tck_mod.fit_diaggmm
         calls = {"n": 0}
