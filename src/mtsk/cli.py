@@ -197,7 +197,6 @@ _CONFIG = {
     "runs": ("runs", _json_int), "base_seed": ("base_seed", _json_int),
     "train_fraction": ("train_fraction", _json_number), "stratify": ("stratify", _json_bool),
     "pipeline": (None, {"kpca_dim": ("kpca_dim", _json_int),
-                        "k_clusters": ("k_clusters", _json_int),
                         "knn_k": ("knn_k", _json_int),
                         "kmeans_restarts": ("kmeans_restarts", _json_int)}),
     "baselines": (None, {"supervised": ("supervised_baseline", _json_bool),

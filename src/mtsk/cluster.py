@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
+from .kernels import _require_complete
 
 EIGENVALUE_FLOOR = 1e-10  # relative to the centered Gram's trace
 KMEANS_MAX_ITER = 300  # Lloyd steps per restart
@@ -285,8 +286,7 @@ def _knn_vote(order: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def manual_features(cohort: Cohort) -> np.ndarray:
     """Per attribute (mean, max, min) over the window, (N, 3V); needs complete data."""
-    if not cohort.is_complete:
-        raise ValueError("manual features require a complete (imputed) cohort")
+    _require_complete(cohort, "manual")
     X = cohort.values
     feats = np.stack([X.mean(axis=2), X.max(axis=2), X.min(axis=2)], axis=2)
     return feats.reshape(len(cohort), -1)

@@ -52,8 +52,6 @@ class MTSample:
             raise ValueError(f"sample {self.id!r}: values must be finite")
         if self.label is not None and self.label not in (0, 1):
             raise ValueError(f"sample {self.id!r}: label must be 0, 1 or None")
-        self.values.flags.writeable = False
-        self.mask.flags.writeable = False
 
 
 class Cohort:

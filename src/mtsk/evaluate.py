@@ -13,6 +13,7 @@ import logging
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -153,7 +154,7 @@ class ExperimentConfig:
     train_fraction: float = 0.8
     stratify: bool = False
     kpca_dim: int = 10
-    k_clusters: int = 2
+    k_clusters: ClassVar[int] = 2
     knn_k: int = 5
     kmeans_restarts: int = 20
     supervised_baseline: bool = False
@@ -199,8 +200,6 @@ class ExperimentConfig:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.tck_c is not None and self.tck_c < 2:
             raise ValueError(f"tck_c must be >= 2, got {self.tck_c}")
-        if self.k_clusters != 2:
-            raise ValueError("the pipeline assumes 2 clusters")
         unknown = set(self.embedding_dump_methods) - set(labels)
         if unknown:
             raise ValueError(f"embedding dump methods {sorted(unknown)} are not in the grid")
@@ -403,6 +402,8 @@ def run_experiment(cohort: Cohort, config: ExperimentConfig,
     cells are recorded as errors and leave no rows.  Each worker receives
     the cohort once, when it starts.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     _require_labels(cohort)
     methods = config.effective_methods()
     tasks = [
@@ -411,6 +412,7 @@ def run_experiment(cohort: Cohort, config: ExperimentConfig,
         for window in config.windows
         for method in methods
     ]
+    n_workers = min(n_workers, len(tasks))  # the pool starts every worker at once
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
                                  initargs=(cohort,)) as pool:

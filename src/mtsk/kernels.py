@@ -70,10 +70,14 @@ def _require_complete(cohort: Cohort, kernel: str) -> None:
         raise ValueError(f"{kernel} kernel requires complete inputs; impute sample {sid!r} first")
 
 
-def _require_same_shape(train: Cohort, test: Cohort) -> None:
-    if test.values.shape[1:] != train.values.shape[1:]:
-        raise ValueError(f"test cohort (V, T) = {test.values.shape[1:]} "
-                         f"differs from train's {train.values.shape[1:]}")
+def _require_shape(cohort: Cohort, shape: tuple[int, int], whose: str) -> None:
+    """Raise unless the cohort's (V, T) is ``shape``, the (V, T) of ``whose`` fit."""
+    got = cohort.values.shape[1:]
+    if got != shape:
+        advice = ""
+        if got[1] != shape[1]:
+            advice = f"; use a {'larger' if got[1] < shape[1] else 'smaller'} window"
+        raise ValueError(f"cohort (V, T) = {got} differs from {whose} {shape}{advice}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,7 @@ def gak_gram(train: Cohort, params: GAKParams, test: Cohort | None = None) -> Ke
     x = train.values
     if test is not None:
         _require_complete(test, "gak")
-        _require_same_shape(train, test)
+        _require_shape(test, train.values.shape[1:], "train's")
         x = np.concatenate([x, test.values])
     logs = _gak_logs(x, params)
     self_log = np.diag(logs)
@@ -194,7 +198,7 @@ def gram_matrix(
         Fte = None
         if test is not None:
             _require_complete(test, "linear")
-            _require_same_shape(train, test)
+            _require_shape(test, train.values.shape[1:], "train's")
             Fte = test.values.reshape(len(test), -1)
         return linear_gram(Ftr, Fte)
     if kernel == "gak":

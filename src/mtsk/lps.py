@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .kernels import KernelMatrix, _load_npz, _save_npz
+from .kernels import KernelMatrix, _load_npz, _require_shape, _save_npz
 
 MIN_SEGMENT_FRACTION = 0.15
 MAX_SEGMENT_FRACTION = 0.5
@@ -64,6 +64,7 @@ class LPSTree:
 @dataclass
 class LPSForest:
     trees: list[LPSTree]
+    n_attributes: int
     window_length: int
 
     @property
@@ -185,7 +186,7 @@ def lps_train(
         leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
         trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
                              missing_left, leaf_slot))
-    return LPSForest(trees, T)
+    return LPSForest(trees, V, T)
 
 
 def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
@@ -197,10 +198,7 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     per patient, the rows that reached each of its leaves.
     """
     N, _, T = cohort.values.shape
-    if T != forest.window_length:
-        change = "larger" if T < forest.window_length else "smaller"
-        raise ValueError(f"cohort window of {T} days does not match the forest's "
-                         f"{forest.window_length}; use a {change} window")
+    _require_shape(cohort, (forest.n_attributes, forest.window_length), "the forest's")
     series, row_starts = _segment_rows(cohort)
     blocks = []
     for t in forest.trees:
@@ -247,10 +245,13 @@ def lps_gram(
 
 
 def save_lps_forest(forest: LPSForest, path) -> None:
-    _save_npz(path, {"window_length": forest.window_length},
+    _save_npz(path, {"n_attributes": forest.n_attributes, "window_length": forest.window_length},
               [vars(t) for t in forest.trees], {})
 
 
 def load_lps_forest(path) -> LPSForest:
     meta, records, _ = _load_npz(path, "LPS forest")
-    return LPSForest([LPSTree(**r) for r in records], meta["window_length"])
+    if "n_attributes" not in meta:
+        raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
+                         "train and save the forest again")
+    return LPSForest([LPSTree(**r) for r in records], **meta)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cohort import Cohort
-from .kernels import KernelMatrix, _load_npz, _save_npz
+from .kernels import KernelMatrix, _load_npz, _require_shape, _save_npz
 
 logger = logging.getLogger(__name__)
 
@@ -391,15 +391,11 @@ def tck_train(
 
 def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
     """Cross-kernel of stored training posteriors against a new cohort."""
-    R = test.mask
-    X = np.where(R > 0, test.values, 0.0)
     if len(test) == 0:
         raise ValueError("empty test cohort")
-    if X.shape[1] != model.n_attributes or X.shape[2] != model.window_length:
-        raise ValueError(
-            f"test cohort is {X.shape[1]} x {X.shape[2]}, model expects "
-            f"{model.n_attributes} x {model.window_length}"
-        )
+    _require_shape(test, (model.n_attributes, model.window_length), "the model's")
+    R = test.mask
+    X = np.where(R > 0, test.values, 0.0)
     K = np.zeros((model.n_train, len(test)))
     for m in model.members:
         Xa, Ra = m.restrict(X, R)

@@ -228,7 +228,7 @@ class TestRun:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"runs": 0}, "runs must be >= 1"),
-        ({"pipeline": {"k_clusters": 3}}, "the pipeline assumes 2 clusters"),
+        ({"pipeline": {"k_clusters": 3}}, "pipeline: unknown key 'k_clusters'"),
         # Sweep settings that every cell would reject.
         ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
         ({"pipeline": {"kpca_dim": 0}}, "kpca_dim must be >= 1, got 0"),
@@ -381,7 +381,7 @@ class TestRunConfig:
             "base_seed": 4,
             "train_fraction": 0.7,
             "stratify": True,
-            "pipeline": {"kpca_dim": 6, "k_clusters": 2, "knn_k": 3, "kmeans_restarts": 7},
+            "pipeline": {"kpca_dim": 6, "knn_k": 3, "kmeans_restarts": 7},
             "baselines": {"supervised": True, "manual_features": True},
             "evaluation": {"paper_literal_f1": True},
             "tck": {"Q": 5, "C": 4, "max_iter": 9},
@@ -391,17 +391,16 @@ class TestRunConfig:
         _, _, config = parse_run_config(doc)
         expected = ExperimentConfig(
             methods=(MethodSpec("lps"),), windows=(8, 9, 10), runs=3, base_seed=4,
-            train_fraction=0.7, stratify=True, kpca_dim=6, k_clusters=2, knn_k=3,
+            train_fraction=0.7, stratify=True, kpca_dim=6, knn_k=3,
             kmeans_restarts=7, supervised_baseline=True, manual_baseline=True,
             paper_literal_f1=True, tck_q=5, tck_c=4, tck_max_iter=9, lps_trees=11,
             lps_depth=3, embedding_dump_methods=("lps/none",), embedding_dump_windows=(9,),
         )
         assert config == expected
-        # Every field but the fixed cluster count differs from its default.
+        # Every field differs from its default.
         default = ExperimentConfig(methods=(MethodSpec("tck"),))
         for f in dataclasses.fields(ExperimentConfig):
-            if f.name != "k_clusters":
-                assert getattr(config, f.name) != getattr(default, f.name), f.name
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
 
 
 class TestReport:
@@ -461,6 +460,11 @@ _INPUT_ERRORS = {
                    _synth_csv(t, cases=2, controls=3, days=5), "--out-prefix", t / "nodir" / "k"],
         "nodir/k.gram.csv"),
     "report-rows-is-a-directory": (lambda t: ["report", "--rows", t], "Is a directory"),
+    "run-zero-workers": (lambda t: ["run", _run_config(t, "ignored", cohort={"synthetic": {}}),
+                                    "--workers", 0], "n_workers must be >= 1, got 0"),
+    "run-negative-workers": (lambda t: ["run", _run_config(t, "ignored",
+                                                           cohort={"synthetic": {}}),
+                                        "--workers", -3], "n_workers must be >= 1, got -3"),
 }
 # (cohort, embedding_dumps, message); a cohort without "synthetic" reads a CSV.
 _RUN_INPUT_ERRORS = {

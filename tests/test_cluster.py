@@ -388,5 +388,6 @@ class TestManualFeatures:
         mask[0, 0] = 0.0
         s = MTSample("p", np.zeros((2, 4)), mask)
         cohort = Cohort([s], ["a", "b"], 4)
-        with pytest.raises(ValueError, match="complete"):
+        with pytest.raises(ValueError, match="^manual kernel requires complete inputs; "
+                                             "impute sample 'p' first$"):
             manual_features(cohort)

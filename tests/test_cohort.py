@@ -27,6 +27,19 @@ def _write(tmp_path, text, name="cohort.csv"):
 HEADER = "patient_id,label,day,attribute,value\n"
 
 
+class TestArrays:
+    def test_caller_arrays_stay_writable_and_apart_from_the_cohort(self):
+        values, mask = np.arange(6.0).reshape(2, 3), np.ones((2, 3))
+        sample = MTSample("a", values, mask)
+        assert values.flags.writeable and mask.flags.writeable
+        cohort = Cohort([sample, MTSample("b", np.zeros((2, 3)), np.ones((2, 3)))],
+                        ["x", "y"], 3)
+        values[0, 0], mask[0, 0] = 99.0, 0.0
+        assert cohort.values[0, 0, 0] == 0.0 and cohort.mask[0, 0, 0] == 1.0
+        view = cohort.samples[0]
+        assert not view.values.flags.writeable and not view.mask.flags.writeable
+
+
 class TestLoad:
     def test_rows_map_to_cells(self, tmp_path):
         path = _write(tmp_path, HEADER + "p1,1,3,CRP,40.0\np1,1,5,CRP,90.0\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtsk.cohort import MTSample, generate_synthetic_cohort, train_test_split, Cohort, Missingness, MissingnessSpec, apply_missingness
+from mtsk import evaluate
 from mtsk.evaluate import (
     Confusion,
     ExperimentConfig,
@@ -161,6 +162,40 @@ class TestRunExperiment:
         serial = run_experiment(cohort, config, n_workers=1)
         parallel = run_experiment(cohort, config, n_workers=4)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("n_workers, started", [(1, None), (2, 2), (64, 4)])
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch, n_workers, started):
+        # An in-process stand-in records the pool size; no process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(evaluate, "_worker_cohort", None)
+        cohort = _small_cohort()
+        config = ExperimentConfig(methods=(MethodSpec("linear", "zero"),), windows=(8, 14),
+                                  runs=2, **FAST)
+        report = run_experiment(cohort, config, n_workers=n_workers)
+        assert sizes == ([] if started is None else [started])
+        assert report.rows == run_experiment(cohort, config).rows
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, n_workers):
+        config = ExperimentConfig(methods=(MethodSpec("linear", "zero"),), windows=(8,), runs=1)
+        with pytest.raises(ValueError, match=f"^n_workers must be >= 1, got {n_workers}$"):
+            run_experiment(_small_cohort(), config, n_workers=n_workers)
 
     def test_aggregate_mean_is_arithmetic_mean(self):
         cohort = _small_cohort()

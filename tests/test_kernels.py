@@ -209,8 +209,8 @@ class TestLinear:
         # 4 x 10 and 5 x 8 both flatten to 40 features; the pair must still be rejected.
         train = generate_synthetic_cohort(3, 3, 4, 10, 1.0, seed=3)
         test = generate_synthetic_cohort(2, 2, 5, 8, 1.0, seed=4)
-        with pytest.raises(ValueError, match=r"test cohort \(V, T\) = \(5, 8\) "
-                                             r"differs from train's \(4, 10\)"):
+        with pytest.raises(ValueError, match=r"^cohort \(V, T\) = \(5, 8\) differs from "
+                                             r"train's \(4, 10\); use a larger window$"):
             gram_matrix("linear", train, test)
 
 
@@ -336,10 +336,11 @@ class TestGAK:
     def test_test_shape_must_match_train(self):
         train = generate_synthetic_cohort(4, 4, 3, 10, 1.0, seed=3)
         params = fit_gak_params(train)
-        for V, T in ((3, 9), (2, 10)):
+        # Only a window mismatch gets the window advice.
+        for V, T, advice in ((3, 9, "; use a larger window"), (2, 10, "")):
             test = generate_synthetic_cohort(2, 2, V, T, 1.0, seed=4)
-            with pytest.raises(ValueError, match=rf"test cohort \(V, T\) = \({V}, {T}\) "
-                                                 r"differs from train's \(3, 10\)"):
+            with pytest.raises(ValueError, match=rf"^cohort \(V, T\) = \({V}, {T}\) "
+                                                 rf"differs from train's \(3, 10\){advice}$"):
                 gak_gram(train, params, test)
 
     def test_gram_exactly_symmetric_at_paper_width(self):

@@ -214,7 +214,7 @@ def _oracle_train(train: Cohort, n_trees: int, max_depth: int, seed: int) -> LPS
         builder = _TreeBuilder(rng, max_depth)
         builder.grow(pred[keep], tgt[keep])
         trees.append(builder.finish(l, p, v_pred, v_tgt))
-    return LPSForest(trees, T)
+    return LPSForest(trees, V, T)
 
 
 def _matrix_grow(pred: np.ndarray, tgt: np.ndarray, rng, max_depth: int, nodes: list,
@@ -295,7 +295,7 @@ def _oracle_matrix_train(train: Cohort, n_trees: int, max_depth: int, seed: int)
         trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
                              missing_left, leaf_slot))
         generators.append(rng)
-    return LPSForest(trees, T), generators
+    return LPSForest(trees, V, T), generators
 
 
 def _recorded_generators(monkeypatch) -> list:
@@ -480,8 +480,24 @@ class TestRepresent:
         cohort = generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=11)
         forest = lps_train(cohort, n_trees=5, seed=12)
         longer = generate_synthetic_cohort(2, 2, 3, 16, 1.0, seed=13)
-        with pytest.raises(ValueError, match="window of 16 days does not match the forest's 12"):
+        with pytest.raises(ValueError, match=r"^cohort \(V, T\) = \(3, 16\) differs from the "
+                                             r"forest's \(3, 12\); use a smaller window$"):
             lps_represent(forest, longer)
+
+    @pytest.mark.parametrize("V", [4, 6])
+    def test_other_attribute_count_rejected(self, V, tmp_path):
+        cohort = generate_synthetic_cohort(5, 10, 5, 12, 1.0, seed=11)
+        forest = lps_train(cohort, n_trees=5, seed=12)
+        assert forest.n_attributes == 5
+        other = generate_synthetic_cohort(2, 2, V, 12, 1.0, seed=13)
+        save_lps_forest(forest, tmp_path / "forest.npz")
+        loaded = load_lps_forest(tmp_path / "forest.npz")
+        message = rf"^cohort \(V, T\) = \({V}, 12\) differs from the forest's \(5, 12\)$"
+        for score in (lambda f: lps_represent(f, other), lambda f: lps_gram(f, other),
+                      lambda f: lps_gram(f, cohort, other), lambda f: lps_gram(f, other, cohort)):
+            for f in (forest, loaded):
+                with pytest.raises(ValueError, match=message):
+                    score(f)
 
     def test_stump_matches_direct_thresholding(self):
         # A depth-1 forest of one tree must reproduce a 2-bin histogram
@@ -740,6 +756,25 @@ class TestSerialization:
         path = tmp_path / "forest.npz"
         save_lps_forest(forest, path)
         assert_same_fields(load_lps_forest(path), forest)
+
+    def test_meta_records_attribute_count_and_window(self, tmp_path):
+        forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=2)
+        save_lps_forest(forest, tmp_path / "forest.npz")
+        with np.load(tmp_path / "forest.npz") as data:
+            meta = json.loads(str(data["__meta__"]))
+        assert (meta["n_attributes"], meta["window_length"]) == (3, 12)
+
+    def test_archive_without_attribute_count_rejected(self, tmp_path):
+        forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=2)
+        path = tmp_path / "forest.npz"
+        save_lps_forest(forest, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays.pop("__meta__")))
+        del meta["n_attributes"]
+        np.savez_compressed(path, __meta__=json.dumps(meta), **arrays)
+        with pytest.raises(ValueError, match="no n_attributes entry"):
+            load_lps_forest(path)
 
     def test_version_1_archive_rejected(self, tmp_path):
         path = tmp_path / "v1.npz"

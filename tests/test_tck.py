@@ -454,7 +454,8 @@ class TestTest:
     def test_dimension_mismatch_rejected(self, setup):
         _, _, _, model = setup
         other = generate_synthetic_cohort(3, 3, 2, 12, 1.0, seed=0)
-        with pytest.raises(ValueError, match="expects"):
+        with pytest.raises(ValueError, match=r"^cohort \(V, T\) = \(2, 12\) differs from "
+                                             r"the model's \(4, 12\)$"):
             tck_test(model, other)
 
     def test_sample_missing_on_member_view_gets_prior_posteriors(self):
