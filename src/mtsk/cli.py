@@ -295,6 +295,8 @@ def cmd_run(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {args.config} is not valid JSON: {exc}") from None
     source, output_dir, config = parse_run_config(doc, os.path.dirname(args.config))
+    if args.workers < 1:  # before the dry run prints a plan and before output_dir exists
+        raise ValueError(f"n_workers must be >= 1, got {args.workers}")
 
     methods = config.effective_methods()
     n_cells = config.runs * len(config.windows) * len(methods)

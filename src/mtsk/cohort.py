@@ -10,6 +10,7 @@ value and mask arrays, and every transform here works on those arrays.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -141,14 +142,17 @@ class Cohort:
         return float(1.0 - self.mask.mean()) if self.mask.size else 0.0
 
 
-def _keep_observed(ids, labels, values, mask, attribute_names, window_length):
-    """The cohort of the rows with enough observed cells, and how many rows were dropped."""
+def _keep_observed(ids, labels, values, mask, attribute_names, window_length, warning, *args):
+    """The cohort of the rows with enough observed cells.  If a row is dropped, ``warning``
+    is logged with ``args``, the number of rows dropped and the minimum."""
     keep = np.flatnonzero(mask.sum(axis=(1, 2)) >= MIN_OBSERVED_CELLS)
     cohort = Cohort._from_arrays(
         [ids[i] for i in keep], [labels[i] for i in keep], values[keep], mask[keep],
         attribute_names, window_length,
     )
-    return cohort, len(ids) - keep.size
+    if keep.size < len(ids):
+        logger.warning(warning, *args, len(ids) - keep.size, MIN_OBSERVED_CELLS)
+    return cohort
 
 
 class Missingness(str, Enum):
@@ -174,12 +178,48 @@ class MissingnessSpec:
 # File ingestion
 
 
-def _parse_label(text: str, lineno: int) -> int | None:
-    if text in ("NA", ""):
-        return None
-    if text in ("0", "1"):
-        return int(text)
-    raise CohortFormatError(f"line {lineno}: label must be 0, 1 or NA, got {text!r}")
+_LABEL_CODES = {"0": 0, "1": 1, "NA": 2, "": 2}  # label code 2 stands for NA
+_BATCH_RECORDS = 512  # records converted at once; batches of 8192 measured slower
+
+
+def _check_record(raw: list[str], lineno: int) -> None:
+    """Raise the parse fault of one non-blank data record, if it has one."""
+    if len(raw) != 5:
+        raise CohortFormatError(f"line {lineno}: expected 5 fields, got {len(raw)}")
+    pid, label_txt, day_txt, _, val_txt = (f.strip() for f in raw)
+    if not pid:
+        raise CohortFormatError(f"line {lineno}: empty patient_id")
+    if label_txt not in _LABEL_CODES:
+        raise CohortFormatError(f"line {lineno}: label must be 0, 1 or NA, got {label_txt!r}")
+    for text, convert, what in ((day_txt, int, "day must be an integer"),
+                                (val_txt, float, "value must be a number")):
+        try:
+            convert(text)
+        except ValueError:
+            raise CohortFormatError(f"line {lineno}: {what}, got {text!r}")
+    if not np.isfinite(float(val_txt)):
+        raise CohortFormatError(f"line {lineno}: value must be finite, got {val_txt!r}")
+
+
+def _parse_batch(batch: list[list[str]], lines: np.ndarray, patients: dict, attributes: dict):
+    """Patient and attribute codes (a name's first record number), day, value, label code and
+    record number of non-blank records.  A batch that does not convert raises its first fault."""
+    try:
+        pid, label, day, attr, value = (list(map(str.strip, c)) for c in zip(*batch, strict=True))
+        label = np.fromiter(map(_LABEL_CODES.__getitem__, label), np.int8, len(batch))
+        value = np.fromiter(map(float, value), float, len(batch))
+        if "" in pid or not np.isfinite(value).all():
+            raise ValueError
+        day = np.fromiter(map(int, day), np.int64, len(batch))
+    except (KeyError, ValueError):
+        for raw, lineno in zip(batch, lines.tolist()):
+            _check_record(raw, lineno)
+        raise
+    except OverflowError:  # a day past int64 can only fail the range check: keep it exact
+        day = np.fromiter(map(int, day), object, len(batch))
+    pid, attr = (np.fromiter(map(names.setdefault, col, lines.tolist()), np.int64, len(col))
+                 for names, col in ((patients, pid), (attributes, attr)))
+    return pid, attr, day, value, label, lines
 
 
 def load_cohort(
@@ -192,73 +232,58 @@ def load_cohort(
     Cells without a row are missing.  ``window_length`` defaults to the
     largest day in the file; ``attributes`` restricts/orders the attribute
     set, otherwise it is inferred and sorted.  Patients with fewer than
-    two observations are excluded (a warning reports how many).
+    two observations are excluded (a warning reports how many).  An error names
+    the first offending CSV record, the header being line 1; a row that does not
+    parse is reported before any fault between rows.
     """
-    rows = []  # (patient_id, label, day, attribute, value, lineno)
+    patients, seen, batches = {}, {}, []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)  # None for an empty file, whose loop below reads no row
+        header = next(reader, None)  # None for an empty file, which has no batch below
         if header is not None and [h.strip() for h in header] != CSV_HEADER:
             raise CohortFormatError(
                 f"line 1: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
             )
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != 5:
-                raise CohortFormatError(f"line {lineno}: expected 5 fields, got {len(raw)}")
-            pid, label_txt, day_txt, attr, val_txt = (f.strip() for f in raw)
-            if not pid:
-                raise CohortFormatError(f"line {lineno}: empty patient_id")
-            label = _parse_label(label_txt, lineno)
-            try:
-                day = int(day_txt)
-            except ValueError:
-                raise CohortFormatError(f"line {lineno}: day must be an integer, got {day_txt!r}")
-            try:
-                value = float(val_txt)
-            except ValueError:
-                raise CohortFormatError(f"line {lineno}: value must be a number, got {val_txt!r}")
-            if not np.isfinite(value):
-                raise CohortFormatError(f"line {lineno}: value must be finite, got {val_txt!r}")
-            rows.append((pid, label, day, attr, value, lineno))
+        start = 2
+        while batch := list(itertools.islice(reader, _BATCH_RECORDS)):
+            lines = np.arange(start, start + len(batch))
+            start += len(batch)
+            if set(map(len, batch)) != {5}:  # blank rows are skipped
+                keep = [i for i, r in enumerate(batch) if len(r) > 1 or r and r[0].strip()]
+                batch, lines = [batch[i] for i in keep], lines[keep]
+            if batch:
+                batches.append(_parse_batch(batch, lines, patients, seen))
 
-    if not rows:
-        return Cohort([], list(attributes or []), window_length or 0)
-
-    max_day = max(r[2] for r in rows)
+    attr_names = list(attributes) if attributes is not None else sorted(seen)
+    if not batches:
+        T = window_length or 0
+        return Cohort._from_arrays([], [], *np.zeros((2, 0, len(attr_names), T)), attr_names, T)
+    pid, raw_attr, day, value, label, lines = map(np.concatenate, zip(*batches))
     # A file whose days are all below 1 gives an empty window, and its first row is reported.
-    T = window_length if window_length is not None else max(max_day, 0)
-    attr_names = list(attributes) if attributes is not None else sorted({r[3] for r in rows})
+    T = window_length if window_length is not None else max(int(day.max()), 0)
     attr_index = {a: i for i, a in enumerate(attr_names)}
-    # Patients in first-appearance order, filled straight into the cohort arrays.
-    patient = {pid: i for i, pid in enumerate(dict.fromkeys(r[0] for r in rows))}
-    labels: dict[str, int | None] = {}
-    values = np.zeros((len(patient), len(attr_names), T))
-    mask = np.zeros_like(values)
-    for pid, label, day, attr, value, lineno in rows:
-        if attr not in attr_index:
-            raise CohortFormatError(f"line {lineno}: unknown attribute {attr!r}")
-        if not 1 <= day <= T:
-            raise CohortFormatError(f"line {lineno}: day {day} outside [1, {T}]")
-        cell = (patient[pid], attr_index[attr], day - 1)
-        if mask[cell]:
-            raise CohortFormatError(
-                f"line {lineno}: duplicate observation for ({pid}, day {day}, {attr})"
-            )
-        if labels.setdefault(pid, label) != label:
-            raise CohortFormatError(f"line {lineno}: inconsistent label for patient {pid!r}")
-        values[cell] = value
-        mask[cell] = 1.0
-
-    cohort, n_excluded = _keep_observed(list(patient), list(labels.values()), values, mask,
-                                        attr_names, T)
-    if n_excluded:
-        logger.warning(
-            "excluded %d patient(s) with fewer than %d observations",
-            n_excluded, MIN_OBSERVED_CELLS,
-        )
-    return cohort
+    raw_attr = np.unique(raw_attr, return_inverse=True)[1]  # codes in order of appearance
+    attr = np.array([attr_index.get(a, -1) for a in seen])[raw_attr]
+    values, mask = np.zeros((2, len(patients), len(attr_names), T))
+    # A patient's first record sets its label; a cell's later records are duplicates.
+    _, first, pid = np.unique(pid, return_index=True, return_inverse=True)
+    cells = (pid * len(attr_names) + attr) * T + day - 1
+    dup = np.ones(len(cells), dtype=bool)
+    dup[np.unique(cells, return_index=True)[1]] = False
+    fault = (attr < 0) | (day < 1) | (day > T) | dup | (label != label[first][pid])
+    if fault.any():  # the first offending record, checked in the row reader's order
+        r = np.argmax(fault)
+        p, d, a = list(patients)[pid[r]], day[r], list(seen)[raw_attr[r]]
+        raise CohortFormatError(f"line {lines[r]}: " + (
+            f"unknown attribute {a!r}" if attr[r] < 0 else
+            f"day {d} outside [1, {T}]" if not 1 <= d <= T else
+            f"duplicate observation for ({p}, day {d}, {a})" if dup[r] else
+            f"inconsistent label for patient {p!r}"))
+    values.ravel()[cells] = value
+    mask.ravel()[cells] = 1.0
+    labels = [(0, 1, None)[code] for code in label[first].tolist()]
+    return _keep_observed(list(patients), labels, values, mask, attr_names, T,
+                          "excluded %d patient(s) with fewer than %d observations")
 
 
 def write_cohort(cohort: Cohort, path) -> None:
@@ -416,16 +441,11 @@ def apply_missingness(cohort: Cohort, spec: MissingnessSpec) -> Cohort:
         prob = _sigmoid(a - score)
 
     hide = rng.random((N, V, T)) < prob
-    out, n_dropped = _keep_observed(
+    return _keep_observed(
         cohort.ids(), cohort.labels(), X, np.where(hide, 0.0, 1.0),
         cohort.attribute_names, cohort.window_length,
+        "dropped %d sample(s) reduced below %d observations by masking",
     )
-    if n_dropped:
-        logger.warning(
-            "dropped %d sample(s) reduced below %d observations by masking",
-            n_dropped, MIN_OBSERVED_CELLS,
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +495,8 @@ def truncate_window(cohort: Cohort, days: int) -> Cohort:
     """Keep only the first ``days`` columns; drop samples left under-observed."""
     if not 1 <= days <= cohort.window_length:
         raise ValueError(f"days must be in [1, {cohort.window_length}], got {days}")
-    out, n_dropped = _keep_observed(
+    return _keep_observed(
         cohort.ids(), cohort.labels(), cohort.values[:, :, :days], cohort.mask[:, :, :days],
         cohort.attribute_names, days,
+        "truncation to %d day(s) dropped %d sample(s) below %d observations", days,
     )
-    if n_dropped:
-        logger.warning(
-            "truncation to %d day(s) dropped %d sample(s) below %d observations",
-            days, n_dropped, MIN_OBSERVED_CELLS,
-        )
-    return out

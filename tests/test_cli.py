@@ -527,6 +527,16 @@ class TestInputErrors:
         self._assert_input_error(code, capsys.readouterr().err, message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_zero_workers_exits_2_before_any_output(self, tmp_path, capsys, dry_run):
+        config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}})
+        capsys.readouterr()
+        code = run_cli("run", config, *dry_run, "--workers", 0)
+        out, err = capsys.readouterr()
+        self._assert_input_error(code, err, "n_workers must be >= 1, got 0")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_environment_errors_reach_only_their_readers(self, tmp_path):
         config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}})
         synth = [*_SYNTH, "--cases", 1, "--attrs", 2, "--out", tmp_path / "x.csv"]

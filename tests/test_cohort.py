@@ -1,9 +1,19 @@
+import contextlib
+import csv
+import io
 import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtsk import cohort as cohort_module
 from mtsk.cohort import (
+    CSV_HEADER,
+    MIN_OBSERVED_CELLS,
     Cohort,
     CohortFormatError,
     Missingness,
@@ -125,6 +135,243 @@ class TestLoad:
         path = _write(tmp_path, "id,day,attr,value\np1,3,CRP,40.0\n")
         with pytest.raises(CohortFormatError, match="line 1"):
             load_cohort(path)
+
+
+def _parse_label(text, lineno):
+    if text in ("NA", ""):
+        return None
+    if text in ("0", "1"):
+        return int(text)
+    raise CohortFormatError(f"line {lineno}: label must be 0, 1 or NA, got {text!r}")
+
+
+def _row_loader(path, window_length=None, attributes=None):
+    """The oracle: ``load_cohort`` as it was when it checked and stored one row at a time."""
+    rows = []  # (patient_id, label, day, attribute, value, lineno)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None and [h.strip() for h in header] != CSV_HEADER:
+            raise CohortFormatError(
+                f"line 1: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+            )
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            if len(raw) != 5:
+                raise CohortFormatError(f"line {lineno}: expected 5 fields, got {len(raw)}")
+            pid, label_txt, day_txt, attr, val_txt = (f.strip() for f in raw)
+            if not pid:
+                raise CohortFormatError(f"line {lineno}: empty patient_id")
+            label = _parse_label(label_txt, lineno)
+            try:
+                day = int(day_txt)
+            except ValueError:
+                raise CohortFormatError(f"line {lineno}: day must be an integer, got {day_txt!r}")
+            try:
+                value = float(val_txt)
+            except ValueError:
+                raise CohortFormatError(f"line {lineno}: value must be a number, got {val_txt!r}")
+            if not np.isfinite(value):
+                raise CohortFormatError(f"line {lineno}: value must be finite, got {val_txt!r}")
+            rows.append((pid, label, day, attr, value, lineno))
+
+    if not rows:
+        return Cohort([], list(attributes or []), window_length or 0)
+
+    max_day = max(r[2] for r in rows)
+    T = window_length if window_length is not None else max(max_day, 0)
+    attr_names = list(attributes) if attributes is not None else sorted({r[3] for r in rows})
+    attr_index = {a: i for i, a in enumerate(attr_names)}
+    patient = {pid: i for i, pid in enumerate(dict.fromkeys(r[0] for r in rows))}
+    labels = {}
+    values = np.zeros((len(patient), len(attr_names), T))
+    mask = np.zeros_like(values)
+    for pid, label, day, attr, value, lineno in rows:
+        if attr not in attr_index:
+            raise CohortFormatError(f"line {lineno}: unknown attribute {attr!r}")
+        if not 1 <= day <= T:
+            raise CohortFormatError(f"line {lineno}: day {day} outside [1, {T}]")
+        cell = (patient[pid], attr_index[attr], day - 1)
+        if mask[cell]:
+            raise CohortFormatError(
+                f"line {lineno}: duplicate observation for ({pid}, day {day}, {attr})"
+            )
+        if labels.setdefault(pid, label) != label:
+            raise CohortFormatError(f"line {lineno}: inconsistent label for patient {pid!r}")
+        values[cell] = value
+        mask[cell] = 1.0
+
+    ids, labs = list(patient), list(labels.values())
+    keep = np.flatnonzero(mask.sum(axis=(1, 2)) >= MIN_OBSERVED_CELLS)
+    cohort = Cohort._from_arrays([ids[i] for i in keep], [labs[i] for i in keep], values[keep],
+                                 mask[keep], attr_names, T)
+    if keep.size < len(ids):
+        logging.getLogger("mtsk.cohort").warning(
+            "excluded %d patient(s) with fewer than %d observations",
+            len(ids) - keep.size, MIN_OBSERVED_CELLS,
+        )
+    return cohort
+
+
+@contextlib.contextmanager
+def _cohort_log():
+    """The records that ``mtsk.cohort`` logs inside the block, as (level, msg, args)."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda r: records.append((r.levelno, r.msg, r.args))
+    logger = logging.getLogger("mtsk.cohort")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+def _outcome(load, path, **kwargs):
+    """What one loader makes of a file: its error, or its cohort, plus its log records."""
+    with _cohort_log() as records:
+        try:
+            return load(path, **kwargs), records
+        except Exception as exc:
+            return exc, records
+
+
+def _assert_same_outcome(path, **kwargs):
+    got, got_log = _outcome(load_cohort, path, **kwargs)
+    want, want_log = _outcome(_row_loader, path, **kwargs)
+    assert got_log == want_log
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return got
+    for a, b in ((got.values, want.values), (got.mask, want.mask)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got.ids() == want.ids()
+    assert [(type(x), x) for x in got.labels()] == [(type(x), x) for x in want.labels()]
+    assert got.attribute_names == want.attribute_names
+    assert (type(got.window_length), got.window_length) == \
+        (type(want.window_length), want.window_length)
+    return got
+
+
+# Each name and number comes in spellings that read the same after stripping: quoted
+# names with commas, quotes and newlines, padded fields, and numerals that Python reads
+# but numpy's string casts may not.
+_IDS = [["p1", " p1 "], ["a,b"], ['q"x', ' q"x'], ["n\nl"]]
+_ATTRS = [["CRP", " CRP "], ["W,BC"], [' "a" '], ["x\r\ny"]]
+_LABELS = {0: ["0", " 0"], 1: ["1", " 1 "], None: ["NA", "", " NA "]}
+_DAYS = {1: ["1", "+1", "0_1"], 2: ["2", " 2 "], 3: ["3", "٣"], 4: ["4"], 5: ["5", "+5"],
+         6: ["6"]}
+_VALUES = ["1.5", "-0.0", "+5", "1_0", " 3 ", "1e3", "٣", "2.25", "-7", "1e-320"]
+# Faults, as (field, text): those found between rows, then those that stop a row parsing.
+_CROSS_ROW_FAULTS = [("duplicate", None), ("label", None), (2, "0"), (2, "7"), (2, "-1"),
+                     (2, "99999999999999999999"), (3, "ZZZ")]
+_PARSE_FAULTS = [(0, ""), (0, "  "), (1, "2"), (1, "x"), (2, "x"), (2, ""), (2, "1.0"),
+                 (4, "y"), (4, "inf"), (4, "nan"), (4, "1e400"), (4, ""), ("fields", 4),
+                 ("fields", 6)]
+
+
+@st.composite
+def _cohort_csv(draw):
+    """Long-format CSV text with LF or CRLF line ends, blank rows and up to two faults."""
+    labels = [draw(st.sampled_from(list(_LABELS))) for _ in _IDS]
+    cells = draw(st.lists(st.tuples(st.integers(0, len(_IDS) - 1),
+                                    st.integers(0, len(_ATTRS) - 1), st.integers(1, 6)),
+                          unique=True, min_size=3, max_size=24))
+    rows = [[draw(st.sampled_from(_IDS[p])), draw(st.sampled_from(_LABELS[labels[p]])),
+             draw(st.sampled_from(_DAYS[d])), draw(st.sampled_from(_ATTRS[a])),
+             draw(st.sampled_from(_VALUES))] for p, a, d in cells]
+    kinds = draw(st.sampled_from([[], [_CROSS_ROW_FAULTS], [_PARSE_FAULTS],
+                                  [_CROSS_ROW_FAULTS, _PARSE_FAULTS],
+                                  [_CROSS_ROW_FAULTS, _CROSS_ROW_FAULTS],
+                                  [_PARSE_FAULTS, _PARSE_FAULTS]]))
+    i = None  # a second fault lands on the first one's record half of the time
+    for field, text in (draw(st.sampled_from(faults)) for faults in kinds):
+        i = draw(st.integers(0, len(rows) - 1)) if i is None or draw(st.booleans()) else i
+        if field == "fields":
+            rows[i] = (rows[i] + ["extra"])[:text]
+        elif field == "duplicate":
+            rows.insert(draw(st.integers(i + 1, len(rows))), rows[i][:4] + ["9.5"])
+        elif len(rows[i]) < 5:  # a record cut short by a first fault keeps it
+            continue
+        elif field == "label":
+            rows[i][1] = "1" if rows[i][1].strip() == "0" else "0"
+        else:
+            rows[i][field] = text
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "   ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(draw(st.sampled_from([CSV_HEADER, [" patient_id ", *CSV_HEADER[1:]]])))
+    for row in rows:
+        if isinstance(row, str):
+            out.write(row + end)
+        else:
+            writer.writerow(row)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+class TestRowLoaderOracle:
+    """``load_cohort`` against the row-by-row loader it replaced: the same cohort, log
+    records and errors, on every batch size."""
+
+    @settings(max_examples=300)
+    @given(text=_cohort_csv(), batch=st.sampled_from([1, 2, 3, cohort_module._BATCH_RECORDS]),
+           window_length=st.sampled_from([None, 6, 9]),
+           attributes=st.sampled_from([None, ["x\r\ny", "CRP", '"a"', "W,BC", "K"],
+                                       ["CRP", "W,BC", '"a"']]))
+    def test_matches_row_loader(self, csv_dir, text, batch, window_length, attributes):
+        path = _write(csv_dir, text)
+        with mock.patch.object(cohort_module, "_BATCH_RECORDS", batch):
+            _assert_same_outcome(path, window_length=window_length, attributes=attributes)
+
+    @pytest.mark.parametrize("text, message", [
+        # A cross-row fault on an early record loses to a parse fault on a later one.
+        (HEADER + "p1,1,3,CRP,1\np1,1,3,CRP,2\np1,1,x,CRP,1\n",
+         "line 4: day must be an integer, got 'x'"),
+        (HEADER + "p1,1,3,WBC,1\np1,1,4,CRP,1\np2,1,4,CRP,inf\n",
+         "line 4: value must be finite, got 'inf'"),
+        # Two faults on one record: the row reader's order of checks decides.
+        (HEADER + " ,2,x,CRP,y\n", "line 2: empty patient_id"),
+        (HEADER + "p1,2,x,CRP,y\n", "line 2: label must be 0, 1 or NA, got '2'"),
+        (HEADER + "p1,1,x,CRP,y\n", "line 2: day must be an integer, got 'x'"),
+        (HEADER + "p1,1,3,CRP,1\np1,1,30,WBC,1\n", "line 3: unknown attribute 'WBC'"),
+        (HEADER + "p1,1,3,CRP,1\np1,0,3,CRP,2\n",
+         "line 3: duplicate observation for (p1, day 3, CRP)"),
+        # Record numbers count CSV records: blank rows count, an embedded newline does not.
+        (HEADER + '"p\n1",1,3,CRP,1\np2,1,x,CRP,1\n', "line 3: day must be an integer, got 'x'"),
+        (HEADER + "\n  \np1,1,3,CRP,1\np1,1,3,CRP,2\n",
+         "line 5: duplicate observation for (p1, day 3, CRP)"),
+        # A day past int64 is reported exactly.
+        (HEADER + "p1,1,3,CRP,1\np1,1,99999999999999999999,CRP,2\n",
+         "line 3: day 99999999999999999999 outside [1, 20]"),
+    ])
+    @pytest.mark.parametrize("batch", [1, 2, cohort_module._BATCH_RECORDS])
+    def test_first_fault_wins(self, tmp_path, text, message, batch):
+        with mock.patch.object(cohort_module, "_BATCH_RECORDS", batch):
+            err = _assert_same_outcome(_write(tmp_path, text), window_length=20,
+                                       attributes=["CRP"])
+        assert isinstance(err, CohortFormatError) and str(err) == message
+
+    def test_peak_memory_below_row_loader(self, tmp_path):
+        cohort = generate_synthetic_cohort(120, 130, 10, 20, 1.0, seed=0)
+        path = tmp_path / "c.csv"
+        write_cohort(cohort, path)  # 50,000 rows
+        peaks = []
+        for load in (load_cohort, _row_loader):
+            tracemalloc.start()
+            try:
+                load(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
 
 
 class TestRoundTrip:
