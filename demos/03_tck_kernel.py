@@ -24,7 +24,7 @@ print(f"\nensemble: {len(model.members)} members "
 m = model.members[0]
 print(f"first member: days {m.segment_start + 1}..{m.segment_start + m.segment_length}, "
       f"attributes {m.attributes.tolist()}, {len(m.train_subset)} samples, "
-      f"G={m.q2}, prior strength {m.prior.strength:.2f}")
+      f"G={m.q2}, prior strength {m.strength:.2f}")
 
 K = km.gram
 labels = np.array(train.labels())

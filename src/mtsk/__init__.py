@@ -53,7 +53,6 @@ from .lps import (
     save_lps_forest,
 )
 from .tck import (
-    DiagGMMParams,
     FitResult,
     MemberPrior,
     TCKMember,

@@ -57,10 +57,6 @@ class Confusion:
             fn=int(((p == 0) & (t == 1)).sum()),
         )
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def _prf(c: Confusion, paper_literal: bool) -> tuple[float, float, float]:
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0

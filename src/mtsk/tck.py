@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +35,6 @@ EMPTY_COMPONENT_WEIGHT = 1e-8
 VARIANCE_FLOOR_FACTOR = 1e-4
 MONOTONICITY_TOL = 1e-10
 EM_TOL = 1e-6  # relative objective gain below which EM stops
-
-
-@dataclass
-class DiagGMMParams:
-    """Mixture weights, time-dependent means and time-constant variances."""
-
-    weights: np.ndarray    # (G,)
-    means: np.ndarray      # (G, V, T)
-    variances: np.ndarray  # (G, V)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.variances = np.asarray(self.variances, dtype=float)
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-        if (self.variances <= 0).any():
-            raise ValueError("variances must stay above the floor (> 0)")
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -77,8 +55,11 @@ class MemberPrior:
 
 @dataclass
 class FitResult:
-    params: DiagGMMParams
-    posteriors: np.ndarray          # (N, G)
+    """Mixture weights, time-dependent means and time-constant variances, plus the EM trace."""
+
+    weights: np.ndarray             # (G,)
+    means: np.ndarray               # (G, V, T)
+    variances: np.ndarray           # (G, V)
     objective_trace: list[float]
     reseed_points: list[int]        # trace indices where a component was re-seeded
 
@@ -101,21 +82,22 @@ def _flat_data(X: np.ndarray, R: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.concatenate([r.reshape(len(X), -1) for r in rows], axis=1)
 
 
-def _log_likelihoods(params: DiagGMMParams, F: np.ndarray) -> np.ndarray:
-    """Masked log-density (N, G) of data rows ``F``, centered like ``params.means``."""
-    G, V, T = params.means.shape
-    a = np.repeat(1.0 / (2.0 * params.variances), T, axis=1)  # (G, V·T)
-    mu = params.means.reshape(G, V * T)
-    cst = -0.5 * (LOG_2PI + np.log(params.variances))         # (G, V)
+def _log_likelihoods(means: np.ndarray, variances: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Masked log-density (N, G) of data rows ``F``, centered like ``means``."""
+    G, V, T = means.shape
+    a = np.repeat(1.0 / (2.0 * variances), T, axis=1)  # (G, V·T)
+    mu = means.reshape(G, V * T)
+    cst = -0.5 * (LOG_2PI + np.log(variances))         # (G, V)
     coef = np.concatenate([cst, -a, 2.0 * mu * a, -mu * mu * a], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # a wild value gives -inf or nan
         return F @ coef.T
 
 
-def _flat_posteriors(params: DiagGMMParams, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _flat_posteriors(weights: np.ndarray, means: np.ndarray, variances: np.ndarray,
+                     F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior matrix (N, G) and per-sample log-evidence (N,) of data rows ``F``."""
     with np.errstate(divide="ignore", invalid="ignore"):  # weight 0 gives -inf, a wild row nan
-        logw = np.log(params.weights)[None, :] + _log_likelihoods(params, F)
+        logw = np.log(weights)[None, :] + _log_likelihoods(means, variances, F)
     bad = ~np.isfinite(logw.max(axis=1))
     if bad.any():
         logger.warning(
@@ -129,25 +111,24 @@ def _flat_posteriors(params: DiagGMMParams, F: np.ndarray) -> tuple[np.ndarray, 
     return post, evidence
 
 
-def _posteriors(params, X, R) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior matrix (N, G) and per-sample log-evidence (N,).
+def _posteriors(mix, X, R) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior matrix (N, G) and per-sample log-evidence (N,) under a FitResult or TCKMember.
 
     Each attribute is centered on the mean of the component means, which
     depends on the mixture alone, not on the samples being scored.
     """
-    center = params.means.mean(axis=(0, 2))
-    means = params.means - center[None, :, None]
-    return _flat_posteriors(DiagGMMParams(params.weights, means, params.variances),
-                            _flat_data(X, R, center))
+    center = mix.means.mean(axis=(0, 2))
+    means = mix.means - center[None, :, None]
+    return _flat_posteriors(mix.weights, means, mix.variances, _flat_data(X, R, center))
 
 
-def _log_prior(params: DiagGMMParams, smooth: np.ndarray, prior: MemberPrior,
-               b0: np.ndarray) -> float:
-    pen = ((params.means - smooth[None]) ** 2).sum(axis=2)  # (G, V)
+def _log_prior(means: np.ndarray, variances: np.ndarray, smooth: np.ndarray,
+               prior: MemberPrior, b0: np.ndarray) -> float:
+    pen = ((means - smooth[None]) ** 2).sum(axis=2)  # (G, V)
     return float(
-        -(prior.strength * pen / (2.0 * params.variances)).sum()
-        - (prior.a0 * np.log(params.variances)).sum()
-        - (b0[None, :] / params.variances).sum()
+        -(prior.strength * pen / (2.0 * variances)).sum()
+        - (prior.a0 * np.log(variances)).sum()
+        - (b0[None, :] / variances).sum()
     )
 
 
@@ -196,43 +177,37 @@ def fit_diaggmm(
         return (RX[idx] + lam * smooth) / (R[idx] + lam)
 
     init_idx = rng.choice(N, size=G, replace=N < G)
-    params = DiagGMMParams(
-        weights=np.full(G, 1.0 / G),
-        means=np.stack([seeded_mean(i) for i in init_idx]),
-        variances=np.tile(attr_var, (G, 1)),
-    )
+    weights = np.full(G, 1.0 / G)
+    means = np.stack([seeded_mean(i) for i in init_idx])
+    variances = np.tile(attr_var, (G, 1))
 
     trace: list[float] = []
     reseed_points: list[int] = []
     reseeded: set[int] = set()
-    posteriors = None
     prev_obj = None
     steps = 0
     while steps < max_iter + G:  # small headroom for re-seed rounds
         steps += 1
-        post, evidence = _flat_posteriors(params, F)
+        post, evidence = _flat_posteriors(weights, means, variances, F)
         counts = post.sum(axis=0)
         empty = np.flatnonzero(counts < EMPTY_COMPONENT_WEIGHT)
         fresh = [g for g in empty if g not in reseeded]
         if fresh:
-            means = params.means.copy()
             for g in fresh:
                 means[g] = seeded_mean(int(rng.integers(N)))
                 reseeded.add(g)
-            params = DiagGMMParams(params.weights, means, params.variances)
             reseed_points.append(len(trace))
             prev_obj = None
             continue
         if empty.size:
             logger.warning("component(s) %s stayed empty after re-seeding", empty.tolist())
 
-        obj = float(evidence.sum()) + _log_prior(params, smooth, prior, b0)
+        obj = float(evidence.sum()) + _log_prior(means, variances, smooth, prior, b0)
         if not math.isfinite(obj):
             raise FloatingPointError(f"EM objective is not finite: {obj}")
         if prev_obj is not None and obj < prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj)):
             raise FloatingPointError(f"EM objective decreased: {prev_obj} -> {obj}")
         trace.append(obj)
-        posteriors = post
         if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
             break
         prev_obj = obj
@@ -248,13 +223,8 @@ def fit_diaggmm(
         pen = lam * ((means - smooth[None]) ** 2).sum(axis=2)
         variances = (ss + pen + 2.0 * b0[None, :]) / (Wv + 2.0 * prior.a0)
         variances = np.maximum(variances, floor[None, :])
-        params = DiagGMMParams(weights, means, variances)
 
-    if posteriors is None:  # every round ended in a re-seed
-        posteriors, _ = _flat_posteriors(params, F)
-    means = params.means + center[None, :, None]
-    return FitResult(DiagGMMParams(params.weights, means, params.variances), posteriors,
-                     trace, reseed_points)
+    return FitResult(weights, means + center[None, :, None], variances, trace, reseed_points)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +233,29 @@ def fit_diaggmm(
 
 @dataclass
 class TCKMember:
+    """One fitted member, stored in a model archive field for field.  Its mixture
+    is checked here, since an archive comes from outside the program."""
+
     q1: int
     q2: int
     segment_start: int
     segment_length: int
     attributes: np.ndarray      # sorted attribute indices
     train_subset: np.ndarray    # sorted sample indices used for fitting
-    prior: MemberPrior
-    params: DiagGMMParams
     train_posteriors: np.ndarray  # (N_train, q2)
+    strength: float
+    smoothing_width: int
+    a0: float
+    b0_scale: float
+    weights: np.ndarray         # (q2,)
+    means: np.ndarray           # (q2, V_m, T_m) over the member's view
+    variances: np.ndarray       # (q2, V_m)
 
-    def restrict(self, X: np.ndarray, R: np.ndarray):
-        sl = slice(self.segment_start, self.segment_start + self.segment_length)
-        return X[:, self.attributes, sl], R[:, self.attributes, sl]
+    def __post_init__(self):
+        if abs(self.weights.sum() - 1.0) > 1e-12:
+            raise ValueError("mixture weights must sum to 1")
+        if (self.variances <= 0).any():
+            raise ValueError("variances must stay above the floor (> 0)")
 
 
 @dataclass
@@ -373,13 +353,12 @@ def tck_train(
             if fit is None:
                 logger.warning("skipping member (q1=%d, q2=%d) after 3 attempts", q1, q2)
                 continue
-            post, _ = _posteriors(fit.params, Xa, Ra)
+            post, _ = _posteriors(fit, Xa, Ra)
             unit = _unit_rows(post)
             K += unit @ unit.T
-            members.append(
-                TCKMember(q1, q2, seg_start, seg_len, attrs, subset, prior,
-                          fit.params, post)
-            )
+            members.append(TCKMember(q1, q2, seg_start, seg_len, attrs, subset, post,
+                                     **vars(prior), weights=fit.weights, means=fit.means,
+                                     variances=fit.variances))
     if not members:
         raise ValueError("every ensemble member failed to train")
     K /= len(members)
@@ -398,8 +377,8 @@ def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
     X = np.where(R > 0, test.values, 0.0)
     K = np.zeros((model.n_train, len(test)))
     for m in model.members:
-        Xa, Ra = m.restrict(X, R)
-        post, _ = _posteriors(m.params, Xa, Ra)
+        days = slice(m.segment_start, m.segment_start + m.segment_length)
+        post, _ = _posteriors(m, X[:, m.attributes, days], R[:, m.attributes, days])
         K += _unit_rows(m.train_posteriors) @ _unit_rows(post).T
     K /= len(model.members)
     np.clip(K, 0.0, 1.0, out=K)
@@ -412,19 +391,9 @@ def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
 
 def save_tck_model(model: TCKModel, path) -> None:
     meta = {k: v for k, v in vars(model).items() if k not in ("members", "train_gram")}
-    records = []
-    for m in model.members:
-        record = {**vars(m), **vars(m.prior), **vars(m.params)}
-        del record["prior"], record["params"]
-        records.append(record)
-    _save_npz(path, meta, records, {"train_gram": model.train_gram})
+    _save_npz(path, meta, [vars(m) for m in model.members], {"train_gram": model.train_gram})
 
 
 def load_tck_model(path) -> TCKModel:
     meta, records, arrays = _load_npz(path, "TCK model")
-    members = []
-    for r in records:
-        prior = MemberPrior(*(r.pop(f.name) for f in fields(MemberPrior)))
-        params = DiagGMMParams(*(r.pop(f.name) for f in fields(DiagGMMParams)))
-        members.append(TCKMember(**r, prior=prior, params=params))
-    return TCKModel(members, train_gram=arrays["train_gram"], **meta)
+    return TCKModel([TCKMember(**r) for r in records], train_gram=arrays["train_gram"], **meta)

@@ -173,8 +173,8 @@ class TestCriterion3EMCorrectness:
         prior = MemberPrior(1.7, 2, 0.3, 0.05)
         fit = fit_diaggmm(X, R, 1, prior, seed=5)
         mu, sigma2 = single_component_map_oracle(X, R, prior)
-        mu_err = float(np.abs(fit.params.means[0] - mu).max())
-        var_err = float(np.abs(fit.params.variances[0] - sigma2).max())
+        mu_err = float(np.abs(fit.means[0] - mu).max())
+        var_err = float(np.abs(fit.variances[0] - sigma2).max())
         ok = mu_err <= 1e-8 and var_err <= 1e-8
         _criterion(3, "EM correctness", ok,
                    f"{checked} monotone steps over 20 fits; G=1 oracle errors "

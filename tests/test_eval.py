@@ -48,7 +48,6 @@ class TestPrecisionRecall:
     def test_confusion_counts(self):
         c = Confusion.from_predictions([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
-        assert c.total == 5
 
 
 class TestF1:

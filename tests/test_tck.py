@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -23,7 +24,6 @@ from mtsk.tck import (
     LOG_2PI,
     MONOTONICITY_TOL,
     VARIANCE_FLOOR_FACTOR,
-    DiagGMMParams,
     FitResult,
     MemberPrior,
     TCKMember,
@@ -72,9 +72,15 @@ def oracle_observed_attribute_variance(X, R):
     return np.maximum(var, 1e-8)
 
 
+def mixture(weights, means, variances):
+    """A FitResult that holds only a mixture, as _posteriors and the oracles read it."""
+    return FitResult(np.asarray(weights, dtype=float), np.asarray(means, dtype=float),
+                     np.asarray(variances, dtype=float), [], [])
+
+
 def oracle_log_likelihoods(params, X, R):
     N = X.shape[0]
-    G = params.n_components
+    G = len(params.weights)
     out = np.empty((N, G))
     inv2 = 1.0 / (2.0 * params.variances)
     cst = -0.5 * (LOG_2PI + np.log(params.variances))
@@ -112,14 +118,10 @@ def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
         return (R[idx] * X[idx] + lam * smooth) / (R[idx] + lam)
 
     init_idx = rng.choice(N, size=G, replace=N < G)
-    params = DiagGMMParams(
-        weights=np.full(G, 1.0 / G),
-        means=np.stack([seeded_mean(i) for i in init_idx]),
-        variances=np.tile(attr_var, (G, 1)),
-    )
+    params = mixture(np.full(G, 1.0 / G), np.stack([seeded_mean(i) for i in init_idx]),
+                     np.tile(attr_var, (G, 1)))
 
     trace, reseed_points, reseeded = [], [], set()
-    posteriors = None
     prev_obj = None
     steps = 0
     while steps < max_iter + G:
@@ -133,16 +135,15 @@ def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
             for g in fresh:
                 means[g] = seeded_mean(int(rng.integers(N)))
                 reseeded.add(g)
-            params = DiagGMMParams(params.weights, means, params.variances)
+            params = mixture(params.weights, means, params.variances)
             reseed_points.append(len(trace))
             prev_obj = None
             continue
 
-        obj = float(evidence.sum()) + _log_prior(params, smooth, prior, b0)
+        obj = float(evidence.sum()) + _log_prior(params.means, params.variances, smooth, prior, b0)
         if prev_obj is not None:
             assert obj >= prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj))
         trace.append(obj)
-        posteriors = post
         if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
             break
         prev_obj = obj
@@ -161,11 +162,9 @@ def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
         pen = lam * ((means - smooth[None]) ** 2).sum(axis=2)
         variances = (ss + pen + 2.0 * b0[None, :]) / (W.sum(axis=2) + 2.0 * prior.a0)
         variances = np.maximum(variances, floor[None, :])
-        params = DiagGMMParams(weights, means, variances)
+        params = mixture(weights, means, variances)
 
-    if posteriors is None:
-        posteriors, _ = oracle_posteriors(params, X, R)
-    return FitResult(params, posteriors, trace, reseed_points)
+    return FitResult(params.weights, params.means, params.variances, trace, reseed_points)
 
 
 def single_component_map_oracle(X, R, prior):
@@ -240,12 +239,12 @@ def diaggmm_posterior(params, values, mask):
 
 class TestPosterior:
     def test_single_component(self):
-        params = DiagGMMParams([1.0], np.zeros((1, 2, 3)), np.ones((1, 2)))
+        params = mixture([1.0], np.zeros((1, 2, 3)), np.ones((1, 2)))
         post = diaggmm_posterior(params, np.ones((2, 3)), np.ones((2, 3)))
         assert post.tolist() == [1.0]
 
     def test_fully_missing_returns_weights(self):
-        params = DiagGMMParams(
+        params = mixture(
             [0.3, 0.7], np.stack([np.zeros((2, 3)), np.ones((2, 3))]), np.ones((2, 2))
         )
         post = diaggmm_posterior(params, np.ones((2, 3)), np.zeros((2, 3)))
@@ -253,7 +252,7 @@ class TestPosterior:
 
     def test_identical_components_cancel_likelihood(self):
         means = np.tile(np.linspace(0, 1, 12).reshape(1, 3, 4), (2, 1, 1))
-        params = DiagGMMParams([0.3, 0.7], means, np.full((2, 3), 2.0))
+        params = mixture([0.3, 0.7], means, np.full((2, 3), 2.0))
         rng = np.random.default_rng(0)
         post = diaggmm_posterior(params, rng.normal(size=(3, 4)), np.ones((3, 4)))
         assert post == pytest.approx([0.3, 0.7], abs=1e-12)
@@ -265,7 +264,7 @@ class TestPosterior:
         # the last sample underflows every component.
         rng = np.random.default_rng(12)
         means = rng.normal(scale=3.0, size=(4, 3, 5))
-        params = DiagGMMParams([0.0, 0.2, 0.3, 0.5], means, rng.uniform(0.01, 2.0, (4, 3)))
+        params = mixture([0.0, 0.2, 0.3, 0.5], means, rng.uniform(0.01, 2.0, (4, 3)))
         X = rng.normal(scale=10.0, size=(9, 3, 5))
         X[-1] = 1e300
         R = (rng.random(X.shape) < 0.7).astype(float)
@@ -290,9 +289,9 @@ class TestFit:
         prior = MemberPrior(strength=2.0, smoothing_width=2, a0=0.5, b0_scale=0.05)
         result = fit_diaggmm(X, R, 1, prior, seed=3)
         mu, sigma2 = single_component_map_oracle(X, R, prior)
-        assert result.params.means[0] == pytest.approx(mu, abs=1e-8)
-        assert result.params.variances[0] == pytest.approx(sigma2, abs=1e-8)
-        assert result.params.weights.tolist() == [1.0]
+        assert result.means[0] == pytest.approx(mu, abs=1e-8)
+        assert result.variances[0] == pytest.approx(sigma2, abs=1e-8)
+        assert result.weights.tolist() == [1.0]
 
     def test_recovers_separated_clusters_under_half_missing(self):
         rng = np.random.default_rng(2)
@@ -304,7 +303,7 @@ class TestFit:
         truth = np.repeat([0, 1], n_per)
         prior = MemberPrior(strength=1.0, smoothing_width=2, a0=0.1, b0_scale=0.05)
         result = fit_diaggmm(X, R, 2, prior, seed=5)
-        hard = result.posteriors.argmax(axis=1)
+        hard = _posteriors(result, X, R)[0].argmax(axis=1)
         acc = max((hard == truth).mean(), (hard != truth).mean())
         assert acc >= 0.95
 
@@ -419,7 +418,7 @@ class TestUnderflow:
     def test_all_components_underflow_uses_uniform_posterior(self, caplog):
         import logging
 
-        params = DiagGMMParams(
+        params = mixture(
             [0.5, 0.5], np.zeros((2, 1, 2)), np.full((2, 1), 1e-8)
         )
         wild = np.full((1, 2), 1e300)
@@ -466,12 +465,13 @@ class TestTest:
         R = np.ones_like(X)
         prior = MemberPrior(1.0, 2, 0.1, 0.05)
         fit = fit_diaggmm(X[:, 1:, :], R[:, 1:, :], 2, prior, seed=11)
+        post, _ = _posteriors(fit, X[:, 1:, :], R[:, 1:, :])
         member = TCKMember(
             q1=1, q2=2, segment_start=0, segment_length=6,
-            attributes=np.array([1, 2]), train_subset=np.arange(12),
-            prior=prior, params=fit.params, train_posteriors=fit.posteriors,
+            attributes=np.array([1, 2]), train_subset=np.arange(12), train_posteriors=post,
+            **vars(prior), weights=fit.weights, means=fit.means, variances=fit.variances,
         )
-        unit = fit.posteriors / np.linalg.norm(fit.posteriors, axis=1, keepdims=True)
+        unit = post / np.linalg.norm(post, axis=1, keepdims=True)
         model = TCKModel([member], 1, 2, 12, 3, 6, unit @ unit.T)
 
         values = np.zeros((3, 6))
@@ -479,7 +479,7 @@ class TestTest:
         mask[0, :2] = 1.0  # observed only on the excluded attribute
         test = Cohort([MTSample("t", values, mask)], ["a", "b", "c"], 6)
         out = tck_test(model, test)
-        w = fit.params.weights
+        w = fit.weights
         expected = unit @ (w / np.linalg.norm(w))
         assert out.cross[:, 0] == pytest.approx(expected, abs=1e-12)
         assert out.cross.min() >= 0.0 and out.cross.max() <= 1.0
@@ -512,6 +512,48 @@ class TestSerialization:
                 "window_length": 3, "members": []}
         np.savez_compressed(path, __meta__=json.dumps(meta), train_gram=np.eye(2))
         with pytest.raises(ValueError, match="unsupported TCK model version 1"):
+            load_tck_model(path)
+
+    def test_archive_from_commit_a1612ab_loads_and_scores_the_same(self):
+        """The fixture pair was written at commit a1612ab, whose members nested their
+        prior and mixture in separate records, by:
+
+            full = generate_synthetic_cohort(10, 15, 3, 10, 1.5, seed=40)
+            masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=41))
+            train, test = train_test_split(masked, 0.8, seed=42)
+            _, model = tck_train(train, Q=2, C=3, seed=43)
+            save_tck_model(model, "tests/data/tck_model_a1612ab.tck.npz")
+            np.save("tests/data/tck_cross_a1612ab.npy", tck_test(model, test).cross)
+        """
+        data = pathlib.Path(__file__).parent / "data"
+        full = generate_synthetic_cohort(10, 15, 3, 10, 1.5, seed=40)
+        masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=41))
+        _, test = train_test_split(masked, 0.8, seed=42)
+        model = load_tck_model(data / "tck_model_a1612ab.tck.npz")
+        assert (len(model.members), model.n_train) == (4, 20)
+        np.testing.assert_allclose(tck_test(model, test).cross,
+                                   np.load(data / "tck_cross_a1612ab.npy"), rtol=0, atol=1e-12)
+        with np.load(data / "tck_model_a1612ab.tck.npz") as archive:
+            fields = json.loads(str(archive["__meta__"]))["fields"]
+        assert fields == [
+            "q1", "q2", "segment_start", "segment_length", "attributes", "train_subset",
+            "train_posteriors", "strength", "smoothing_width", "a0", "b0_scale",
+            "weights", "means", "variances",
+        ]
+
+    @pytest.mark.parametrize("field, tamper, message", [
+        ("weights", lambda v: v * 0.9, "mixture weights must sum to 1"),
+        ("variances", lambda v: np.where(np.arange(v.size) == 3, 0.0, v),
+         r"variances must stay above the floor \(> 0\)"),
+    ])
+    def test_tampered_mixture_rejected(self, setup, tmp_path, field, tamper, message):
+        path = tmp_path / "model.npz"
+        save_tck_model(setup[3], path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[f"{field}.values"] = tamper(arrays[f"{field}.values"])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_tck_model(path)
 
 
@@ -548,7 +590,7 @@ class TestOracle:
         # 0, and the last sample underflows every component.
         rng = np.random.default_rng(12)
         means = 10.0 + rng.normal(scale=3.0, size=(4, 3, 5))
-        params = DiagGMMParams([0.0, 0.2, 0.3, 0.5], means, rng.uniform(0.01, 2.0, (4, 3)))
+        params = mixture([0.0, 0.2, 0.3, 0.5], means, rng.uniform(0.01, 2.0, (4, 3)))
         X = 10.0 + rng.normal(scale=3.0, size=(9, 3, 5))
         X[-1] = 1e300
         R = (rng.random(X.shape) < 0.7).astype(float)
