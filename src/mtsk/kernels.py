@@ -8,13 +8,15 @@ alignments of the two time axes in the log domain.  Cells beyond the
 triangular parameter carry zero weight, and the window's positive-definiteness
 keeps the alignment kernel PSD (a flat cut-off band would not).  One dynamic
 program runs over the upper triangle of the stacked train+test pairs at once,
-each lattice cell one array step.
+each lattice cell one array step: the local similarity plus the three-term
+log-sum-exp of the cell's in-band predecessors (Cuturi 2011).
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -141,26 +143,39 @@ def _gak_logs(x: np.ndarray, params: GAKParams) -> np.ndarray:
     """Log of the unnormalized GAK between every pair of x's series: a symmetric (K, K) array.
 
     ``x`` is (K, V, T).  The dynamic program over monotone alignments runs on
-    every upper-triangle pair at once, diagonal included; a lattice cell reads
-    its frame distances from one (K, K) product, and the triangular window
-    zeroes cells ``triangular`` or more steps off the diagonal.  Log-domain
-    throughout, so no underflow for long windows.
+    every upper-triangle pair at once, diagonal included, and holds only the
+    band of cells less than ``triangular`` steps off the diagonal.  A cell adds
+    its local similarity, read from one (K, K) frame product, to
+    m + log(sum exp(p - m)) over its in-band predecessors p (up, left, diag, in
+    that order; m their maximum).  A cell with one predecessor copies it, and one
+    whose predecessors are all -inf stays -inf.  Log-domain throughout, so no
+    underflow for long windows.
     """
     frames = np.moveaxis(x, 2, 0)  # frame-major: (T, K, V)
     sq = np.sum(frames * frames, axis=2)
     T, tri = frames.shape[0], params.triangular
     rows, cols = np.triu_indices(len(x))
-    # Lattice cells outside the band share one -inf array, so only the band is held.
-    neg_inf = np.full(rows.size, -np.inf)
-    prev = [np.zeros_like(neg_inf)] + [neg_inf] * T
+    flat = rows * len(x) + cols
+    prev = {0: np.zeros(rows.size)}  # the last row's band cells, by column
+    sq_cols = {}  # squared norms of the band's columns, gathered once each
     for i in range(1, T + 1):
-        cur = [neg_inf] * (T + 1)
-        for j in range(max(1, i - tri + 1), min(T, i + tri - 1) + 1):
-            dot = (frames[i - 1] @ frames[j - 1].T)[rows, cols]
-            d2 = np.maximum(sq[i - 1][rows] + sq[j - 1][cols] - 2.0 * dot, 0.0)
+        cur, band = {}, range(max(1, i - tri + 1), min(T, i + tri - 1) + 1)
+        sq_row = sq[i - 1][rows]
+        sq_cols = {j: sq_cols[j] if j in sq_cols else sq[j - 1][cols] for j in band}
+        for j in band:
+            dot = (frames[i - 1] @ frames[j - 1].T).take(flat)
+            d2 = np.maximum(sq_row + sq_cols[j] - 2.0 * dot, 0.0)
             logk = -d2 / (2.0 * params.sigma * params.sigma)
             local = logk - np.log1p(-np.expm1(logk)) + math.log(1.0 - abs(i - j) / tri)
-            cur[j] = np.logaddexp(np.logaddexp(prev[j], cur[j - 1]), prev[j - 1]) + local
+            terms = [t for t in (prev.get(j), cur.get(j - 1), prev.get(j - 1)) if t is not None]
+            if len(terms) == 1:
+                cur[j] = terms[0] + local
+                continue
+            # Floored at the least finite float: all -inf predecessors give log(0) = -inf.
+            m = np.maximum(reduce(np.maximum, terms), np.finfo(float).min)
+            s = reduce(np.add, [np.exp(t - m) for t in terms])
+            with np.errstate(divide="ignore"):
+                cur[j] = m + np.log(s) + local
         prev = cur
     logs = np.empty((len(x), len(x)))
     logs[rows, cols] = logs[cols, rows] = prev[T]

@@ -252,9 +252,10 @@ class TCKMember:
     variances: np.ndarray       # (q2, V_m)
 
     def __post_init__(self):
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        # Written so that NaN fails each check.
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if (self.variances <= 0).any():
+        if not (self.variances > 0).all():
             raise ValueError("variances must stay above the floor (> 0)")
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,8 +303,9 @@ class TestGAK:
         assert (km.gram.max(axis=1) == 1.0).all()
 
     def test_gram_and_cross_match_per_pair_oracle(self):
-        # The batched DP sums the same terms in another order, and BLAS blocks
-        # the frame inner products differently: agreement to rtol 1e-12.
+        # The batched DP sums the per-pair oracle's terms in the same order, but
+        # numpy's exp and log round apart from math's, and BLAS blocks the frame
+        # inner products differently: agreement to rtol 1e-12.
         train, test = _imputed_mar_split(8, 16, 3, 16, "locf+bc", seed=70)
         assert len(train) != len(test)
         params = fit_gak_params(train)
@@ -321,6 +323,8 @@ class TestGAK:
     @pytest.mark.parametrize("n_test", [None, 1, 12])
     def test_gram_and_cross_match_three_call_dp_at_paper_width(self, n_test):
         # 11 attributes bias-corrected to 22, over 20 days: the GAK cell of the paper.
+        # The three-term log-sum-exp rounds apart from the nested logaddexp of the
+        # oracle: agreement to rtol 1e-12, the per-pair oracle's tolerance.
         train, test = _imputed_mar_split(15, 45, 11, 20, "zero+bc", seed=72)
         assert train.values.shape[1:] == (22, 20)
         if n_test is None:
@@ -330,8 +334,49 @@ class TestGAK:
         params = fit_gak_params(train)
         km = gak_gram(train, params, test)
         gram, cross = _oracle_three_call_gak(train, params, test)
-        assert np.array_equal(km.gram, gram)
-        assert (km.cross is None) if test is None else np.array_equal(km.cross, cross)
+        np.testing.assert_allclose(km.gram, gram, rtol=1e-12, atol=0)
+        if test is None:
+            assert km.cross is None
+        else:
+            np.testing.assert_allclose(km.cross, cross, rtol=1e-12, atol=0)
+        assert np.array_equal(km.gram, km.gram.T)
+        assert np.array_equal(np.diag(km.gram), np.ones(len(train)))
+
+    @pytest.mark.parametrize("triangular, T", [(1, 12), (12, 12), (20, 12), (3, 1)])
+    def test_edge_of_band_matches_three_call_dp(self, triangular, T):
+        # At triangular 1 every band cell has one predecessor and copies it, so
+        # nothing is summed and the DPs agree bit for bit.  A band as wide as the
+        # window, or a single frame, agrees to the tolerance above.
+        cohort = generate_synthetic_cohort(10, 14, 4, T, 1.0, seed=74)
+        train, test = train_test_split(cohort, 0.75, seed=75)
+        params = GAKParams(fit_gak_params(train).sigma, triangular)
+        km = gak_gram(train, params, test)
+        gram, cross = _oracle_three_call_gak(train, params, test)
+        if triangular == 1:
+            assert np.array_equal(km.gram, gram)
+            assert np.array_equal(km.cross, cross)
+        else:
+            np.testing.assert_allclose(km.gram, gram, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(km.cross, cross, rtol=1e-12, atol=0)
+
+    def test_cells_with_only_minus_inf_predecessors_stay_minus_inf(self):
+        # sigma = 1e-160 overflows -d2 / (2 sigma^2) to -inf wherever two frames
+        # differ, so whole pairs run on -inf predecessors.  That may raise no
+        # warning beyond the oracle's own overflow.
+        x = generate_synthetic_cohort(3, 3, 2, 6, 1.0, seed=0).values
+        params = GAKParams(1e-160, 2)
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            logs = _gak_logs(x, params)
+        with warnings.catch_warnings(record=True) as oracle_raised:
+            warnings.simplefilter("always")
+            want = _oracle_rect_gak_logs(x, x, params)
+        assert np.array_equal(logs, want)
+        assert np.isneginf(logs[~np.eye(len(x), dtype=bool)]).all()
+        assert logs[1, 1] == pytest.approx(-5.68e306, rel=1e-3)
+        oracle_messages = {str(w.message) for w in oracle_raised}
+        assert oracle_messages == {"overflow encountered in divide"}
+        assert {str(w.message) for w in raised} <= oracle_messages
 
     def test_test_shape_must_match_train(self):
         train = generate_synthetic_cohort(4, 4, 3, 10, 1.0, seed=3)

@@ -545,6 +545,9 @@ class TestSerialization:
         ("weights", lambda v: v * 0.9, "mixture weights must sum to 1"),
         ("variances", lambda v: np.where(np.arange(v.size) == 3, 0.0, v),
          r"variances must stay above the floor \(> 0\)"),
+        ("weights", lambda v: np.full_like(v, np.nan), "mixture weights must sum to 1"),
+        ("variances", lambda v: np.where(np.arange(v.size) == 3, np.nan, v),
+         r"variances must stay above the floor \(> 0\)"),
     ])
     def test_tampered_mixture_rejected(self, setup, tmp_path, field, tamper, message):
         path = tmp_path / "model.npz"
