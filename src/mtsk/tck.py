@@ -10,18 +10,30 @@ which also supports out-of-sample evaluation against stored training
 posteriors.
 
 The likelihood is computed over the flattened V·T cells.  With the square
-expanded, the masked log-density of every sample under every component is
-one product of the data rows [R_v, R·X², R·X, R] (R_v: observed cells per
-attribute) with the coefficient rows [c, −a, 2μa, −μ²a] (c = −(log 2π +
-log σ²)/2 and a = 1/(2σ²), repeated over days), and the M-step's weighted
-sums are the product of the posteriors with the same rows.  Each attribute
-is first centered on one value, since the expansion cancels when |x| ≫ σ.
+expanded, the weighted masked log-density of every sample under every
+component is one product of the data rows [1, R_v, Σ_t R·X², R·X, R] (R_v:
+observed cells per attribute) with the coefficient columns [log w, c, −a,
+2μa, −μ²a] (c = −(log 2π + log σ²)/2 and a = 1/(2σ²)); the precision is
+constant over days, so the squares enter only through their sum over days.
+The M-step's weighted sums are the product of the posteriors with the same
+rows.  Each attribute is first centered on one value, since the expansion
+cancels when |x| ≫ σ.
+
+The members that share an initialization q1 are fitted together in one
+lockstep EM, each on its own unpadded view.  Per step, the only per-member
+calls are the two matrix products; the log-sum-exp, the M-step, the prior
+and the next coefficients run once per batch on flat arrays (``_Batch``).
+Each member keeps its own generator, convergence test and re-seeds, and a
+member whose fit fails is refitted in a follow-up batch.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +47,7 @@ EMPTY_COMPONENT_WEIGHT = 1e-8
 VARIANCE_FLOOR_FACTOR = 1e-4
 MONOTONICITY_TOL = 1e-10
 EM_TOL = 1e-6  # relative objective gain below which EM stops
+SCORE_BATCH_CELLS = 1 << 18  # data-row cells (doubles) that tck_test scores in one batch
 
 
 @dataclass(frozen=True)
@@ -62,74 +75,367 @@ class FitResult:
     variances: np.ndarray           # (G, V)
     objective_trace: list[float]
     reseed_points: list[int]        # trace indices where a component was re-seeded
+    posteriors: np.ndarray | None = None  # (N, G) of every row of the fitted view
 
 
-def smoothed_mean_curve(X: np.ndarray, R: np.ndarray, width: int) -> np.ndarray:
-    """Observed-mean curve of centered data (0 on empty days), Gaussian-smoothed along time."""
-    counts = R.sum(axis=0)                 # (V, T)
-    raw = np.divide((X * R).sum(axis=0), counts, out=np.zeros_like(counts), where=counts > 0)
-    T = X.shape[2]
+@functools.lru_cache(maxsize=None)
+def _smoothing_window(T: int, width: int) -> np.ndarray:
+    """Gaussian weights (T, T) over day offsets, each column normalized to sum 1."""
     offsets = np.arange(T)
     w = np.exp(-((offsets[:, None] - offsets[None, :]) ** 2) / (2.0 * width * width))
-    return (raw @ w) / w.sum(axis=0)[None, :]
+    w /= w.sum(axis=0)[None, :]
+    w.flags.writeable = False  # shared by every caller of the cache
+    return w
+
+
+def smoothed_mean_curve(sums: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
+    """Observed-mean curve (V, T) from per-cell sums and counts of centered data (0 on
+    empty days), Gaussian-smoothed along time."""
+    raw = np.divide(sums, counts, out=np.zeros_like(counts), where=counts > 0)
+    return raw @ _smoothing_window(sums.shape[1], width)
 
 
 def _flat_data(X: np.ndarray, R: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Data rows [R_v, R·X², R·X, R], (N, V + 3·V·T), of X centered on ``center`` (V,)."""
-    Xc = R * (X - center[None, :, None])
-    with np.errstate(over="ignore"):  # a wild value squares to inf; see _flat_posteriors
-        rows = [R.sum(axis=2), Xc * Xc, Xc, R]
-    return np.concatenate([r.reshape(len(X), -1) for r in rows], axis=1)
+    """Data rows [1, R_v, Σ_t R·X², R·X, R], (N, 1 + 2·V + 2·V·T), of X centered on
+    ``center`` (V,).  The blocks are written in place: views of a cohort are rarely
+    contiguous, and large temporaries cost more than the arithmetic."""
+    N, V, T = X.shape
+    F = np.empty((N, 1 + 2 * V + 2 * V * T))
+    RX, R_rows = (F[:, 1 + 2 * V + k * V * T:1 + 2 * V + (k + 1) * V * T].reshape(N, V, T)
+                  for k in (0, 1))
+    RX[...] = X  # copies first: arithmetic across two layouts is the slow path
+    R_rows[...] = R
+    RX -= center[:, None]
+    RX *= R_rows
+    F[:, 0] = 1.0
+    F[:, 1:1 + V] = np.einsum("nvt->nv", R_rows)
+    with np.errstate(over="ignore"):  # a wild value squares to inf; see _Batch.posteriors
+        F[:, 1 + V:1 + 2 * V] = np.einsum("nvt,nvt->nv", RX, RX)
+    return F
 
 
-def _log_likelihoods(means: np.ndarray, variances: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Masked log-density (N, G) of data rows ``F``, centered like ``means``."""
-    G, V, T = means.shape
-    a = np.repeat(1.0 / (2.0 * variances), T, axis=1)  # (G, V·T)
-    mu = means.reshape(G, V * T)
-    cst = -0.5 * (LOG_2PI + np.log(variances))         # (G, V)
-    coef = np.concatenate([cst, -a, 2.0 * mu * a, -mu * mu * a], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a wild value gives -inf or nan
-        return F @ coef.T
+def _offsets(sizes) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def _flat_posteriors(weights: np.ndarray, means: np.ndarray, variances: np.ndarray,
-                     F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior matrix (N, G) and per-sample log-evidence (N,) of data rows ``F``."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # weight 0 gives -inf, a wild row nan
-        logw = np.log(weights)[None, :] + _log_likelihoods(means, variances, F)
-    bad = ~np.isfinite(logw.max(axis=1))
-    if bad.any():
-        logger.warning(
-            "%d sample(s) underflowed every component; using uniform posteriors",
-            int(bad.sum()),
-        )
-        logw[bad] = 0.0
-    top = logw.max(axis=1)  # finite: underflowed rows were just set to 0
-    evidence = top + np.log(np.exp(logw - top[:, None]).sum(axis=1))
-    post = np.exp(logw - evidence[:, None])
-    return post, evidence
+def _ragged(starts, sizes, steps=None) -> np.ndarray:
+    """The ranges starts[k] + steps[k]·(0, …, sizes[k] − 1), concatenated (steps 1 if None)."""
+    local = np.arange(sizes.sum()) - np.repeat(_offsets(sizes)[:-1], sizes)
+    return np.repeat(starts, sizes) + (local if steps is None else local * np.repeat(steps, sizes))
 
 
-def _posteriors(mix, X, R) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior matrix (N, G) and per-sample log-evidence (N,) under a FitResult or TCKMember.
+class _Batch:
+    """B mixtures over their own data rows, laid out for whole-batch arithmetic.
+
+    Member m has data rows F_m (n_m, W_m) over V_m attributes and T_m days,
+    W_m = 1 + 2·V_m + 2·V_m·T_m, and G_m components.  Its coefficients
+    (W_m, G_m) and its M-step sums P_mF_m (G_m, W_m) are views of two flat
+    buffers.  Its log-likelihoods are the rows of an (N, G_max) buffer and
+    its posteriors the columns of a (G_max, N) one, N = Σ n_m, padded past
+    G_m with −inf and 0.  Components, (component, attribute) pairs and
+    (component, attribute, day) cells are numbered across the batch (``comp``,
+    ``gv`` and ``gvt``), and gather indices place each in the buffers.
+    """
+
+    def __init__(self, F: list[np.ndarray], G, V, T, like: _Batch | None = None):
+        """``like``, a batch of the same mixtures over other rows, lends its index arrays,
+        which depend on the mixture shapes alone."""
+        self.F = F
+        self.B = B = len(F)
+        n = np.array([len(f) for f in F])
+        G, V, T = (np.asarray(a) for a in (G, V, T))
+        W, VT = 1 + 2 * V + 2 * V * T, V * T
+        cw, self.rows = _offsets(G * W), _offsets(n)
+        self.coef, self.sums = np.zeros(cw[-1]), np.zeros(cw[-1])
+        self.loglik = np.full((self.rows[-1], G.max()), -np.inf)
+        self.post = np.zeros((G.max(), self.rows[-1]))
+        self.views = [(self.coef[cw[m]:cw[m + 1]].reshape(W[m], G[m]),
+                       self.sums[cw[m]:cw[m + 1]].reshape(G[m], W[m]),
+                       self.loglik[self.rows[m]:self.rows[m + 1], :G[m]],
+                       self.post[:G[m], self.rows[m]:self.rows[m + 1]]) for m in range(B)]
+        members = np.arange(B)
+        self.row_member = np.repeat(members, n)
+        if like is not None:
+            vars(self).update({k: v for k, v in vars(like).items() if k not in vars(self)})
+            return
+        self.comp = _offsets(G)          # member m owns components comp[m]:comp[m + 1]
+        self.gv, self.gvt = _offsets(G * V), _offsets(G * VT)
+        cm = self.comp_member = np.repeat(members, G)
+        self.comp_local = np.arange(len(cm)) - self.comp[cm]
+        self.blank = np.where(np.arange(G.max())[:, None] < G, 0.0, -np.inf)  # (G_max, B)
+        self.gv_member = np.repeat(members, G * V)
+        self.gvt_member = np.repeat(members, G * VT)
+        days = np.repeat(T[cm], V[cm])                          # per (component, attribute)
+        self.gv_starts = _offsets(days)[:-1]
+        self.gvt_gv = np.repeat(np.arange(self.gv[-1]), days)
+        self.gv_attr = _ragged(_offsets(V)[cm], V[cm])          # member attribute, numbered
+        self.gvt_cell = _ragged(_offsets(VT)[cm], VT[cm])       # member (attribute, day) cell
+        # Positions of log w, then of c and −a (the R_v and Σ_t R·X² rows), then of 2μa
+        # and −μ²a (the R·X and R rows) in the coefficients; of the same rows in the sums.
+        col, row = cw[cm] + self.comp_local, cw[cm] + self.comp_local * W[cm]
+        c_at = _ragged(col + G[cm], V[cm], G[cm])
+        mu_at = _ragged(col + (1 + 2 * V[cm]) * G[cm], VT[cm], G[cm])
+        self.coef_from = np.empty(cw[-1], dtype=np.intp)  # inverse of the value order
+        self.coef_from[np.concatenate([col, c_at, c_at + (V * G)[self.gv_member], mu_at,
+                                       mu_at + (VT * G)[self.gvt_member]])] = np.arange(cw[-1])
+        c_at, mu_at = _ragged(row + 1, V[cm]), _ragged(row + 1 + 2 * V[cm], VT[cm])
+        self.sum_at = np.concatenate([c_at, c_at + V[self.gv_member], mu_at,
+                                      mu_at + VT[self.gvt_member]])
+
+    def log_likelihoods(self, weights, means, log_var, inv_var, live: np.ndarray) -> None:
+        """Fill the live members' weighted log-likelihoods from flat centered means,
+        log-variances and inverse variances."""
+        a = 0.5 * inv_var
+        mu_a = means * a[self.gvt_gv]
+        with np.errstate(divide="ignore"):  # weight 0 gives -inf
+            log_w = np.log(weights)
+        values = np.concatenate([log_w, -0.5 * (LOG_2PI + log_var), -a, 2.0 * mu_a, -means * mu_a])
+        np.take(values, self.coef_from, out=self.coef)
+        with np.errstate(over="ignore", invalid="ignore"):  # a wild value gives -inf or nan
+            for m in np.flatnonzero(live).tolist():
+                np.matmul(self.F[m], self.views[m][0], out=self.views[m][2])
+
+    def posteriors(self, live: np.ndarray, labels: list[str]) -> np.ndarray:
+        """Fill the posteriors and return the log-evidence of every row."""
+        post = self.post
+        np.copyto(post, self.loglik.T)
+        top = post.max(axis=0)
+        if not np.isfinite(top).all():
+            bad = ~np.isfinite(top)
+            per_member = np.bincount(self.row_member[bad], minlength=self.B)
+            for m in np.flatnonzero(per_member * live).tolist():
+                logger.warning("%d sample(s) underflowed every component in %s; "
+                               "using uniform posteriors", per_member[m], labels[m])
+            post[:, bad] = self.blank[:, self.row_member[bad]]
+            top[bad] = 0.0
+        post -= top
+        np.exp(post, out=post)
+        total = post.sum(axis=0)
+        post /= total
+        return top + np.log(total)
+
+    def counts(self) -> np.ndarray:
+        """Posterior mass of every component (flat)."""
+        return np.add.reduceat(self.post, self.rows[:-1], axis=1)[self.comp_local,
+                                                                   self.comp_member]
+
+
+def _score(F: list[np.ndarray], shapes: list, weights: np.ndarray, means: np.ndarray,
+           variances: np.ndarray, labels: list[str], like: _Batch | None = None) -> list:
+    """Posterior matrix (N_m, G_m) and per-sample log-evidence (N_m,) of each member's data
+    rows ``F[m]``, of component shape ``shapes[m]`` = (G_m, V_m, T_m), under flat centered
+    parameters, in one batch (laid out ``like`` another batch of the same shapes)."""
+    batch = _Batch(F, *zip(*shapes), like=like)
+    live = np.ones(batch.B, dtype=bool)
+    batch.log_likelihoods(weights, means, np.log(variances), 1.0 / variances, live)
+    evidence = batch.posteriors(live, labels)
+    return [(batch.views[m][3].T.copy(), evidence[batch.rows[m]:batch.rows[m + 1]])
+            for m in range(batch.B)]
+
+
+def _posteriors(mixes: list, Xs: list, Rs: list, labels: list[str]) -> list:
+    """``_score`` of each mixture (a FitResult or TCKMember) on its own data.
 
     Each attribute is centered on the mean of the component means, which
     depends on the mixture alone, not on the samples being scored.
     """
-    center = mix.means.mean(axis=(0, 2))
-    means = mix.means - center[None, :, None]
-    return _flat_posteriors(mix.weights, means, mix.variances, _flat_data(X, R, center))
-
-
-def _log_prior(means: np.ndarray, variances: np.ndarray, smooth: np.ndarray,
-               prior: MemberPrior, b0: np.ndarray) -> float:
-    pen = ((means - smooth[None]) ** 2).sum(axis=2)  # (G, V)
-    return float(
-        -(prior.strength * pen / (2.0 * variances)).sum()
-        - (prior.a0 * np.log(variances)).sum()
-        - (b0[None, :] / variances).sum()
+    centers = [mix.means.mean(axis=(0, 2)) for mix in mixes]
+    return _score(
+        [_flat_data(X, R, c) for X, R, c in zip(Xs, Rs, centers)],
+        [mix.means.shape for mix in mixes], np.concatenate([mix.weights for mix in mixes]),
+        np.concatenate([(mix.means - c[None, :, None]).ravel() for mix, c in zip(mixes, centers)]),
+        np.concatenate([mix.variances.ravel() for mix in mixes]), labels,
     )
+
+
+def _log_prior(batch: _Batch, means, log_var, inv_var, smooth, lam, a0, b0) -> np.ndarray:
+    """Log prior (B,) of every member from flat means, log-variances and inverse variances,
+    and (component, attribute) constants."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the member
+        dev = means - smooth
+        pen = np.add.reduceat(dev * dev, batch.gv_starts)
+        terms = (0.5 * lam * pen + b0) * inv_var + a0 * log_var
+    return -np.bincount(batch.gv_member, terms, minlength=batch.B)
+
+
+def _seeded_means(RX: np.ndarray, R: np.ndarray, smooth: np.ndarray, lam: float,
+                  idx) -> np.ndarray:
+    """Means seeded from data rows ``idx``: a blend of their observed cells (the R·X and R
+    blocks) and the smoothed curve, flattened."""
+    return ((RX[idx] + lam * smooth) / (R[idx] + lam)).ravel()
+
+
+class _Job(NamedTuple):
+    """One member's fit: its view of the shared (N, V, T) data (attributes, a day
+    segment, and the rows to fit on), its component count, prior and generator."""
+
+    attributes: np.ndarray
+    days: slice
+    rows: np.ndarray
+    n_components: int
+    prior: MemberPrior
+    rng: np.random.Generator
+    label: str                  # names the member in warnings
+
+
+def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int) -> list:
+    """MAP-EM for a batch of masked diagonal GMMs on views of (X, R), stepped in lockstep.
+
+    The result holds one FitResult per job, with the posteriors of all N rows
+    under its view, or the FloatingPointError that stopped it.  Each member
+    alternates posterior computation with closed-form coordinate updates of
+    weights, means (shrunk toward the smoothed population curve) and
+    variances, so its penalized objective never decreases; a decrease or a
+    non-finite objective stops it with FloatingPointError.  Components that
+    lose all responsibility are re-seeded once from a random fitted row; a
+    recurrence is accepted with a warning.  EM runs on data centered on each
+    attribute's observed mean over the fitted rows, and the returned means
+    are moved back.  A member draws from its own generator only: the initial
+    means, then its re-seeds in step order.
+    """
+    B, N = len(jobs), len(X)
+    setup = []
+    for attrs, days, subset, n_comp, prior, rng, _ in jobs:
+        # The fitted rows come first, so the EM reads a prefix of the member's data rows.
+        rest = np.ones(N, dtype=bool)
+        rest[subset] = False
+        order = np.concatenate([subset, np.flatnonzero(rest)])
+        Xm, Rm = X[order[:, None], attrs, days], R[order[:, None], attrs, days]
+        (n, v, t), VT = (len(subset), *Xm.shape[1:]), Xm.shape[1] * Xm.shape[2]
+        # Center each attribute on its observed mean; the rows then hold its variance too.
+        n_obs = np.einsum("nvt->v", Rm[:n])
+        center = np.divide(np.einsum("nvt,nvt->v", Xm[:n], Rm[:n]), n_obs, out=np.zeros(v),
+                           where=n_obs > 0)
+        F = _flat_data(Xm, Rm, center)
+        total = F[:n].sum(axis=0)
+        attr_var = np.maximum(np.divide(total[1 + v:1 + 2 * v], n_obs, out=np.ones(v),
+                                        where=n_obs > 0), 1e-8)
+        smooth = smoothed_mean_curve(total[1 + 2 * v:1 + 2 * v + VT].reshape(v, t),
+                                     total[1 + 2 * v + VT:].reshape(v, t),
+                                     prior.smoothing_width).ravel()
+        seeded_mean = functools.partial(_seeded_means, F[:n, 1 + 2 * v:1 + 2 * v + VT],
+                                        F[:n, 1 + 2 * v + VT:], smooth, prior.strength)
+        init = seeded_mean(rng.choice(n, size=n_comp, replace=n < n_comp))
+        setup.append((F, order, n_comp, v, t, center, smooth, attr_var, seeded_mean, init))
+    F, orders, G, V, T, centers, smooth, attr_var, seeds, init = zip(*setup)
+    batch = _Batch([f[:len(job.rows)] for f, job in zip(F, jobs)], G, V, T)
+    own = [(slice(*batch.comp[m:m + 2]), slice(*batch.gvt[m:m + 2]), slice(*batch.gv[m:m + 2]))
+           for m in range(B)]
+    gv_member, gvt_member = batch.gv_member, batch.gvt_member
+    lam, a0, b0_scale = (np.array([getattr(job.prior, k) for job in jobs])
+                         for k in ("strength", "a0", "b0_scale"))
+    lam_gv, lam_gvt, a0 = lam[gv_member], lam[gvt_member], a0[gv_member]
+    attr_var = np.concatenate(attr_var)[batch.gv_attr]
+    b0, floor = b0_scale[gv_member] * attr_var, VARIANCE_FLOOR_FACTOR * attr_var
+    smooth = np.concatenate(smooth)[batch.gvt_cell]
+    lam_smooth = lam_gvt * smooth
+    # With the means' update substituted, the variance update's spread plus penalty is
+    # S2 + λ·Σ_t s² − Σ_t μ·(S + λ·s); the constant part is fixed per pair.
+    with np.errstate(over="ignore"):  # a wild value squares to inf; its member fails
+        spread_const = lam_gv * np.add.reduceat(smooth * smooth, batch.gv_starts) + 2.0 * b0
+    n_rows = np.array([len(job.rows) for job in jobs])[batch.comp_member]
+    labels = [job.label for job in jobs]
+    nGV, nGVT = int(batch.gv[-1]), int(batch.gvt[-1])
+    split = [(0, nGV), (nGV, 2 * nGV), (2 * nGV, 2 * nGV + nGVT), (2 * nGV + nGVT, None)]
+
+    weights = 1.0 / np.array(G)[batch.comp_member]
+    means, variances = np.concatenate(init), attr_var
+    traces: list[list[float]] = [[] for _ in range(B)]
+    reseed_points: list[list[int]] = [[] for _ in range(B)]
+    prev: list[float | None] = [None] * B
+    failures: dict[int, FloatingPointError] = {}
+    final: dict[int, tuple] = {}  # the parameters a member stopped with
+    reseeded = np.zeros(batch.comp[-1], dtype=bool)
+    live = np.ones(B, dtype=bool)
+
+    def stop(m):
+        # A stopped member's slots go stale: every later step overwrites them unread.
+        live[m] = False
+        final[m] = tuple(p[at].copy() for p, at in zip((weights, means, variances), own[m]))
+
+    # Each member stops within max_iter objective steps and at most G re-seed steps.
+    while live.any():
+        log_var, inv_var = np.log(variances), 1.0 / variances
+        batch.log_likelihoods(weights, means, log_var, inv_var, live)
+        evidence = batch.posteriors(live, labels)
+        counts = batch.counts()
+        empty = counts < EMPTY_COMPONENT_WEIGHT
+        with_empty = set(batch.comp_member[empty].tolist()) if empty.any() else ()
+        objective = (np.add.reduceat(evidence, batch.rows[:-1]) + _log_prior(
+            batch, means, log_var, inv_var, smooth, lam_gv, a0, b0)).tolist()
+
+        stepping, reseeding = [], []
+        for m in np.flatnonzero(live).tolist():
+            comps, trace = own[m][0], traces[m]
+            fresh = np.flatnonzero(empty[comps] & ~reseeded[comps]) if m in with_empty else ()
+            if len(fresh):
+                cells = V[m] * T[m]
+                for g in fresh.tolist():
+                    at = batch.gvt[m] + g * cells
+                    means[at:at + cells] = seeds[m](int(jobs[m].rng.integers(len(jobs[m].rows))))
+                reseeded[comps][fresh] = True
+                reseed_points[m].append(len(trace))
+                prev[m] = None
+                reseeding.append(m)
+            else:
+                if m in with_empty:
+                    logger.warning("component(s) %s stayed empty after re-seeding in %s",
+                                   np.flatnonzero(empty[comps]).tolist(), labels[m])
+                obj, last = objective[m], prev[m]
+                if not math.isfinite(obj):
+                    failures[m] = FloatingPointError(f"EM objective is not finite: {obj}")
+                elif last is not None and obj < last - MONOTONICITY_TOL * (1.0 + abs(last)):
+                    failures[m] = FloatingPointError(f"EM objective decreased: {last} -> {obj}")
+                if m in failures:
+                    live[m] = False
+                    continue
+                trace.append(obj)
+                if last is not None and obj - last < EM_TOL * (1.0 + abs(last)):
+                    stop(m)
+                    continue
+                prev[m] = obj
+                if len(trace) >= max_iter:
+                    stop(m)
+                    continue
+                stepping.append(m)
+
+        if stepping:
+            # M-step: exact coordinate maximization of the penalized bound, computed for
+            # every slot; members that re-seeded this step keep their parameters.
+            for m in stepping:
+                _, sums, _, post = batch.views[m]
+                np.matmul(post, batch.F[m], out=sums)
+            sums = batch.sums[batch.sum_at]
+            Wv, S2, S, Wt = (sums[i:j] for i, j in split)  # R_v, Σ_t R·X²; R·X, R by day
+            with np.errstate(all="ignore"):  # stale slots may hold anything
+                num = S + lam_smooth
+                new_means = num / (Wt + lam_gvt)
+                spread = S2 + spread_const - np.add.reduceat(new_means * num, batch.gv_starts)
+                new_vars = np.maximum(spread / (Wv + 2.0 * a0), floor)
+                new_weights = counts / n_rows
+            for m in reseeding:
+                for new, old, at in zip((new_weights, new_means, new_vars),
+                                        (weights, means, variances), own[m]):
+                    new[at] = old[at]
+            weights, means, variances = new_weights, new_means, new_vars
+
+    # Score all N rows of each fitted member's view, on the data its EM ran on.
+    ok = [m for m in range(B) if m in final]
+    scored = iter(_score([F[m] for m in ok], [(G[m], V[m], T[m]) for m in ok],
+                         *(np.concatenate(p) for p in zip(*(final[m] for m in ok))),
+                         [labels[m] for m in ok], like=batch if len(ok) == B else None)
+                  if ok else [])
+    results = []
+    for m in range(B):
+        if m in failures:
+            results.append(failures[m])
+            continue
+        w, mu, var = final[m]
+        post = np.empty((N, G[m]))
+        post[orders[m]] = next(scored)[0]
+        results.append(FitResult(w, mu.reshape(G[m], V[m], T[m]) + centers[m][None, :, None],
+                                 var.reshape(G[m], V[m]), traces[m], reseed_points[m], post))
+    return results
 
 
 def fit_diaggmm(
@@ -140,91 +446,19 @@ def fit_diaggmm(
     seed,
     max_iter: int = 20,
 ) -> FitResult:
-    """MAP-EM for the masked diagonal GMM.
-
-    Alternates posterior computation with closed-form coordinate updates of
-    weights, means (shrunk toward the smoothed population curve) and
-    variances, so the penalized objective never decreases; a decrease or a
-    non-finite objective raises FloatingPointError.  Components that lose
-    all responsibility are re-seeded once from a random sample; a recurrence
-    is accepted with a warning.  EM runs on data centered on each
-    attribute's observed mean, and the returned means are moved back.
-    """
-    N, V, T = X.shape
-    G = int(n_components)
-    if N == 0:
+    """MAP-EM for one masked diagonal GMM: a batch of one for ``_fit_lockstep``,
+    whose FloatingPointError it raises."""
+    if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty subset")
-    if G < 1:
+    if n_components < 1:
         raise ValueError("need at least one component")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    # Center each attribute on its observed mean; the rows then hold its variance too.
-    n_obs = R.sum(axis=(0, 2))
-    center = np.divide((X * R).sum(axis=(0, 2)), n_obs, out=np.zeros(V), where=n_obs > 0)
-    F = _flat_data(X, R, center)
-    D = V * T
-    sq = F[:, V:V + D].reshape(N, V, T)
-    RX = F[:, V + D:V + 2 * D].reshape(N, V, T)
-    attr_var = np.maximum(np.divide(sq.sum(axis=(0, 2)), n_obs, out=np.ones(V),
-                                    where=n_obs > 0), 1e-8)
-    smooth = smoothed_mean_curve(RX, R, prior.smoothing_width)
-    b0 = prior.b0_scale * attr_var
-    floor = VARIANCE_FLOOR_FACTOR * attr_var
-    lam = prior.strength
-
-    def seeded_mean(idx: int) -> np.ndarray:
-        # Blend of the sample's observed cells and the smoothed curve.
-        return (RX[idx] + lam * smooth) / (R[idx] + lam)
-
-    init_idx = rng.choice(N, size=G, replace=N < G)
-    weights = np.full(G, 1.0 / G)
-    means = np.stack([seeded_mean(i) for i in init_idx])
-    variances = np.tile(attr_var, (G, 1))
-
-    trace: list[float] = []
-    reseed_points: list[int] = []
-    reseeded: set[int] = set()
-    prev_obj = None
-    steps = 0
-    while steps < max_iter + G:  # small headroom for re-seed rounds
-        steps += 1
-        post, evidence = _flat_posteriors(weights, means, variances, F)
-        counts = post.sum(axis=0)
-        empty = np.flatnonzero(counts < EMPTY_COMPONENT_WEIGHT)
-        fresh = [g for g in empty if g not in reseeded]
-        if fresh:
-            for g in fresh:
-                means[g] = seeded_mean(int(rng.integers(N)))
-                reseeded.add(g)
-            reseed_points.append(len(trace))
-            prev_obj = None
-            continue
-        if empty.size:
-            logger.warning("component(s) %s stayed empty after re-seeding", empty.tolist())
-
-        obj = float(evidence.sum()) + _log_prior(means, variances, smooth, prior, b0)
-        if not math.isfinite(obj):
-            raise FloatingPointError(f"EM objective is not finite: {obj}")
-        if prev_obj is not None and obj < prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj)):
-            raise FloatingPointError(f"EM objective decreased: {prev_obj} -> {obj}")
-        trace.append(obj)
-        if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
-            break
-        prev_obj = obj
-        if len(trace) >= max_iter:
-            break
-
-        # M-step: exact coordinate maximization of the penalized bound.
-        weights = counts / N
-        Wv, S2, S, W = np.split(post.T @ F, [V, V + D, V + 2 * D], axis=1)
-        S2, S, W = (M.reshape(G, V, T) for M in (S2, S, W))
-        means = (S + lam * smooth[None]) / (W + lam)
-        ss = (S2 - 2.0 * means * S + means * means * W).sum(axis=2)
-        pen = lam * ((means - smooth[None]) ** 2).sum(axis=2)
-        variances = (ss + pen + 2.0 * b0[None, :]) / (Wv + 2.0 * prior.a0)
-        variances = np.maximum(variances, floor[None, :])
-
-    return FitResult(weights, means + center[None, :, None], variances, trace, reseed_points)
+    N, V, _ = X.shape
+    result, = _fit_lockstep(X, R, [_Job(np.arange(V), slice(None), np.arange(N), n_components,
+                                        prior, rng, "fit_diaggmm")], max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +509,7 @@ def default_max_components(n_train: int) -> int:
 
 
 def _unit_rows(P: np.ndarray) -> np.ndarray:
-    return P / np.linalg.norm(P, axis=1, keepdims=True)
+    return P / np.sqrt((P * P).sum(axis=1, keepdims=True))  # np.linalg.norm, without its checks
 
 
 def _draw_member(rng, N, V, T, n_min, v_min, t_min):
@@ -305,12 +539,14 @@ def tck_train(
 
     For every (initialization q1, component count q2) pair the member draws
     its own hyperparameters, time segment, attribute subset and sample
-    subset from a generator keyed on (seed, q1, q2), fits the mixture on the
-    subset, and evaluates posteriors for all training samples.  The Gram
-    accumulates cosine similarities of those posterior vectors and is
-    divided by the member count, so the diagonal is exactly one.  A member
-    whose fit fails is retried twice with fresh seeds, then skipped (the
-    divisor shrinks accordingly).
+    subset from a generator keyed on (seed, q1, q2, attempt), fits the
+    mixture on the subset, and evaluates posteriors for all training
+    samples.  The members of one q1 are fitted in one lockstep batch.  The
+    Gram accumulates cosine similarities of those posterior vectors in
+    (q1, q2) order and is divided by the member count, so the diagonal is
+    exactly one.  A member whose fit fails is refitted in a follow-up batch
+    with the next attempt's draws, twice at most, then skipped (the divisor
+    shrinks accordingly).  Each warning names its member.
     """
     N = len(train)
     if N < 2:
@@ -321,7 +557,7 @@ def tck_train(
         raise ValueError("C must be >= 2")
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if max_iter < 1:  # checked here: the member loop below retries failed fits
+    if max_iter < 1:  # checked here: the member batches below retry failed fits
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     # Zero the hidden cells: R * f(X) must see finite X even where R is 0.
     R = train.mask
@@ -334,31 +570,36 @@ def tck_train(
     members: list[TCKMember] = []
     K = np.zeros((N, N))
     for q1 in range(1, Q + 1):
-        for q2 in range(2, C + 1):
-            fit = None
-            for attempt in range(3):
+        fits, pending = {}, list(range(2, C + 1))
+        for attempt in range(3):  # members whose fit fails are refitted with fresh draws
+            jobs = []
+            for q2 in pending:
                 rng = np.random.default_rng([seed, q1, q2, attempt])
                 prior, seg_start, seg_len, attrs, subset = _draw_member(
                     rng, N, V, T, n_min, v_min, t_min
                 )
-                Xa = X[:, attrs, seg_start:seg_start + seg_len]
-                Ra = R[:, attrs, seg_start:seg_start + seg_len]
-                try:
-                    fit = fit_diaggmm(Xa[subset], Ra[subset], q2, prior, rng, max_iter=max_iter)
-                    break
-                except Exception:
-                    logger.warning(
-                        "member (q1=%d, q2=%d) attempt %d failed", q1, q2, attempt,
-                        exc_info=True,
-                    )
-            if fit is None:
+                jobs.append(_Job(attrs, slice(seg_start, seg_start + seg_len), subset, q2, prior,
+                                 rng, f"member (q1={q1}, q2={q2}, attempt={attempt})"))
+            pending = []
+            for job, fit in zip(jobs, _fit_lockstep(X, R, jobs, max_iter)):
+                if isinstance(fit, Exception):
+                    logger.warning("member (q1=%d, q2=%d, attempt=%d) failed", q1,
+                                   job.n_components, attempt, exc_info=fit)
+                    pending.append(job.n_components)
+                else:
+                    fits[job.n_components] = job, fit
+            if not pending:
+                break
+        for q2 in range(2, C + 1):
+            if q2 not in fits:
                 logger.warning("skipping member (q1=%d, q2=%d) after 3 attempts", q1, q2)
                 continue
-            post, _ = _posteriors(fit, Xa, Ra)
-            unit = _unit_rows(post)
+            job, fit = fits[q2]
+            unit = _unit_rows(fit.posteriors)
             K += unit @ unit.T
-            members.append(TCKMember(q1, q2, seg_start, seg_len, attrs, subset, post,
-                                     **vars(prior), weights=fit.weights, means=fit.means,
+            members.append(TCKMember(q1, q2, job.days.start, job.days.stop - job.days.start,
+                                     job.attributes, job.rows, fit.posteriors, **vars(job.prior),
+                                     weights=fit.weights, means=fit.means,
                                      variances=fit.variances))
     if not members:
         raise ValueError("every ensemble member failed to train")
@@ -377,10 +618,19 @@ def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
     R = test.mask
     X = np.where(R > 0, test.values, 0.0)
     K = np.zeros((model.n_train, len(test)))
-    for m in model.members:
-        days = slice(m.segment_start, m.segment_start + m.segment_length)
-        post, _ = _posteriors(m, X[:, m.attributes, days], R[:, m.attributes, days])
-        K += _unit_rows(m.train_posteriors) @ _unit_rows(post).T
+    # Members are scored in runs of about SCORE_BATCH_CELLS data-row cells each.
+    width = [len(test) * (1 + 2 * len(m.attributes) * (1 + m.segment_length))
+             for m in model.members]
+    run = np.cumsum(width) // SCORE_BATCH_CELLS
+    rows = np.arange(len(test))[:, None]  # indexes rows too, for (N, V, T)-ordered copies
+    for _, group in itertools.groupby(zip(run.tolist(), model.members), key=lambda x: x[0]):
+        group = [m for _, m in group]
+        views = [(rows, m.attributes, slice(m.segment_start, m.segment_start + m.segment_length))
+                 for m in group]
+        scored = _posteriors(group, [X[v] for v in views], [R[v] for v in views],
+                             [f"member (q1={m.q1}, q2={m.q2})" for m in group])
+        for m, (post, _) in zip(group, scored):
+            K += _unit_rows(m.train_posteriors) @ _unit_rows(post).T
     K /= len(model.members)
     np.clip(K, 0.0, 1.0, out=K)
     return KernelMatrix(model.train_gram, "tck", K)

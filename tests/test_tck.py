@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -28,7 +29,6 @@ from mtsk.tck import (
     MemberPrior,
     TCKMember,
     TCKModel,
-    _log_prior,
     _posteriors,
     default_max_components,
     fit_diaggmm,
@@ -39,13 +39,173 @@ from mtsk.tck import (
 )
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-component EM that the flattened matrix-product form
-# replaced, with the same arithmetic and without its warnings.  The two
-# compute the same quantities in a different order (expanded squares,
-# centered data, one product per step), so they agree to rounding: the
-# ensemble Gram and cross to ORACLE_TOL.
+# Oracles.  Two EMs that the lockstep batch (tck._fit_lockstep) replaced,
+# each fitting one member at a time with the same arithmetic and without
+# its warnings:
+#   - the per-member EM over the flattened cells: one matrix product per
+#     E-step with the data rows [R_v, R·X², R·X, R], one with the
+#     posteriors per M-step;
+#   - before it, the per-component EM.
+# They compute the same quantities in a different order (expanded squares,
+# centered data, sums over days, whole-batch reductions), so they agree to
+# rounding: the ensemble Gram and cross to ORACLE_TOL.
 
 ORACLE_TOL = 1e-10
+# Mixture parameters of one member.  Components drawn from the same sample (a
+# fit subset smaller than q2) stay interchangeable, and rounding splits their
+# mass differently: 6e-9 relative on the weights in TestLockstep, while their
+# cosine similarities, which are all the kernel reads, agree to ORACLE_TOL.
+MIXTURE_TOL = 1e-8
+
+
+def member_smoothed_mean_curve(X, R, width):
+    counts = R.sum(axis=0)
+    raw = np.divide((X * R).sum(axis=0), counts, out=np.zeros_like(counts), where=counts > 0)
+    T = X.shape[2]
+    offsets = np.arange(T)
+    w = np.exp(-((offsets[:, None] - offsets[None, :]) ** 2) / (2.0 * width * width))
+    return (raw @ w) / w.sum(axis=0)[None, :]
+
+
+def member_flat_data(X, R, center):
+    Xc = R * (X - center[None, :, None])
+    with np.errstate(over="ignore"):
+        rows = [R.sum(axis=2), Xc * Xc, Xc, R]
+    return np.concatenate([r.reshape(len(X), -1) for r in rows], axis=1)
+
+
+def member_log_likelihoods(means, variances, F):
+    G, V, T = means.shape
+    a = np.repeat(1.0 / (2.0 * variances), T, axis=1)
+    mu = means.reshape(G, V * T)
+    cst = -0.5 * (LOG_2PI + np.log(variances))
+    coef = np.concatenate([cst, -a, 2.0 * mu * a, -mu * mu * a], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return F @ coef.T
+
+
+def member_flat_posteriors(weights, means, variances, F):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(weights)[None, :] + member_log_likelihoods(means, variances, F)
+    bad = ~np.isfinite(logw.max(axis=1))
+    logw[bad] = 0.0
+    top = logw.max(axis=1)
+    evidence = top + np.log(np.exp(logw - top[:, None]).sum(axis=1))
+    return np.exp(logw - evidence[:, None]), evidence
+
+
+def member_posteriors(mix, X, R):
+    center = mix.means.mean(axis=(0, 2))
+    means = mix.means - center[None, :, None]
+    return member_flat_posteriors(mix.weights, means, mix.variances,
+                                  member_flat_data(X, R, center))
+
+
+def member_log_prior(means, variances, smooth, prior, b0):
+    pen = ((means - smooth[None]) ** 2).sum(axis=2)
+    return float(
+        -(prior.strength * pen / (2.0 * variances)).sum()
+        - (prior.a0 * np.log(variances)).sum()
+        - (b0[None, :] / variances).sum()
+    )
+
+
+def member_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20, nan_at_step=None):
+    """The per-member EM; ``nan_at_step`` makes the objective of that step NaN."""
+    N, V, T = X.shape
+    G = int(n_components)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+    n_obs = R.sum(axis=(0, 2))
+    center = np.divide((X * R).sum(axis=(0, 2)), n_obs, out=np.zeros(V), where=n_obs > 0)
+    F = member_flat_data(X, R, center)
+    D = V * T
+    sq = F[:, V:V + D].reshape(N, V, T)
+    RX = F[:, V + D:V + 2 * D].reshape(N, V, T)
+    attr_var = np.maximum(np.divide(sq.sum(axis=(0, 2)), n_obs, out=np.ones(V),
+                                    where=n_obs > 0), 1e-8)
+    smooth = member_smoothed_mean_curve(RX, R, prior.smoothing_width)
+    b0 = prior.b0_scale * attr_var
+    floor = VARIANCE_FLOOR_FACTOR * attr_var
+    lam = prior.strength
+
+    def seeded_mean(idx):
+        return (RX[idx] + lam * smooth) / (R[idx] + lam)
+
+    init_idx = rng.choice(N, size=G, replace=N < G)
+    weights = np.full(G, 1.0 / G)
+    means = np.stack([seeded_mean(i) for i in init_idx])
+    variances = np.tile(attr_var, (G, 1))
+
+    trace, reseed_points, reseeded = [], [], set()
+    prev_obj = None
+    steps = 0
+    while steps < max_iter + G:
+        steps += 1
+        post, evidence = member_flat_posteriors(weights, means, variances, F)
+        counts = post.sum(axis=0)
+        empty = np.flatnonzero(counts < EMPTY_COMPONENT_WEIGHT)
+        fresh = [g for g in empty if g not in reseeded]
+        if fresh:
+            for g in fresh:
+                means[g] = seeded_mean(int(rng.integers(N)))
+                reseeded.add(g)
+            reseed_points.append(len(trace))
+            prev_obj = None
+            continue
+
+        obj = float(evidence.sum()) + member_log_prior(means, variances, smooth, prior, b0)
+        if steps == nan_at_step:
+            obj = float("nan")
+        if not math.isfinite(obj):
+            raise FloatingPointError(f"EM objective is not finite: {obj}")
+        if prev_obj is not None and obj < prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj)):
+            raise FloatingPointError(f"EM objective decreased: {prev_obj} -> {obj}")
+        trace.append(obj)
+        if prev_obj is not None and obj - prev_obj < EM_TOL * (1.0 + abs(prev_obj)):
+            break
+        prev_obj = obj
+        if len(trace) >= max_iter:
+            break
+
+        weights = counts / N
+        Wv, S2, S, W = np.split(post.T @ F, [V, V + D, V + 2 * D], axis=1)
+        S2, S, W = (M.reshape(G, V, T) for M in (S2, S, W))
+        means = (S + lam * smooth[None]) / (W + lam)
+        ss = (S2 - 2.0 * means * S + means * means * W).sum(axis=2)
+        pen = lam * ((means - smooth[None]) ** 2).sum(axis=2)
+        variances = (ss + pen + 2.0 * b0[None, :]) / (Wv + 2.0 * prior.a0)
+        variances = np.maximum(variances, floor[None, :])
+
+    return FitResult(weights, means + center[None, :, None], variances, trace, reseed_points)
+
+
+def one_at_a_time(fit, posteriors, nan_at=None):
+    """A stand-in for tck._fit_lockstep that fits each job alone with ``fit`` and scores
+    all rows of its view with ``posteriors``; ``nan_at`` maps a job label to the step
+    whose objective is NaN."""
+
+    def fit_lockstep(X, R, jobs, max_iter):
+        results = []
+        for job in jobs:
+            Xv, Rv = X[:, job.attributes, job.days], R[:, job.attributes, job.days]
+            kw = {"nan_at_step": nan_at[job.label]} if nan_at and job.label in nan_at else {}
+            try:
+                result = fit(Xv[job.rows], Rv[job.rows], job.n_components, job.prior, job.rng,
+                             max_iter=max_iter, **kw)
+            except FloatingPointError as exc:
+                results.append(exc)
+                continue
+            result.posteriors = posteriors(result, Xv, Rv)[0]
+            results.append(result)
+        return results
+
+    return fit_lockstep
+
+
+def posteriors(mix, X, R):
+    """Posteriors (N, G) and log-evidence (N,) of one mixture through the production path."""
+    return _posteriors([mix], [X], [R], ["the mixture"])[0]
 
 
 def oracle_smoothed_mean_curve(X, R, width):
@@ -104,6 +264,7 @@ def oracle_posteriors(params, X, R):
 
 
 def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
+    """The per-component EM."""
     N, V, T = X.shape
     G = int(n_components)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -140,7 +301,8 @@ def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
             prev_obj = None
             continue
 
-        obj = float(evidence.sum()) + _log_prior(params.means, params.variances, smooth, prior, b0)
+        obj = float(evidence.sum()) + member_log_prior(params.means, params.variances, smooth,
+                                                       prior, b0)
         if prev_obj is not None:
             assert obj >= prev_obj - MONOTONICITY_TOL * (1.0 + abs(prev_obj))
         trace.append(obj)
@@ -234,7 +396,7 @@ def _assert_trace_monotone(result, tol=1e-10):
 
 def diaggmm_posterior(params, values, mask):
     """Posterior component probabilities of one (possibly incomplete) sample."""
-    return _posteriors(params, np.asarray(values, float)[None], np.asarray(mask, float)[None])[0][0]
+    return posteriors(params, np.asarray(values, float)[None], np.asarray(mask, float)[None])[0][0]
 
 
 class TestPosterior:
@@ -269,7 +431,7 @@ class TestPosterior:
         X[-1] = 1e300
         R = (rng.random(X.shape) < 0.7).astype(float)
         R[-1] = 1.0
-        post, evidence = _posteriors(params, X, R)
+        post, evidence = posteriors(params, X, R)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logw = np.log(params.weights)[None, :] + oracle_log_likelihoods(params, X, R)
@@ -303,7 +465,7 @@ class TestFit:
         truth = np.repeat([0, 1], n_per)
         prior = MemberPrior(strength=1.0, smoothing_width=2, a0=0.1, b0_scale=0.05)
         result = fit_diaggmm(X, R, 2, prior, seed=5)
-        hard = _posteriors(result, X, R)[0].argmax(axis=1)
+        hard = posteriors(result, X, R)[0].argmax(axis=1)
         acc = max((hard == truth).mean(), (hard != truth).mean())
         assert acc >= 0.95
 
@@ -375,16 +537,18 @@ class TestTrain:
         assert default_max_components(10_000) == 40
 
     def test_failed_member_skipped_and_divisor_adjusted(self, cohort, monkeypatch):
-        real_fit = tck_mod.fit_diaggmm
+        real_fit = tck_mod._fit_lockstep
         calls = {"n": 0}
 
-        def flaky(*args, **kwargs):
+        def flaky(X, R, jobs, max_iter):
+            results = real_fit(X, R, jobs, max_iter)
             calls["n"] += 1
             if calls["n"] <= 3:  # all three attempts of the first member fail
-                raise RuntimeError("synthetic member failure")
-            return real_fit(*args, **kwargs)
+                assert jobs[0].label.startswith("member (q1=1, q2=2, attempt=")
+                results[0] = RuntimeError("synthetic member failure")
+            return results
 
-        monkeypatch.setattr(tck_mod, "fit_diaggmm", flaky)
+        monkeypatch.setattr(tck_mod, "_fit_lockstep", flaky)
         km, model = tck_mod.tck_train(cohort, Q=2, C=3, seed=21)
         assert len(model.members) == 2 * (3 - 1) - 1
         assert np.array_equal(np.diag(km.gram), np.ones(len(km.gram)))
@@ -392,24 +556,25 @@ class TestTrain:
 
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_max_iter_below_one_rejected(self, cohort, monkeypatch, max_iter):
-        # Rejected before the member loop, which would retry a failed fit.
+        # Rejected before the member batches, which would retry a failed fit.
         calls = []
-        monkeypatch.setattr(tck_mod, "fit_diaggmm", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(tck_mod, "_fit_lockstep", lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
             tck_mod.tck_train(cohort, Q=2, C=3, seed=23, max_iter=max_iter)
         assert calls == []
 
     def test_failed_member_retried_with_fresh_seed(self, cohort, monkeypatch):
-        real_fit = tck_mod.fit_diaggmm
+        real_fit = tck_mod._fit_lockstep
         calls = {"n": 0}
 
-        def once_flaky(*args, **kwargs):
+        def once_flaky(X, R, jobs, max_iter):
+            results = real_fit(X, R, jobs, max_iter)
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("transient failure")
-            return real_fit(*args, **kwargs)
+                results[0] = RuntimeError("transient failure")
+            return results
 
-        monkeypatch.setattr(tck_mod, "fit_diaggmm", once_flaky)
+        monkeypatch.setattr(tck_mod, "_fit_lockstep", once_flaky)
         _, model = tck_mod.tck_train(cohort, Q=2, C=3, seed=22)
         assert len(model.members) == 2 * (3 - 1)
 
@@ -465,7 +630,7 @@ class TestTest:
         R = np.ones_like(X)
         prior = MemberPrior(1.0, 2, 0.1, 0.05)
         fit = fit_diaggmm(X[:, 1:, :], R[:, 1:, :], 2, prior, seed=11)
-        post, _ = _posteriors(fit, X[:, 1:, :], R[:, 1:, :])
+        post, _ = posteriors(fit, X[:, 1:, :], R[:, 1:, :])
         member = TCKMember(
             q1=1, q2=2, segment_start=0, segment_length=6,
             attributes=np.array([1, 2]), train_subset=np.arange(12), train_posteriors=post,
@@ -571,18 +736,21 @@ class TestOracle:
     def test_ensemble_matches_oracle(self, mar_split, monkeypatch):
         train, test = mar_split
         fits = []
+        real_fit = tck_mod._fit_lockstep
 
         def recording(*args, **kwargs):
-            fits.append(fit_diaggmm(*args, **kwargs))
-            return fits[-1]
+            fits.extend(real_fit(*args, **kwargs))
+            return fits[-len(args[2]):]
 
-        monkeypatch.setattr(tck_mod, "fit_diaggmm", recording)
+        monkeypatch.setattr(tck_mod, "_fit_lockstep", recording)
         km, model = tck_train(train, Q=2, C=8, seed=1)
         cross = tck_test(model, test).cross
         assert any(fit.reseed_points for fit in fits), "no member re-seeded a component"
 
-        monkeypatch.setattr(tck_mod, "fit_diaggmm", oracle_fit_diaggmm)
-        monkeypatch.setattr(tck_mod, "_posteriors", oracle_posteriors)
+        monkeypatch.setattr(tck_mod, "_fit_lockstep",
+                            one_at_a_time(oracle_fit_diaggmm, oracle_posteriors))
+        monkeypatch.setattr(tck_mod, "_posteriors", lambda mixes, Xs, Rs, labels: [
+            oracle_posteriors(*args) for args in zip(mixes, Xs, Rs)])
         km_oracle, model_oracle = tck_train(train, Q=2, C=8, seed=1)
         np.testing.assert_allclose(km.gram, km_oracle.gram, rtol=0, atol=ORACLE_TOL)
         np.testing.assert_allclose(cross, tck_test(model_oracle, test).cross,
@@ -599,13 +767,146 @@ class TestOracle:
         R = (rng.random(X.shape) < 0.7).astype(float)
         R[-1] = 1.0
         with caplog.at_level(logging.WARNING):
-            post, evidence = _posteriors(params, X, R)
+            post, evidence = posteriors(params, X, R)
         assert "1 sample(s) underflowed" in caplog.text
         want_post, want_evidence = oracle_posteriors(params, X, R)
         np.testing.assert_allclose(evidence, want_evidence, rtol=1e-13, atol=0)
         np.testing.assert_allclose(post, want_post, rtol=1e-11, atol=0)
         assert post[-1].tolist() == [0.25] * 4
         assert (post[:-1, 0] == 0.0).all()
+
+
+REAL_FIT_LOCKSTEP = tck_mod._fit_lockstep
+
+
+def fit_recorded(monkeypatch, train, fit_lockstep, **kwargs):
+    """tck_train with ``fit_lockstep`` as the batch fitter; returns the Gram, the model
+    and, per batch, its jobs (with their generators) and results."""
+    batches = []
+
+    def recording(X, R, jobs, max_iter):
+        results = fit_lockstep(X, R, jobs, max_iter)
+        batches.append((jobs, results))
+        return results
+
+    monkeypatch.setattr(tck_mod, "_fit_lockstep", recording)
+    km, model = tck_train(train, **kwargs)
+    return km, model, batches
+
+
+def assert_matches_member_oracle(monkeypatch, train, nan_at=None, **kwargs):
+    """The lockstep ensemble against members fitted one at a time by the per-member EM:
+    Gram and mixtures to ORACLE_TOL, views exactly, generators in the same final state."""
+    km, model, batches = fit_recorded(monkeypatch, train, REAL_FIT_LOCKSTEP, **kwargs)
+    km_o, model_o, batches_o = fit_recorded(
+        monkeypatch, train, one_at_a_time(member_fit_diaggmm, member_posteriors, nan_at),
+        **kwargs)
+    np.testing.assert_allclose(km.gram, km_o.gram, rtol=0, atol=ORACLE_TOL)
+    assert [(m.q1, m.q2) for m in model.members] == [(m.q1, m.q2) for m in model_o.members]
+    for m, o in zip(model.members, model_o.members):
+        for field in ("attributes", "segment_start", "segment_length", "train_subset"):
+            assert np.array_equal(getattr(m, field), getattr(o, field)), field
+        unit, unit_o = (P / np.linalg.norm(P, axis=1, keepdims=True)
+                        for P in (m.train_posteriors, o.train_posteriors))
+        np.testing.assert_allclose(unit @ unit.T, unit_o @ unit_o.T, rtol=0, atol=ORACLE_TOL)
+        for field in ("weights", "means", "variances", "train_posteriors"):
+            np.testing.assert_allclose(getattr(m, field), getattr(o, field),
+                                       rtol=MIXTURE_TOL, atol=MIXTURE_TOL, err_msg=field)
+
+    def states(recorded):
+        return {job.label: job.rng.bit_generator.state for jobs, _ in recorded for job in jobs}
+
+    assert states(batches) == states(batches_o)
+    for (jobs, results), (_, results_o) in zip(batches, batches_o, strict=True):
+        for result, result_o in zip(results, results_o, strict=True):
+            if isinstance(result, Exception):
+                assert str(result) == str(result_o)
+            else:
+                assert result.reseed_points == result_o.reseed_points
+                np.testing.assert_allclose(result.objective_trace, result_o.objective_trace,
+                                           rtol=ORACLE_TOL, atol=0)
+    return model, batches
+
+
+class TestLockstep:
+    def test_members_converge_and_reseed_at_their_own_steps(self, mar_split, monkeypatch):
+        _, batches = assert_matches_member_oracle(monkeypatch, mar_split[0], Q=2, C=8, seed=1)
+        lengths = [[len(r.objective_trace) for r in results] for _, results in batches]
+        assert any(min(ls) < 20 == max(ls) for ls in lengths), lengths
+        # A member re-seeds while another, which never does, keeps stepping past it.
+        assert any(
+            r.reseed_points and any(not o.reseed_points
+                                    and len(o.objective_trace) > r.reseed_points[-1]
+                                    for o in results)
+            for _, results in batches for r in results
+        )
+
+    def test_member_that_raises_mid_batch_is_refitted_alone(self, cohort, monkeypatch):
+        target, step = "member (q1=1, q2=3, attempt=0)", 4
+        real_prior = tck_mod._log_prior
+        calls = {"n": 0}
+
+        def poisoned(batch, *args):
+            out = real_prior(batch, *args)
+            calls["n"] += 1
+            if calls["n"] == step:  # the first batch's step 4, all members still live
+                out[1] = np.nan     # q2 = 3 is the batch's second job
+            return out
+
+        monkeypatch.setattr(tck_mod, "_log_prior", poisoned)
+        model, batches = assert_matches_member_oracle(monkeypatch, cohort, nan_at={target: step},
+                                                      Q=2, C=4, seed=6)
+        (jobs, results), (retry_jobs, _) = batches[:2]
+        assert [job.label for job in jobs].index(target) == 1
+        assert str(results[1]) == "EM objective is not finite: nan"
+        assert [job.label for job in retry_jobs] == ["member (q1=1, q2=3, attempt=1)"]
+        assert all(len(r.objective_trace) > step for i, r in enumerate(results) if i != 1)
+        assert len(model.members) == 2 * 3
+
+    def test_batch_of_one(self, cohort, monkeypatch):
+        _, batches = assert_matches_member_oracle(monkeypatch, cohort, Q=1, C=2, seed=7)
+        assert [len(jobs) for jobs, _ in batches] == [1]
+
+    def test_subset_smaller_than_component_count(self, monkeypatch):
+        train = generate_synthetic_cohort(3, 3, 2, 8, 1.5, seed=11)
+        model, _ = assert_matches_member_oracle(monkeypatch, train, Q=2, C=8, seed=12)
+        assert any(len(m.train_subset) < m.q2 for m in model.members)
+
+    def test_attribute_without_observed_cell(self, cohort, monkeypatch):
+        samples = [MTSample(s.id, s.values, np.where(np.arange(4)[:, None] == 0, 0.0, s.mask),
+                            s.label) for s in cohort.samples]
+        train = Cohort(samples, cohort.attribute_names, cohort.window_length)
+        model, _ = assert_matches_member_oracle(monkeypatch, train, Q=2, C=4, seed=13)
+        assert any(0 in m.attributes for m in model.members)
+
+
+class TestWarningsNameMember:
+    def test_underflow_and_failed_attempts(self, caplog):
+        # One observed value whose square overflows: every member viewing its
+        # attribute underflows every component, then fails and is retried.
+        full = generate_synthetic_cohort(5, 10, 3, 8, 1.5, seed=14)
+        samples = full.samples
+        values = samples[0].values.copy()
+        values[0, 0] = 1e200
+        samples[0] = MTSample(samples[0].id, values, np.ones_like(values), samples[0].label)
+        with caplog.at_level(logging.WARNING, logger="mtsk.tck"):
+            tck_train(Cohort(samples, full.attribute_names, 8), Q=2, C=3, seed=15)
+        messages = [r.getMessage() for r in caplog.records]
+        member = r"member \(q1=\d, q2=\d, attempt=\d\)"
+        assert any(re.fullmatch(rf"\d+ sample\(s\) underflowed every component in {member}; "
+                                r"using uniform posteriors", m) for m in messages)
+        assert any(re.fullmatch(rf"{member} failed", m) for m in messages)
+        assert all("member (q1=" in m for m in messages), messages
+
+    def test_component_that_stays_empty(self, cohort, monkeypatch, caplog):
+        monkeypatch.setattr(tck_mod, "EMPTY_COMPONENT_WEIGHT", 1e9)  # every component empty
+        with caplog.at_level(logging.WARNING, logger="mtsk.tck"):
+            tck_train(cohort, Q=1, C=3, seed=16, max_iter=2)
+        messages = [r.getMessage() for r in caplog.records]
+        assert "component(s) [0, 1] stayed empty after re-seeding in " \
+               "member (q1=1, q2=2, attempt=0)" in messages
+        assert "component(s) [0, 1, 2] stayed empty after re-seeding in " \
+               "member (q1=1, q2=3, attempt=0)" in messages
 
 
 @pytest.fixture(scope="module")
