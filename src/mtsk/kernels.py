@@ -237,15 +237,23 @@ def save_matrix(path, tag: str, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> tuple[str, np.ndarray]:
+    """Read a ``save_matrix`` file whose body must hold the N rows of M values its header names."""
     with open(path) as fh:
-        tag, n, m = fh.readline().strip().split(",")
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    arr = np.array(rows, dtype=float).reshape(int(n), int(m))
-    return tag, arr
+        header = fh.readline().strip().split(",")
+        if len(header) != 3:
+            raise ValueError(f"{path}, line 1: expected a tag,N,M header, got {header}")
+        tag, n, m = header[0], int(header[1]), int(header[2])
+        rows, at = [], 1
+        for at, line in enumerate(fh, 2):
+            if line.strip():
+                rows.append([float(v) for v in line.split(",")])
+                if len(rows[-1]) != m or len(rows) > n:
+                    raise ValueError(f"{path}, line {at}: row {len(rows)} has {len(rows[-1])} "
+                                     f"values; the header says {n} rows of {m}")
+    if len(rows) < n and m:  # an N x 0 body is N blank lines
+        raise ValueError(f"{path}, line {at + 1}: the file ends after {len(rows)} rows; "
+                         f"the header says {n} rows of {m}")
+    return tag, np.array(rows, dtype=float).reshape(n, m)
 
 
 # Model archives (TCK models, LPS forests), format version 2: a JSON header,
@@ -285,4 +293,7 @@ def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
                 columns.append([p.reshape(s) for p, s in zip(np.split(flat, ends), shapes)])
         stored = {"__meta__", *(f"{f}.{part}" for f in fields for part in ("values", "shape"))}
         arrays = {k: data[k] for k in data.files if k not in stored}
-    return meta, [dict(zip(fields, values)) for values in zip(*columns)], arrays
+    records = [dict(zip(fields, values)) for values in zip(*columns)]
+    if not records:
+        raise ValueError(f"{what} {path} is empty")
+    return meta, records, arrays

@@ -220,32 +220,25 @@ class _Batch:
                                                                    self.comp_member]
 
 
-def _score(F: list[np.ndarray], shapes: list, weights: np.ndarray, means: np.ndarray,
-           variances: np.ndarray, labels: list[str], like: _Batch | None = None) -> list:
-    """Posterior matrix (N_m, G_m) and per-sample log-evidence (N_m,) of each member's data
-    rows ``F[m]``, of component shape ``shapes[m]`` = (G_m, V_m, T_m), under flat centered
-    parameters, in one batch (laid out ``like`` another batch of the same shapes)."""
-    batch = _Batch(F, *zip(*shapes), like=like)
-    live = np.ones(batch.B, dtype=bool)
-    batch.log_likelihoods(weights, means, np.log(variances), 1.0 / variances, live)
-    evidence = batch.posteriors(live, labels)
-    return [(batch.views[m][3].T.copy(), evidence[batch.rows[m]:batch.rows[m + 1]])
-            for m in range(batch.B)]
-
-
 def _posteriors(mixes: list, Xs: list, Rs: list, labels: list[str]) -> list:
-    """``_score`` of each mixture (a FitResult or TCKMember) on its own data.
+    """Posterior matrix (N_m, G_m) and per-sample log-evidence (N_m,) of each mixture (a
+    FitResult or TCKMember) on its own data, in one batch.
 
     Each attribute is centered on the mean of the component means, which
     depends on the mixture alone, not on the samples being scored.
     """
     centers = [mix.means.mean(axis=(0, 2)) for mix in mixes]
-    return _score(
-        [_flat_data(X, R, c) for X, R, c in zip(Xs, Rs, centers)],
-        [mix.means.shape for mix in mixes], np.concatenate([mix.weights for mix in mixes]),
-        np.concatenate([(mix.means - c[None, :, None]).ravel() for mix, c in zip(mixes, centers)]),
-        np.concatenate([mix.variances.ravel() for mix in mixes]), labels,
-    )
+    batch = _Batch([_flat_data(X, R, c) for X, R, c in zip(Xs, Rs, centers)],
+                   *zip(*(mix.means.shape for mix in mixes)))
+    means = np.concatenate([(mix.means - c[None, :, None]).ravel()
+                            for mix, c in zip(mixes, centers)])
+    variances = np.concatenate([mix.variances.ravel() for mix in mixes])
+    live = np.ones(batch.B, dtype=bool)
+    batch.log_likelihoods(np.concatenate([mix.weights for mix in mixes]), means,
+                          np.log(variances), 1.0 / variances, live)
+    evidence = batch.posteriors(live, labels)
+    return [(batch.views[m][3].T.copy(), evidence[batch.rows[m]:batch.rows[m + 1]])
+            for m in range(batch.B)]
 
 
 def _log_prior(batch: _Batch, means, log_var, inv_var, smooth, lam, a0, b0) -> np.ndarray:
@@ -344,14 +337,8 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
     reseed_points: list[list[int]] = [[] for _ in range(B)]
     prev: list[float | None] = [None] * B
     failures: dict[int, FloatingPointError] = {}
-    final: dict[int, tuple] = {}  # the parameters a member stopped with
     reseeded = np.zeros(batch.comp[-1], dtype=bool)
     live = np.ones(B, dtype=bool)
-
-    def stop(m):
-        # A stopped member's slots go stale: every later step overwrites them unread.
-        live[m] = False
-        final[m] = tuple(p[at].copy() for p, at in zip((weights, means, variances), own[m]))
 
     # Each member stops within max_iter objective steps and at most G re-seed steps.
     while live.any():
@@ -364,7 +351,7 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
         objective = (np.add.reduceat(evidence, batch.rows[:-1]) + _log_prior(
             batch, means, log_var, inv_var, smooth, lam_gv, a0, b0)).tolist()
 
-        stepping, reseeding = [], []
+        stepping = np.zeros(B, dtype=bool)
         for m in np.flatnonzero(live).tolist():
             comps, trace = own[m][0], traces[m]
             fresh = np.flatnonzero(empty[comps] & ~reseeded[comps]) if m in with_empty else ()
@@ -376,7 +363,6 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
                 reseeded[comps][fresh] = True
                 reseed_points[m].append(len(trace))
                 prev[m] = None
-                reseeding.append(m)
             else:
                 if m in with_empty:
                     logger.warning("component(s) %s stayed empty after re-seeding in %s",
@@ -390,49 +376,44 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
                     live[m] = False
                     continue
                 trace.append(obj)
-                if last is not None and obj - last < EM_TOL * (1.0 + abs(last)):
-                    stop(m)
-                    continue
+                converged = last is not None and obj - last < EM_TOL * (1.0 + abs(last))
                 prev[m] = obj
-                if len(trace) >= max_iter:
-                    stop(m)
-                    continue
-                stepping.append(m)
+                live[m] = stepping[m] = not converged and len(trace) < max_iter
 
-        if stepping:
+        if stepping.any():
             # M-step: exact coordinate maximization of the penalized bound, computed for
-            # every slot; members that re-seeded this step keep their parameters.
-            for m in stepping:
+            # every slot; every member that does not step keeps its parameters.
+            for m in np.flatnonzero(stepping).tolist():
                 _, sums, _, post = batch.views[m]
                 np.matmul(post, batch.F[m], out=sums)
             sums = batch.sums[batch.sum_at]
             Wv, S2, S, Wt = (sums[i:j] for i, j in split)  # R_v, Σ_t R·X²; R·X, R by day
-            with np.errstate(all="ignore"):  # stale slots may hold anything
+            with np.errstate(all="ignore"):  # a member that does not step may hold anything here
                 num = S + lam_smooth
                 new_means = num / (Wt + lam_gvt)
                 spread = S2 + spread_const - np.add.reduceat(new_means * num, batch.gv_starts)
                 new_vars = np.maximum(spread / (Wv + 2.0 * a0), floor)
                 new_weights = counts / n_rows
-            for m in reseeding:
-                for new, old, at in zip((new_weights, new_means, new_vars),
-                                        (weights, means, variances), own[m]):
-                    new[at] = old[at]
+            keep = ~stepping
+            for new, old, member in zip((new_weights, new_means, new_vars),
+                                        (weights, means, variances),
+                                        (batch.comp_member, gvt_member, gv_member)):
+                np.copyto(new, old, where=keep[member])
             weights, means, variances = new_weights, new_means, new_vars
 
     # Score all N rows of each fitted member's view, on the data its EM ran on.
-    ok = [m for m in range(B) if m in final]
-    scored = iter(_score([F[m] for m in ok], [(G[m], V[m], T[m]) for m in ok],
-                         *(np.concatenate(p) for p in zip(*(final[m] for m in ok))),
-                         [labels[m] for m in ok], like=batch if len(ok) == B else None)
-                  if ok else [])
+    fitted = np.array([m not in failures for m in range(B)])
+    scoring = _Batch(list(F), G, V, T, like=batch)
+    scoring.log_likelihoods(weights, means, np.log(variances), 1.0 / variances, fitted)
+    scoring.posteriors(fitted, labels)
     results = []
     for m in range(B):
         if m in failures:
             results.append(failures[m])
             continue
-        w, mu, var = final[m]
+        w, mu, var = (p[at] for p, at in zip((weights, means, variances), own[m]))
         post = np.empty((N, G[m]))
-        post[orders[m]] = next(scored)[0]
+        post[orders[m]] = scoring.views[m][3].T
         results.append(FitResult(w, mu.reshape(G[m], V[m], T[m]) + centers[m][None, :, None],
                                  var.reshape(G[m], V[m]), traces[m], reseed_points[m], post))
     return results

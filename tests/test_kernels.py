@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -566,3 +567,17 @@ class TestSerialization:
         expected = "lps,4,6\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in arr)
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("text, line", [
+        ("gram,2,2\n1,2,3,4\n", 2),         # one row of four under a 2 x 2 header
+        ("gram,3,1\n1,2,3\n", 2),           # a row under a column's header
+        ("gram,2\n1,2\n3,4\n", 1),          # a header without M
+        ("gram,2,2\n1,2\n3,4\n5,6\n", 4),   # a row too many
+        ("gram,3,2\n1,2\n3,4\n", 4),        # a row too few
+        ("gram,2,2\n1,2\n3\n", 3),          # a short row
+    ])
+    def test_matrix_body_checked_against_header(self, tmp_path, text, line):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
+            load_matrix(path)

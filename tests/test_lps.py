@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
     generate_synthetic_cohort, train_test_split,
 )
+from mtsk.kernels import _save_npz
 from mtsk.lps import (
     MIN_SPLIT_ROWS,
     N_THRESHOLD_CANDIDATES,
@@ -781,4 +783,10 @@ class TestSerialization:
         meta = {"version": 1, "window_length": 3, "trees": []}
         np.savez_compressed(path, __meta__=json.dumps(meta))
         with pytest.raises(ValueError, match="unsupported LPS forest version 1"):
+            load_lps_forest(path)
+
+    def test_archive_without_trees_rejected(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        _save_npz(path, {"n_attributes": 3, "window_length": 12}, [], {})
+        with pytest.raises(ValueError, match=f"^LPS forest {re.escape(str(path))} is empty$"):
             load_lps_forest(path)

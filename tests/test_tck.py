@@ -19,6 +19,7 @@ from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
     generate_synthetic_cohort, train_test_split,
 )
+from mtsk.kernels import _save_npz
 from mtsk.tck import (
     EM_TOL,
     EMPTY_COMPONENT_WEIGHT,
@@ -679,6 +680,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unsupported TCK model version 1"):
             load_tck_model(path)
 
+    def test_archive_without_members_rejected(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        _save_npz(path, {"Q": 1, "C": 2, "n_train": 2, "n_attributes": 1, "window_length": 3},
+                  [], {"train_gram": np.eye(2)})
+        with pytest.raises(ValueError, match=f"^TCK model {re.escape(str(path))} is empty$"):
+            load_tck_model(path)
+
     def test_archive_from_commit_a1612ab_loads_and_scores_the_same(self):
         """The fixture pair was written at commit a1612ab, whose members nested their
         prior and mixture in separate records, by:
@@ -862,6 +870,42 @@ class TestLockstep:
         assert [job.label for job in retry_jobs] == ["member (q1=1, q2=3, attempt=1)"]
         assert all(len(r.objective_trace) > step for i, r in enumerate(results) if i != 1)
         assert len(model.members) == 2 * 3
+
+    def test_members_fit_as_if_alone(self, mar_split, monkeypatch):
+        # A member that does not step keeps its own slots and no other's: each job of
+        # every batch, refitted alone from a fresh generator, gives the same bits.  One
+        # wild value fails the members that fit on it.
+        seed, samples = 2, mar_split[0].samples
+        values, mask = samples[0].values.copy(), samples[0].mask.copy()
+        values[0, 5], mask[0, 5] = 1e200, 1.0
+        samples[0] = MTSample(samples[0].id, values, mask, samples[0].label)
+        train = Cohort(samples, mar_split[0].attribute_names, mar_split[0].window_length)
+        _, _, batches = fit_recorded(monkeypatch, train, REAL_FIT_LOCKSTEP, Q=3, C=8, seed=seed)
+        R = train.mask
+        X = np.where(R > 0, train.values, 0.0)
+        N, V, T = X.shape
+        for jobs, results in batches:
+            for job, result in zip(jobs, results):
+                rng = np.random.default_rng([seed, *map(int, re.findall(r"=(\d+)", job.label))])
+                *_, rows = tck_mod._draw_member(rng, N, V, T, math.ceil(0.8 * N), 2, 6)
+                assert np.array_equal(rows, job.rows)
+                alone, = REAL_FIT_LOCKSTEP(X, R, [job._replace(rng=rng)], 20)
+                if isinstance(result, Exception):
+                    assert str(alone) == str(result), job.label
+                    continue
+                for field in ("weights", "means", "variances", "posteriors", "objective_trace",
+                              "reseed_points"):
+                    assert np.array_equal(getattr(alone, field), getattr(result, field)), \
+                        (job.label, field)
+
+        def stops(r):
+            if isinstance(r, Exception):
+                return {"failed"}
+            return ({"max_iter" if len(r.objective_trace) == 20 else "converged"}
+                    | ({"re-seeded"} if r.reseed_points else set()))
+
+        assert any(set().union(*map(stops, results)) == {"failed", "max_iter", "converged",
+                                                         "re-seeded"} for _, results in batches)
 
     def test_batch_of_one(self, cohort, monkeypatch):
         _, batches = assert_matches_member_oracle(monkeypatch, cohort, Q=1, C=2, seed=7)
