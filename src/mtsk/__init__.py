@@ -53,11 +53,8 @@ from .lps import (
     save_lps_forest,
 )
 from .tck import (
-    FitResult,
-    MemberPrior,
     TCKMember,
     TCKModel,
-    fit_diaggmm,
     load_tck_model,
     save_tck_model,
     tck_test,

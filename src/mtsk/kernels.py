@@ -240,13 +240,17 @@ def load_matrix(path) -> tuple[str, np.ndarray]:
     """Read a ``save_matrix`` file whose body must hold the N rows of M values its header names."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ValueError(f"{path}, line 1: expected a tag,N,M header, got {header}")
+        if len(header) != 3 or not (header[1].isdecimal() and header[2].isdecimal()):
+            raise ValueError(f"{path}, line 1: expected a tag,N,M header with counts N, M >= 0, "
+                             f"got {header}")
         tag, n, m = header[0], int(header[1]), int(header[2])
         rows, at = [], 1
         for at, line in enumerate(fh, 2):
             if line.strip():
-                rows.append([float(v) for v in line.split(",")])
+                try:
+                    rows.append([float(v) for v in line.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {at}: {exc}") from None
                 if len(rows[-1]) != m or len(rows) > n:
                     raise ValueError(f"{path}, line {at}: row {len(rows)} has {len(rows[-1])} "
                                      f"values; the header says {n} rows of {m}")

@@ -41,6 +41,10 @@ def _segment_rows(cohort: Cohort):
     return series, lambda l, p: (np.arange(0, N * T, T)[:, None] + np.arange(T - l - p + 1)).ravel()
 
 
+def _leaf_slots(feature: np.ndarray) -> np.ndarray:  # _grow's: leaves in node order
+    return np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
+
+
 @dataclass
 class LPSTree:
     """One random-lag regression tree, stored as flat node arrays."""
@@ -56,6 +60,19 @@ class LPSTree:
     missing_left: np.ndarray  # bool: absent split value goes left
     leaf_slot: np.ndarray     # leaf position within this tree's block, -1 inside
 
+    def __post_init__(self):  # an archive comes from outside: routing must reach a leaf
+        n = np.size(self.feature)
+        if not n or {np.shape(a) for a in (self.feature, self.threshold, self.left, self.right,
+                                          self.missing_left, self.leaf_slot)} != {(n,)}:
+            raise ValueError("a tree's six node arrays must share one nonzero length")
+        split = np.flatnonzero(self.feature >= 0)
+        if not all(((c > split) & (c < n)).all() for c in (self.left[split], self.right[split])):
+            raise ValueError("a split's children must have larger node ids inside the tree")
+        if not (self.feature[split] < self.segment_length).all():
+            raise ValueError(f"split features must lie in [0, {self.segment_length})")
+        if not np.array_equal(self.leaf_slot, _leaf_slots(self.feature)):
+            raise ValueError("leaf slots must number the leaves in node order")
+
     @property
     def n_leaves(self) -> int:
         return int((self.leaf_slot >= 0).sum())
@@ -66,6 +83,14 @@ class LPSForest:
     trees: list[LPSTree]
     n_attributes: int
     window_length: int
+
+    def __post_init__(self):
+        for t in self.trees:
+            l, p, T = t.segment_length, t.lag, self.window_length
+            if not (l >= 1 and p >= 1 and l + p <= T):
+                raise ValueError(f"segment length {l} and lag {p} must be >= 1 and sum to <= {T}")
+            if not {t.predictor_attr, t.target_attr} <= set(range(self.n_attributes)):
+                raise ValueError(f"tree attributes must lie in [0, {self.n_attributes})")
 
     @property
     def representation_length(self) -> int:
@@ -183,9 +208,8 @@ def lps_train(
         feature, threshold, left, right, missing_left = (
             np.array(column, dtype=dtype)
             for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
-        leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
         trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
-                             missing_left, leaf_slot))
+                             missing_left, _leaf_slots(feature)))
     return LPSForest(trees, V, T)
 
 

@@ -33,7 +33,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,34 +49,6 @@ EM_TOL = 1e-6  # relative objective gain below which EM stops
 SCORE_BATCH_CELLS = 1 << 18  # data-row cells (doubles) that tck_test scores in one batch
 
 
-@dataclass(frozen=True)
-class MemberPrior:
-    """Per-member prior hyperparameters.
-
-    strength pulls component means toward the smoothed population curve,
-    smoothing_width (days) sets the Gaussian window of that curve, and
-    (a0, b0_scale) shape the variance prior, with b0 given per attribute
-    as b0_scale times the attribute variance.
-    """
-
-    strength: float
-    smoothing_width: int
-    a0: float
-    b0_scale: float
-
-
-@dataclass
-class FitResult:
-    """Mixture weights, time-dependent means and time-constant variances, plus the EM trace."""
-
-    weights: np.ndarray             # (G,)
-    means: np.ndarray               # (G, V, T)
-    variances: np.ndarray           # (G, V)
-    objective_trace: list[float]
-    reseed_points: list[int]        # trace indices where a component was re-seeded
-    posteriors: np.ndarray | None = None  # (N, G) of every row of the fitted view
-
-
 @functools.lru_cache(maxsize=None)
 def _smoothing_window(T: int, width: int) -> np.ndarray:
     """Gaussian weights (T, T) over day offsets, each column normalized to sum 1."""
@@ -86,13 +57,6 @@ def _smoothing_window(T: int, width: int) -> np.ndarray:
     w /= w.sum(axis=0)[None, :]
     w.flags.writeable = False  # shared by every caller of the cache
     return w
-
-
-def smoothed_mean_curve(sums: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
-    """Observed-mean curve (V, T) from per-cell sums and counts of centered data (0 on
-    empty days), Gaussian-smoothed along time."""
-    raw = np.divide(sums, counts, out=np.zeros_like(counts), where=counts > 0)
-    return raw @ _smoothing_window(sums.shape[1], width)
 
 
 def _flat_data(X: np.ndarray, R: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -221,8 +185,8 @@ class _Batch:
 
 
 def _posteriors(mixes: list, Xs: list, Rs: list, labels: list[str]) -> list:
-    """Posterior matrix (N_m, G_m) and per-sample log-evidence (N_m,) of each mixture (a
-    FitResult or TCKMember) on its own data, in one batch.
+    """Posterior matrix (N_m, G_m) and per-sample log-evidence (N_m,) of each mixture (any
+    record of weights, means and variances) on its own data, in one batch.
 
     Each attribute is centered on the mean of the component means, which
     depends on the mixture alone, not on the samples being scored.
@@ -258,42 +222,34 @@ def _seeded_means(RX: np.ndarray, R: np.ndarray, smooth: np.ndarray, lam: float,
     return ((RX[idx] + lam * smooth) / (R[idx] + lam)).ravel()
 
 
-class _Job(NamedTuple):
-    """One member's fit: its view of the shared (N, V, T) data (attributes, a day
-    segment, and the rows to fit on), its component count, prior and generator."""
-
-    attributes: np.ndarray
-    days: slice
-    rows: np.ndarray
-    n_components: int
-    prior: MemberPrior
-    rng: np.random.Generator
-    label: str                  # names the member in warnings
-
-
-def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int) -> list:
+def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
+                  labels: list[str], max_iter: int) -> list:
     """MAP-EM for a batch of masked diagonal GMMs on views of (X, R), stepped in lockstep.
 
-    The result holds one FitResult per job, with the posteriors of all N rows
-    under its view, or the FloatingPointError that stopped it.  Each member
-    alternates posterior computation with closed-form coordinate updates of
-    weights, means (shrunk toward the smoothed population curve) and
-    variances, so its penalized objective never decreases; a decrease or a
-    non-finite objective stops it with FloatingPointError.  Components that
-    lose all responsibility are re-seeded once from a random fitted row; a
-    recurrence is accepted with a warning.  EM runs on data centered on each
-    attribute's observed mean over the fitted rows, and the returned means
+    Each draw holds a member's TCKMember fields before its mixture (``_draw_member``):
+    q2 components are fitted on the rows ``train_subset`` of its view.  The result
+    holds per draw its TCKMember, with the posteriors of all N rows under its view,
+    its objective trace and re-seed points (trace indices), or the
+    FloatingPointError that stopped it.  Each member alternates posterior
+    computation with closed-form coordinate updates of weights, means (shrunk
+    toward the smoothed population curve) and variances, so its penalized
+    objective never decreases; a decrease or a non-finite objective stops it.
+    Components that lose all responsibility are re-seeded once from a random
+    fitted row; a recurrence is accepted with a warning.  EM runs on data centered
+    on each attribute's observed mean over the fitted rows, and the returned means
     are moved back.  A member draws from its own generator only: the initial
     means, then its re-seeds in step order.
     """
-    B, N = len(jobs), len(X)
+    B, N = len(draws), len(X)
     setup = []
-    for attrs, days, subset, n_comp, prior, rng, _ in jobs:
+    for draw, rng in zip(draws, rngs):
         # The fitted rows come first, so the EM reads a prefix of the member's data rows.
+        subset, start, n_comp = draw["train_subset"], draw["segment_start"], draw["q2"]
         rest = np.ones(N, dtype=bool)
         rest[subset] = False
         order = np.concatenate([subset, np.flatnonzero(rest)])
-        Xm, Rm = X[order[:, None], attrs, days], R[order[:, None], attrs, days]
+        Xm, Rm = (A[order[:, None], draw["attributes"], start:start + draw["segment_length"]]
+                  for A in (X, R))
         (n, v, t), VT = (len(subset), *Xm.shape[1:]), Xm.shape[1] * Xm.shape[2]
         # Center each attribute on its observed mean; the rows then hold its variance too.
         n_obs = np.einsum("nvt->v", Rm[:n])
@@ -303,19 +259,20 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
         total = F[:n].sum(axis=0)
         attr_var = np.maximum(np.divide(total[1 + v:1 + 2 * v], n_obs, out=np.ones(v),
                                         where=n_obs > 0), 1e-8)
-        smooth = smoothed_mean_curve(total[1 + 2 * v:1 + 2 * v + VT].reshape(v, t),
-                                     total[1 + 2 * v + VT:].reshape(v, t),
-                                     prior.smoothing_width).ravel()
+        # The smoothed curve: each cell's observed mean (0 on empty days), smoothed over days.
+        sums, counts = total[1 + 2 * v:1 + 2 * v + VT], total[1 + 2 * v + VT:]
+        raw = np.divide(sums, counts, out=np.zeros_like(counts), where=counts > 0).reshape(v, t)
+        smooth = (raw @ _smoothing_window(t, draw["smoothing_width"])).ravel()
         seeded_mean = functools.partial(_seeded_means, F[:n, 1 + 2 * v:1 + 2 * v + VT],
-                                        F[:n, 1 + 2 * v + VT:], smooth, prior.strength)
+                                        F[:n, 1 + 2 * v + VT:], smooth, draw["strength"])
         init = seeded_mean(rng.choice(n, size=n_comp, replace=n < n_comp))
-        setup.append((F, order, n_comp, v, t, center, smooth, attr_var, seeded_mean, init))
-    F, orders, G, V, T, centers, smooth, attr_var, seeds, init = zip(*setup)
-    batch = _Batch([f[:len(job.rows)] for f, job in zip(F, jobs)], G, V, T)
+        setup.append((F, order, n, n_comp, v, t, center, smooth, attr_var, seeded_mean, init))
+    F, orders, n, G, V, T, centers, smooth, attr_var, seeds, init = zip(*setup)
+    batch = _Batch([f[:n_m] for f, n_m in zip(F, n)], G, V, T)
     own = [(slice(*batch.comp[m:m + 2]), slice(*batch.gvt[m:m + 2]), slice(*batch.gv[m:m + 2]))
            for m in range(B)]
     gv_member, gvt_member = batch.gv_member, batch.gvt_member
-    lam, a0, b0_scale = (np.array([getattr(job.prior, k) for job in jobs])
+    lam, a0, b0_scale = (np.array([draw[k] for draw in draws])
                          for k in ("strength", "a0", "b0_scale"))
     lam_gv, lam_gvt, a0 = lam[gv_member], lam[gvt_member], a0[gv_member]
     attr_var = np.concatenate(attr_var)[batch.gv_attr]
@@ -326,8 +283,7 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
     # S2 + λ·Σ_t s² − Σ_t μ·(S + λ·s); the constant part is fixed per pair.
     with np.errstate(over="ignore"):  # a wild value squares to inf; its member fails
         spread_const = lam_gv * np.add.reduceat(smooth * smooth, batch.gv_starts) + 2.0 * b0
-    n_rows = np.array([len(job.rows) for job in jobs])[batch.comp_member]
-    labels = [job.label for job in jobs]
+    n_rows = np.array(n)[batch.comp_member]
     nGV, nGVT = int(batch.gv[-1]), int(batch.gvt[-1])
     split = [(0, nGV), (nGV, 2 * nGV), (2 * nGV, 2 * nGV + nGVT), (2 * nGV + nGVT, None)]
 
@@ -359,7 +315,7 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
                 cells = V[m] * T[m]
                 for g in fresh.tolist():
                     at = batch.gvt[m] + g * cells
-                    means[at:at + cells] = seeds[m](int(jobs[m].rng.integers(len(jobs[m].rows))))
+                    means[at:at + cells] = seeds[m](int(rngs[m].integers(n[m])))
                 reseeded[comps][fresh] = True
                 reseed_points[m].append(len(trace))
                 prev[m] = None
@@ -414,32 +370,11 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, jobs: list[_Job], max_iter: int)
         w, mu, var = (p[at] for p, at in zip((weights, means, variances), own[m]))
         post = np.empty((N, G[m]))
         post[orders[m]] = scoring.views[m][3].T
-        results.append(FitResult(w, mu.reshape(G[m], V[m], T[m]) + centers[m][None, :, None],
-                                 var.reshape(G[m], V[m]), traces[m], reseed_points[m], post))
+        member = TCKMember(**draws[m], train_posteriors=post, weights=w,
+                           means=mu.reshape(G[m], V[m], T[m]) + centers[m][None, :, None],
+                           variances=var.reshape(G[m], V[m]))
+        results.append((member, traces[m], reseed_points[m]))
     return results
-
-
-def fit_diaggmm(
-    X: np.ndarray,
-    R: np.ndarray,
-    n_components: int,
-    prior: MemberPrior,
-    seed,
-    max_iter: int = 20,
-) -> FitResult:
-    """MAP-EM for one masked diagonal GMM: a batch of one for ``_fit_lockstep``,
-    whose FloatingPointError it raises."""
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit on an empty subset")
-    if n_components < 1:
-        raise ValueError("need at least one component")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    N, V, _ = X.shape
-    result, = _fit_lockstep(X, R, [_Job(np.arange(V), slice(None), np.arange(N), n_components,
-                                        prior, rng, "fit_diaggmm")], max_iter)
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +393,10 @@ class TCKMember:
     attributes: np.ndarray      # sorted attribute indices
     train_subset: np.ndarray    # sorted sample indices used for fitting
     train_posteriors: np.ndarray  # (N_train, q2)
-    strength: float
-    smoothing_width: int
-    a0: float
-    b0_scale: float
+    strength: float             # pull of the component means toward the smoothed curve
+    smoothing_width: int        # days: the Gaussian window of that curve
+    a0: float                   # variance prior shape
+    b0_scale: float             # variance prior scale, over the attribute's variance
     weights: np.ndarray         # (q2,)
     means: np.ndarray           # (q2, V_m, T_m) over the member's view
     variances: np.ndarray       # (q2, V_m)
@@ -493,20 +428,20 @@ def _unit_rows(P: np.ndarray) -> np.ndarray:
     return P / np.sqrt((P * P).sum(axis=1, keepdims=True))  # np.linalg.norm, without its checks
 
 
-def _draw_member(rng, N, V, T, n_min, v_min, t_min):
-    prior = MemberPrior(
-        strength=float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))),
-        smoothing_width=int(rng.integers(1, 4)),
-        a0=float(rng.uniform(0.01, 1.0)),
-        b0_scale=float(rng.uniform(0.01, 0.1)),
-    )
-    seg_len = int(rng.integers(t_min, T + 1))
+def _draw_member(rng, q1, q2, N, V, T) -> dict:
+    """Member (q1, q2)'s TCKMember fields before its mixture, drawn in this order: the prior
+    (strength, smoothing width, a0, b0_scale), time segment, attributes and sample subset."""
+    prior = dict(strength=float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))),
+                 smoothing_width=int(rng.integers(1, 4)),
+                 a0=float(rng.uniform(0.01, 1.0)),
+                 b0_scale=float(rng.uniform(0.01, 0.1)))
+    seg_len = int(rng.integers(min(6, T), T + 1))
     seg_start = int(rng.integers(0, T - seg_len + 1))
-    n_attrs = int(rng.integers(v_min, V + 1))
-    attrs = np.sort(rng.choice(V, size=n_attrs, replace=False))
-    n_sub = int(rng.integers(n_min, N + 1))
-    subset = np.sort(rng.choice(N, size=n_sub, replace=False))
-    return prior, seg_start, seg_len, attrs, subset
+    attrs = np.sort(rng.choice(V, size=int(rng.integers(min(2, V), V + 1)), replace=False))
+    subset = np.sort(rng.choice(N, size=int(rng.integers(math.ceil(0.8 * N), N + 1)),
+                                replace=False))
+    return dict(q1=q1, q2=q2, segment_start=seg_start, segment_length=seg_len,
+                attributes=attrs, train_subset=subset, **prior)
 
 
 def tck_train(
@@ -544,44 +479,32 @@ def tck_train(
     R = train.mask
     X = np.where(R > 0, train.values, 0.0)
     V, T = X.shape[1], X.shape[2]
-    n_min = math.ceil(0.8 * N)
-    v_min = min(2, V)
-    t_min = min(6, T)
 
     members: list[TCKMember] = []
     K = np.zeros((N, N))
     for q1 in range(1, Q + 1):
-        fits, pending = {}, list(range(2, C + 1))
+        fitted, pending = {}, list(range(2, C + 1))
         for attempt in range(3):  # members whose fit fails are refitted with fresh draws
-            jobs = []
-            for q2 in pending:
-                rng = np.random.default_rng([seed, q1, q2, attempt])
-                prior, seg_start, seg_len, attrs, subset = _draw_member(
-                    rng, N, V, T, n_min, v_min, t_min
-                )
-                jobs.append(_Job(attrs, slice(seg_start, seg_start + seg_len), subset, q2, prior,
-                                 rng, f"member (q1={q1}, q2={q2}, attempt={attempt})"))
+            rngs = [np.random.default_rng([seed, q1, q2, attempt]) for q2 in pending]
+            draws = [_draw_member(rng, q1, q2, N, V, T) for rng, q2 in zip(rngs, pending)]
+            labels = [f"member (q1={q1}, q2={q2}, attempt={attempt})" for q2 in pending]
             pending = []
-            for job, fit in zip(jobs, _fit_lockstep(X, R, jobs, max_iter)):
+            for draw, fit in zip(draws, _fit_lockstep(X, R, draws, rngs, labels, max_iter)):
                 if isinstance(fit, Exception):
-                    logger.warning("member (q1=%d, q2=%d, attempt=%d) failed", q1,
-                                   job.n_components, attempt, exc_info=fit)
-                    pending.append(job.n_components)
+                    logger.warning("member (q1=%d, q2=%d, attempt=%d) failed", q1, draw["q2"],
+                                   attempt, exc_info=fit)
+                    pending.append(draw["q2"])
                 else:
-                    fits[job.n_components] = job, fit
+                    fitted[draw["q2"]] = fit[0]
             if not pending:
                 break
         for q2 in range(2, C + 1):
-            if q2 not in fits:
+            if q2 not in fitted:
                 logger.warning("skipping member (q1=%d, q2=%d) after 3 attempts", q1, q2)
                 continue
-            job, fit = fits[q2]
-            unit = _unit_rows(fit.posteriors)
+            unit = _unit_rows(fitted[q2].train_posteriors)
             K += unit @ unit.T
-            members.append(TCKMember(q1, q2, job.days.start, job.days.stop - job.days.start,
-                                     job.attributes, job.rows, fit.posteriors, **vars(job.prior),
-                                     weights=fit.weights, means=fit.means,
-                                     variances=fit.variances))
+            members.append(fitted[q2])
     if not members:
         raise ValueError("every ensemble member failed to train")
     K /= len(members)

@@ -20,11 +20,11 @@ from mtsk.evaluate import ExperimentConfig, MethodSpec, clustering_f1, f1, run_e
 from mtsk.impute import ImputationMethod, fit_imputer, impute
 from mtsk.kernels import GAKParams, _gak_logs, gram_matrix
 from mtsk.lps import lps_gram, lps_train
-from mtsk.tck import MemberPrior, fit_diaggmm, tck_train
+from mtsk.tck import tck_train
 from mtsk.cluster import kpca_fit
 
 from test_kernels import enumerate_gak
-from test_tck import _assert_trace_monotone, single_component_map_oracle
+from test_tck import Prior, _assert_trace_monotone, fit_member, single_component_map_oracle
 
 N_SEEDS = 5
 HEADLINE_WINDOWS = (7, 10, 14, 20)
@@ -157,21 +157,21 @@ class TestCriterion3EMCorrectness:
             t = int(rng.integers(6, 14))
             X = rng.normal(size=(n, v, t)) + rng.normal(size=(1, v, 1))
             R = (rng.random(X.shape) >= rng.uniform(0.1, 0.5)).astype(float)
-            prior = MemberPrior(
+            prior = Prior(
                 strength=float(np.exp(rng.uniform(math.log(0.1), math.log(10)))),
                 smoothing_width=int(rng.integers(1, 4)),
                 a0=float(rng.uniform(0.01, 1.0)),
                 b0_scale=float(rng.uniform(0.01, 0.1)),
             )
-            result = fit_diaggmm(X, R, int(rng.integers(2, 7)), prior, seed=trial)
+            result = fit_member(X, R, int(rng.integers(2, 7)), prior, seed=trial)
             _assert_trace_monotone(result, tol=1e-10)
             checked += len(result.objective_trace) - 1
 
         rng_o = np.random.default_rng(301)
         X = rng_o.normal(size=(15, 3, 8))
         R = (rng_o.random(X.shape) >= 0.3).astype(float)
-        prior = MemberPrior(1.7, 2, 0.3, 0.05)
-        fit = fit_diaggmm(X, R, 1, prior, seed=5)
+        prior = Prior(1.7, 2, 0.3, 0.05)
+        fit = fit_member(X, R, 1, prior, seed=5)
         mu, sigma2 = single_component_map_oracle(X, R, prior)
         mu_err = float(np.abs(fit.means[0] - mu).max())
         var_err = float(np.abs(fit.variances[0] - sigma2).max())

@@ -575,6 +575,9 @@ class TestSerialization:
         ("gram,2,2\n1,2\n3,4\n5,6\n", 4),   # a row too many
         ("gram,3,2\n1,2\n3,4\n", 4),        # a row too few
         ("gram,2,2\n1,2\n3\n", 3),          # a short row
+        ("gram,2,x\n1,2\n3,4\n", 1),        # an M that is not an integer
+        ("gram,2,2\n1,2\n3,abc\n", 3),      # a value that is not a number
+        ("gram,-1,3\n", 1),                # a negative N over an empty body
     ])
     def test_matrix_body_checked_against_header(self, tmp_path, text, line):
         path = tmp_path / "m.csv"

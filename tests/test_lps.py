@@ -11,7 +11,7 @@ from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
     generate_synthetic_cohort, train_test_split,
 )
-from mtsk.kernels import _save_npz
+from mtsk.kernels import _load_npz, _save_npz
 from mtsk.lps import (
     MIN_SPLIT_ROWS,
     N_THRESHOLD_CANDIDATES,
@@ -33,6 +33,13 @@ def _sample(values, sid="x", mask=None):
     values = np.asarray(values, dtype=float)
     mask = np.ones_like(values) if mask is None else np.asarray(mask, dtype=float)
     return MTSample(sid, values, mask)
+
+
+def _with_root(nodes, value):
+    """A copy of a node array with the root's entry set to ``value``."""
+    nodes = nodes.copy()
+    nodes[0] = value
+    return nodes
 
 
 def _cohort(*samples):
@@ -783,6 +790,39 @@ class TestSerialization:
         meta = {"version": 1, "window_length": 3, "trees": []}
         np.savez_compressed(path, __meta__=json.dumps(meta))
         with pytest.raises(ValueError, match="unsupported LPS forest version 1"):
+            load_lps_forest(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"threshold": lambda t: t["threshold"][1:]},
+         "a tree's six node arrays must share one nonzero length"),
+        ({"left": lambda t: _with_root(t["left"], 0),
+          "right": lambda t: _with_root(t["right"], 0)},
+         "a split's children must have larger node ids inside the tree"),
+        ({"right": lambda t: _with_root(t["right"], t["right"].size)},
+         "a split's children must have larger node ids inside the tree"),
+        ({"feature": lambda t: _with_root(t["feature"], t["segment_length"])},
+         r"split features must lie in \[0, \d+\)"),
+        ({"leaf_slot": lambda t: np.where(t["leaf_slot"] < 0, -1,
+                                          t["leaf_slot"].max() - t["leaf_slot"])},
+         "leaf slots must number the leaves in node order"),
+        ({"lag": lambda t: 13 - t["segment_length"]},
+         r"segment length \d+ and lag \d+ must be >= 1 and sum to <= 12"),
+        ({"predictor_attr": lambda t: 3}, r"tree attributes must lie in \[0, 3\)"),
+        ({"target_attr": lambda t: -1}, r"tree attributes must lie in \[0, 3\)"),
+    ], ids=["node-lengths", "root-cycle", "child-past-end", "feature-past-segment",
+            "leaf-slots", "lag-past-window", "predictor-attr", "target-attr"])
+    def test_tampered_tree_rejected(self, tmp_path, edit, message):
+        # Each edit breaks one rule for the first tree, whose root is a split.  The
+        # children that point back at the root made lps_gram loop forever.
+        forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=3,
+                           seed=22)
+        assert forest.trees[0].feature[0] >= 0
+        path = tmp_path / "forest.npz"
+        save_lps_forest(forest, path)
+        meta, trees, _ = _load_npz(path, "LPS forest")
+        trees[0].update({field: change(trees[0]) for field, change in edit.items()})
+        _save_npz(path, meta, trees, {})
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_lps_forest(path)
 
     def test_archive_without_trees_rejected(self, tmp_path):

@@ -17,6 +17,13 @@ from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+def test_benchmark_imports_resolve():
+    """Not marked slow, so that a ``-m "not slow"`` run imports perfbench/workloads.py,
+    which holds every name the benchmark imports from mtsk.  run.py is left out:
+    importing it sets the BLAS thread variables in os.environ."""
+    assert sorted(WORKLOADS) == ["imputed-paper", "ladder-small", "native-paper", "oos-scoring"]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_checked_pass_matches_reference(name, tmp_path):

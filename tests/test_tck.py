@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,13 +27,10 @@ from mtsk.tck import (
     LOG_2PI,
     MONOTONICITY_TOL,
     VARIANCE_FLOOR_FACTOR,
-    FitResult,
-    MemberPrior,
     TCKMember,
     TCKModel,
     _posteriors,
     default_max_components,
-    fit_diaggmm,
     load_tck_model,
     save_tck_model,
     tck_test,
@@ -57,6 +55,39 @@ ORACLE_TOL = 1e-10
 # mass differently: 6e-9 relative on the weights in TestLockstep, while their
 # cosine similarities, which are all the kernel reads, agree to ORACLE_TOL.
 MIXTURE_TOL = 1e-8
+
+
+class Prior(NamedTuple):
+    """A member's prior: the TCKMember fields of these names."""
+
+    strength: float
+    smoothing_width: int
+    a0: float
+    b0_scale: float
+
+
+class Fit(NamedTuple):
+    """One mixture and its EM trace, as the oracles and ``fit_member`` return them."""
+
+    weights: np.ndarray             # (G,)
+    means: np.ndarray               # (G, V, T)
+    variances: np.ndarray           # (G, V)
+    objective_trace: list = ()
+    reseed_points: list = ()        # trace indices where a component was re-seeded
+
+
+def fit_member(X, R, n_components, prior, seed, max_iter=20):
+    """One mixture fitted on all of (X, R) by tck._fit_lockstep as a batch of one; raises
+    the FloatingPointError that stops it."""
+    N, V, T = X.shape
+    draw = dict(q1=1, q2=n_components, segment_start=0, segment_length=T,
+                attributes=np.arange(V), train_subset=np.arange(N), **prior._asdict())
+    result, = tck_mod._fit_lockstep(X, R, [draw], [np.random.default_rng(seed)], ["the member"],
+                                    max_iter)
+    if isinstance(result, Exception):
+        raise result
+    member, trace, reseed_points = result
+    return Fit(member.weights, member.means, member.variances, trace, reseed_points)
 
 
 def member_smoothed_mean_curve(X, R, width):
@@ -178,27 +209,31 @@ def member_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20, nan_at_step
         variances = (ss + pen + 2.0 * b0[None, :]) / (Wv + 2.0 * prior.a0)
         variances = np.maximum(variances, floor[None, :])
 
-    return FitResult(weights, means + center[None, :, None], variances, trace, reseed_points)
+    return Fit(weights, means + center[None, :, None], variances, trace, reseed_points)
 
 
 def one_at_a_time(fit, posteriors, nan_at=None):
-    """A stand-in for tck._fit_lockstep that fits each job alone with ``fit`` and scores
-    all rows of its view with ``posteriors``; ``nan_at`` maps a job label to the step
+    """A stand-in for tck._fit_lockstep that fits each draw alone with ``fit`` and scores
+    all rows of its view with ``posteriors``; ``nan_at`` maps a member label to the step
     whose objective is NaN."""
 
-    def fit_lockstep(X, R, jobs, max_iter):
+    def fit_lockstep(X, R, draws, rngs, labels, max_iter):
         results = []
-        for job in jobs:
-            Xv, Rv = X[:, job.attributes, job.days], R[:, job.attributes, job.days]
-            kw = {"nan_at_step": nan_at[job.label]} if nan_at and job.label in nan_at else {}
+        for draw, rng, label in zip(draws, rngs, labels):
+            days = slice(draw["segment_start"], draw["segment_start"] + draw["segment_length"])
+            Xv, Rv = X[:, draw["attributes"], days], R[:, draw["attributes"], days]
+            rows = draw["train_subset"]
+            kw = {"nan_at_step": nan_at[label]} if nan_at and label in nan_at else {}
             try:
-                result = fit(Xv[job.rows], Rv[job.rows], job.n_components, job.prior, job.rng,
-                             max_iter=max_iter, **kw)
+                result = fit(Xv[rows], Rv[rows], draw["q2"], Prior(*map(draw.get, Prior._fields)),
+                             rng, max_iter=max_iter, **kw)
             except FloatingPointError as exc:
                 results.append(exc)
                 continue
-            result.posteriors = posteriors(result, Xv, Rv)[0]
-            results.append(result)
+            member = TCKMember(**draw, train_posteriors=posteriors(result, Xv, Rv)[0],
+                               weights=result.weights, means=result.means,
+                               variances=result.variances)
+            results.append((member, result.objective_trace, result.reseed_points))
         return results
 
     return fit_lockstep
@@ -234,9 +269,9 @@ def oracle_observed_attribute_variance(X, R):
 
 
 def mixture(weights, means, variances):
-    """A FitResult that holds only a mixture, as _posteriors and the oracles read it."""
-    return FitResult(np.asarray(weights, dtype=float), np.asarray(means, dtype=float),
-                     np.asarray(variances, dtype=float), [], [])
+    """A Fit that holds only a mixture, as _posteriors and the oracles read it."""
+    return Fit(np.asarray(weights, dtype=float), np.asarray(means, dtype=float),
+               np.asarray(variances, dtype=float))
 
 
 def oracle_log_likelihoods(params, X, R):
@@ -327,7 +362,7 @@ def oracle_fit_diaggmm(X, R, n_components, prior, seed, max_iter=20):
         variances = np.maximum(variances, floor[None, :])
         params = mixture(weights, means, variances)
 
-    return FitResult(params.weights, params.means, params.variances, trace, reseed_points)
+    return Fit(params.weights, params.means, params.variances, trace, reseed_points)
 
 
 def single_component_map_oracle(X, R, prior):
@@ -449,8 +484,8 @@ class TestFit:
     def test_single_component_matches_map_oracle(self):
         rng = np.random.default_rng(1)
         X, R = _random_masked_data(rng)
-        prior = MemberPrior(strength=2.0, smoothing_width=2, a0=0.5, b0_scale=0.05)
-        result = fit_diaggmm(X, R, 1, prior, seed=3)
+        prior = Prior(strength=2.0, smoothing_width=2, a0=0.5, b0_scale=0.05)
+        result = fit_member(X, R, 1, prior, seed=3)
         mu, sigma2 = single_component_map_oracle(X, R, prior)
         assert result.means[0] == pytest.approx(mu, abs=1e-8)
         assert result.variances[0] == pytest.approx(sigma2, abs=1e-8)
@@ -464,8 +499,8 @@ class TestFit:
         X = np.concatenate([a, b])
         R = (rng.random(X.shape) >= 0.5).astype(float)
         truth = np.repeat([0, 1], n_per)
-        prior = MemberPrior(strength=1.0, smoothing_width=2, a0=0.1, b0_scale=0.05)
-        result = fit_diaggmm(X, R, 2, prior, seed=5)
+        prior = Prior(strength=1.0, smoothing_width=2, a0=0.1, b0_scale=0.05)
+        result = fit_member(X, R, 2, prior, seed=5)
         hard = posteriors(result, X, R)[0].argmax(axis=1)
         acc = max((hard == truth).mean(), (hard != truth).mean())
         assert acc >= 0.95
@@ -474,21 +509,14 @@ class TestFit:
         rng = np.random.default_rng(3)
         for trial in range(8):
             X, R = _random_masked_data(rng, n=15, v=2, t=6, missing=0.4)
-            prior = MemberPrior(
+            prior = Prior(
                 strength=float(rng.uniform(0.1, 10.0)),
                 smoothing_width=int(rng.integers(1, 4)),
                 a0=float(rng.uniform(0.01, 1.0)),
                 b0_scale=float(rng.uniform(0.01, 0.1)),
             )
-            result = fit_diaggmm(X, R, int(rng.integers(1, 5)), prior, seed=trial)
+            result = fit_member(X, R, int(rng.integers(1, 5)), prior, seed=trial)
             _assert_trace_monotone(result)
-
-    def test_rejects_empty_input(self):
-        prior = MemberPrior(1.0, 2, 0.1, 0.05)
-        with pytest.raises(ValueError):
-            fit_diaggmm(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)), 1, prior, seed=0)
-        with pytest.raises(ValueError):
-            fit_diaggmm(np.zeros((2, 2, 3)), np.ones((2, 2, 3)), 0, prior, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -541,11 +569,11 @@ class TestTrain:
         real_fit = tck_mod._fit_lockstep
         calls = {"n": 0}
 
-        def flaky(X, R, jobs, max_iter):
-            results = real_fit(X, R, jobs, max_iter)
+        def flaky(X, R, draws, rngs, labels, max_iter):
+            results = real_fit(X, R, draws, rngs, labels, max_iter)
             calls["n"] += 1
             if calls["n"] <= 3:  # all three attempts of the first member fail
-                assert jobs[0].label.startswith("member (q1=1, q2=2, attempt=")
+                assert labels[0].startswith("member (q1=1, q2=2, attempt=")
                 results[0] = RuntimeError("synthetic member failure")
             return results
 
@@ -568,8 +596,8 @@ class TestTrain:
         real_fit = tck_mod._fit_lockstep
         calls = {"n": 0}
 
-        def once_flaky(X, R, jobs, max_iter):
-            results = real_fit(X, R, jobs, max_iter)
+        def once_flaky(X, R, draws, rngs, labels, max_iter):
+            results = real_fit(X, R, draws, rngs, labels, max_iter)
             calls["n"] += 1
             if calls["n"] == 1:
                 results[0] = RuntimeError("transient failure")
@@ -578,6 +606,36 @@ class TestTrain:
         monkeypatch.setattr(tck_mod, "_fit_lockstep", once_flaky)
         _, model = tck_mod.tck_train(cohort, Q=2, C=3, seed=22)
         assert len(model.members) == 2 * (3 - 1)
+
+    def test_matches_fixture_from_commit_4865df7(self, caplog):
+        """The fixture was written at commit 4865df7 by the lines below down to ``km,
+        model = …``, then:
+
+            np.savez_compressed("tests/data/tck_train_4865df7.npz", gram=km.gram,
+                                members=np.array([(m.q1, m.q2) for m in model.members]),
+                                **{f"train_posteriors_{i}": m.train_posteriors
+                                   for i, m in enumerate(model.members)})
+
+        One observed value of 1e200 fails member (q1=1, q2=4) at its first attempt,
+        so the draws of its second attempt are pinned too.
+        """
+        full = generate_synthetic_cohort(8, 16, 5, 10, 1.5, seed=50)
+        masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=51))
+        train, _ = train_test_split(masked, 0.8, seed=52)
+        samples = train.samples
+        values, mask = samples[0].values.copy(), samples[0].mask.copy()
+        values[4, 0], mask[4, 0] = 1e200, 1.0
+        samples[0] = MTSample(samples[0].id, values, mask, samples[0].label)
+        train = Cohort(samples, train.attribute_names, train.window_length)
+        with caplog.at_level(logging.WARNING, logger="mtsk.tck"):
+            km, model = tck_train(train, Q=2, C=4, seed=53)
+        assert "member (q1=1, q2=4, attempt=0) failed" in caplog.messages
+
+        with np.load(pathlib.Path(__file__).parent / "data" / "tck_train_4865df7.npz") as pinned:
+            assert np.array_equal(km.gram, pinned["gram"])
+            assert [[m.q1, m.q2] for m in model.members] == pinned["members"].tolist()
+            for i, m in enumerate(model.members):
+                assert np.array_equal(m.train_posteriors, pinned[f"train_posteriors_{i}"]), i
 
 
 class TestUnderflow:
@@ -629,13 +687,13 @@ class TestTest:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(12, 3, 6))
         R = np.ones_like(X)
-        prior = MemberPrior(1.0, 2, 0.1, 0.05)
-        fit = fit_diaggmm(X[:, 1:, :], R[:, 1:, :], 2, prior, seed=11)
+        prior = Prior(1.0, 2, 0.1, 0.05)
+        fit = fit_member(X[:, 1:, :], R[:, 1:, :], 2, prior, seed=11)
         post, _ = posteriors(fit, X[:, 1:, :], R[:, 1:, :])
         member = TCKMember(
             q1=1, q2=2, segment_start=0, segment_length=6,
             attributes=np.array([1, 2]), train_subset=np.arange(12), train_posteriors=post,
-            **vars(prior), weights=fit.weights, means=fit.means, variances=fit.variances,
+            **prior._asdict(), weights=fit.weights, means=fit.means, variances=fit.variances,
         )
         unit = post / np.linalg.norm(post, axis=1, keepdims=True)
         model = TCKModel([member], 1, 2, 12, 3, 6, unit @ unit.T)
@@ -753,7 +811,7 @@ class TestOracle:
         monkeypatch.setattr(tck_mod, "_fit_lockstep", recording)
         km, model = tck_train(train, Q=2, C=8, seed=1)
         cross = tck_test(model, test).cross
-        assert any(fit.reseed_points for fit in fits), "no member re-seeded a component"
+        assert any(reseed_points for *_, reseed_points in fits), "no member re-seeded a component"
 
         monkeypatch.setattr(tck_mod, "_fit_lockstep",
                             one_at_a_time(oracle_fit_diaggmm, oracle_posteriors))
@@ -789,12 +847,12 @@ REAL_FIT_LOCKSTEP = tck_mod._fit_lockstep
 
 def fit_recorded(monkeypatch, train, fit_lockstep, **kwargs):
     """tck_train with ``fit_lockstep`` as the batch fitter; returns the Gram, the model
-    and, per batch, its jobs (with their generators) and results."""
+    and, per batch, its draws, generators, labels and results."""
     batches = []
 
-    def recording(X, R, jobs, max_iter):
-        results = fit_lockstep(X, R, jobs, max_iter)
-        batches.append((jobs, results))
+    def recording(X, R, draws, rngs, labels, max_iter):
+        results = fit_lockstep(X, R, draws, rngs, labels, max_iter)
+        batches.append((draws, rngs, labels, results))
         return results
 
     monkeypatch.setattr(tck_mod, "_fit_lockstep", recording)
@@ -822,31 +880,31 @@ def assert_matches_member_oracle(monkeypatch, train, nan_at=None, **kwargs):
                                        rtol=MIXTURE_TOL, atol=MIXTURE_TOL, err_msg=field)
 
     def states(recorded):
-        return {job.label: job.rng.bit_generator.state for jobs, _ in recorded for job in jobs}
+        return {label: rng.bit_generator.state
+                for _, rngs, labels, _ in recorded for rng, label in zip(rngs, labels)}
 
     assert states(batches) == states(batches_o)
-    for (jobs, results), (_, results_o) in zip(batches, batches_o, strict=True):
+    for (*_, results), (*_, results_o) in zip(batches, batches_o, strict=True):
         for result, result_o in zip(results, results_o, strict=True):
             if isinstance(result, Exception):
                 assert str(result) == str(result_o)
             else:
-                assert result.reseed_points == result_o.reseed_points
-                np.testing.assert_allclose(result.objective_trace, result_o.objective_trace,
-                                           rtol=ORACLE_TOL, atol=0)
+                (_, trace, reseed_points), (_, trace_o, reseed_points_o) = result, result_o
+                assert reseed_points == reseed_points_o
+                np.testing.assert_allclose(trace, trace_o, rtol=ORACLE_TOL, atol=0)
     return model, batches
 
 
 class TestLockstep:
     def test_members_converge_and_reseed_at_their_own_steps(self, mar_split, monkeypatch):
         _, batches = assert_matches_member_oracle(monkeypatch, mar_split[0], Q=2, C=8, seed=1)
-        lengths = [[len(r.objective_trace) for r in results] for _, results in batches]
+        lengths = [[len(trace) for _, trace, _ in results] for *_, results in batches]
         assert any(min(ls) < 20 == max(ls) for ls in lengths), lengths
         # A member re-seeds while another, which never does, keeps stepping past it.
         assert any(
-            r.reseed_points and any(not o.reseed_points
-                                    and len(o.objective_trace) > r.reseed_points[-1]
-                                    for o in results)
-            for _, results in batches for r in results
+            reseeds and any(not other_reseeds and len(other_trace) > reseeds[-1]
+                            for _, other_trace, other_reseeds in results)
+            for *_, results in batches for _, _, reseeds in results
         )
 
     def test_member_that_raises_mid_batch_is_refitted_alone(self, cohort, monkeypatch):
@@ -864,11 +922,11 @@ class TestLockstep:
         monkeypatch.setattr(tck_mod, "_log_prior", poisoned)
         model, batches = assert_matches_member_oracle(monkeypatch, cohort, nan_at={target: step},
                                                       Q=2, C=4, seed=6)
-        (jobs, results), (retry_jobs, _) = batches[:2]
-        assert [job.label for job in jobs].index(target) == 1
+        (_, _, labels, results), (_, _, retry_labels, _) = batches[:2]
+        assert labels.index(target) == 1
         assert str(results[1]) == "EM objective is not finite: nan"
-        assert [job.label for job in retry_jobs] == ["member (q1=1, q2=3, attempt=1)"]
-        assert all(len(r.objective_trace) > step for i, r in enumerate(results) if i != 1)
+        assert retry_labels == ["member (q1=1, q2=3, attempt=1)"]
+        assert all(len(r[1]) > step for i, r in enumerate(results) if i != 1)
         assert len(model.members) == 2 * 3
 
     def test_members_fit_as_if_alone(self, mar_split, monkeypatch):
@@ -884,32 +942,35 @@ class TestLockstep:
         R = train.mask
         X = np.where(R > 0, train.values, 0.0)
         N, V, T = X.shape
-        for jobs, results in batches:
-            for job, result in zip(jobs, results):
-                rng = np.random.default_rng([seed, *map(int, re.findall(r"=(\d+)", job.label))])
-                *_, rows = tck_mod._draw_member(rng, N, V, T, math.ceil(0.8 * N), 2, 6)
-                assert np.array_equal(rows, job.rows)
-                alone, = REAL_FIT_LOCKSTEP(X, R, [job._replace(rng=rng)], 20)
+        for draws, _, labels, results in batches:
+            for draw, label, result in zip(draws, labels, results):
+                q1, q2, attempt = map(int, re.findall(r"=(\d+)", label))
+                rng = np.random.default_rng([seed, q1, q2, attempt])
+                redrawn = tck_mod._draw_member(rng, q1, q2, N, V, T)
+                assert redrawn.keys() == draw.keys()
+                assert all(np.array_equal(redrawn[k], draw[k]) for k in draw), label
+                alone, = REAL_FIT_LOCKSTEP(X, R, [redrawn], [rng], [label], 20)
                 if isinstance(result, Exception):
-                    assert str(alone) == str(result), job.label
+                    assert str(alone) == str(result), label
                     continue
-                for field in ("weights", "means", "variances", "posteriors", "objective_trace",
-                              "reseed_points"):
-                    assert np.array_equal(getattr(alone, field), getattr(result, field)), \
-                        (job.label, field)
+                (member, *trace), (member_alone, *trace_alone) = result, alone
+                assert trace_alone == trace, label
+                for name, value in vars(member).items():
+                    assert np.array_equal(getattr(member_alone, name), value), (label, name)
 
         def stops(r):
             if isinstance(r, Exception):
                 return {"failed"}
-            return ({"max_iter" if len(r.objective_trace) == 20 else "converged"}
-                    | ({"re-seeded"} if r.reseed_points else set()))
+            _, trace, reseed_points = r
+            return ({"max_iter" if len(trace) == 20 else "converged"}
+                    | ({"re-seeded"} if reseed_points else set()))
 
         assert any(set().union(*map(stops, results)) == {"failed", "max_iter", "converged",
-                                                         "re-seeded"} for _, results in batches)
+                                                         "re-seeded"} for *_, results in batches)
 
     def test_batch_of_one(self, cohort, monkeypatch):
         _, batches = assert_matches_member_oracle(monkeypatch, cohort, Q=1, C=2, seed=7)
-        assert [len(jobs) for jobs, _ in batches] == [1]
+        assert [len(draws) for draws, *_ in batches] == [1]
 
     def test_subset_smaller_than_component_count(self, monkeypatch):
         train = generate_synthetic_cohort(3, 3, 2, 8, 1.5, seed=11)
@@ -989,22 +1050,25 @@ class TestEMGuard:
         # python -O strips assert statements; the guard must still fire, and a
         # member it stops must reach tck_train's retry and skip path.
         src = os.path.dirname(os.path.dirname(os.path.abspath(tck_mod.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
         code = textwrap.dedent(f"""
             import itertools, logging, sys
             sys.path.insert(0, {src!r})
             import numpy as np
+            sys.path.insert(0, {tests!r})
             import mtsk.tck as tck
             from mtsk.cohort import generate_synthetic_cohort
+            from test_tck import Prior, fit_member
             logging.disable(logging.WARNING)
             rng = np.random.default_rng(0)
             X = rng.normal(size=(20, 3, 8))
             R = (rng.random(X.shape) >= 0.3).astype(float)
-            prior = tck.MemberPrior(1.0, 2, 0.1, 0.05)
+            prior = Prior(1.0, 2, 0.1, 0.05)
 
             def fit_error(prior_values):
                 tck._log_prior = lambda *args: next(prior_values)
                 try:
-                    tck.fit_diaggmm(X, R, 2, prior, seed=0)
+                    fit_member(X, R, 2, prior, seed=0)
                 except FloatingPointError as exc:
                     return str(exc)
                 return "no error"
