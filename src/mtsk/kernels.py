@@ -301,3 +301,15 @@ def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
     if not records:
         raise ValueError(f"{what} {path} is empty")
     return meta, records, arrays
+
+
+def _records(path, records: list[dict], make) -> list:
+    """``make(**record)`` for each record of an archive; its ValueError names the archive
+    and the record."""
+    made = []
+    for i, record in enumerate(records):
+        try:
+            made.append(make(**record))
+        except ValueError as exc:
+            raise ValueError(f"{path}, record {i}: {exc}") from None
+    return made

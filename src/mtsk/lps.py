@@ -11,6 +11,13 @@ their start in one NaN-marked copy of its arrays, with no segment matrix.
 Missing cells are carried as NaN markers: rows with a missing target are
 not used to grow trees, and a row missing a split feature follows the
 child that received more training rows.
+
+All trees grow in lockstep, each with its own generator and depth-first
+stack: every step takes the next node of each tree, draws its feature and
+thresholds from that tree's generator, and scores all those nodes in one
+sort of their rows, so a tree comes out as if grown alone.  Scoring routes
+the whole forest at once, a fixed number of trees at a time, one tree level
+per pass.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .kernels import KernelMatrix, _load_npz, _require_shape, _save_npz
+from .kernels import KernelMatrix, _load_npz, _records, _require_shape, _save_npz
 
 MIN_SEGMENT_FRACTION = 0.15
 MAX_SEGMENT_FRACTION = 0.5
@@ -30,6 +37,10 @@ N_THRESHOLD_CANDIDATES = 20
 # Gains within this fraction of node_sse of the best split are scored again by
 # the direct formula: prefix sums round differently, though by far less.
 _TIE_TOLERANCE = 1e-9
+# Trees that lps_represent routes together.  It bounds the row arrays to this many
+# trees' segment rows of the cohort; 4 to 8 routed fastest of 1 to 64 at 177 and
+# 721 patients, whose chunks then stay small enough for the cache.
+_ROUTE_CHUNK = 8
 
 
 def _segment_rows(cohort: Cohort):
@@ -41,8 +52,14 @@ def _segment_rows(cohort: Cohort):
     return series, lambda l, p: (np.arange(0, N * T, T)[:, None] + np.arange(T - l - p + 1)).ravel()
 
 
-def _leaf_slots(feature: np.ndarray) -> np.ndarray:  # _grow's: leaves in node order
-    return np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
+def _sse(t: np.ndarray) -> float:
+    """Sum of squares about the mean, rounded as ``tgt.mean()`` and ``.sum()`` round it."""
+    return float(((t - t.mean()) ** 2).sum())
+
+
+def _leaf_slots(feature: np.ndarray) -> np.ndarray:  # leaves numbered in node order
+    leaf = feature < 0
+    return np.where(leaf, leaf.cumsum() - 1, -1)
 
 
 @dataclass
@@ -65,12 +82,18 @@ class LPSTree:
         if not n or {np.shape(a) for a in (self.feature, self.threshold, self.left, self.right,
                                           self.missing_left, self.leaf_slot)} != {(n,)}:
             raise ValueError("a tree's six node arrays must share one nonzero length")
+        for name, kinds, what in (("feature", "iu", "integers"), ("left", "iu", "integers"),
+                                  ("right", "iu", "integers"), ("leaf_slot", "iu", "integers"),
+                                  ("missing_left", "b", "booleans")):
+            dtype = np.asarray(getattr(self, name)).dtype
+            if dtype.kind not in kinds:
+                raise ValueError(f"a tree's {name} array must hold {what}, got {dtype}")
         split = np.flatnonzero(self.feature >= 0)
         if not all(((c > split) & (c < n)).all() for c in (self.left[split], self.right[split])):
             raise ValueError("a split's children must have larger node ids inside the tree")
         if not (self.feature[split] < self.segment_length).all():
             raise ValueError(f"split features must lie in [0, {self.segment_length})")
-        if not np.array_equal(self.leaf_slot, _leaf_slots(self.feature)):
+        if not (self.leaf_slot == _leaf_slots(self.feature)).all():
             raise ValueError("leaf slots must number the leaves in node order")
 
     @property
@@ -97,72 +120,171 @@ class LPSForest:
         return sum(t.n_leaves for t in self.trees)
 
 
-def _grow(x: np.ndarray, starts: np.ndarray, tgt: np.ndarray, l: int, rng, max_depth: int,
-          nodes: list, depth: int = 0) -> int:
-    """Append the subtree of these rows to ``nodes`` depth first; returns its root id.
+def _stable_order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, key[order])`` for int keys in [0, bound), ties in index order.  Each key
+    carries its index in its low bits, so one plain sort does it, unless that overflows."""
+    bits = key.size.bit_length()
+    if bound << bits >= 2 ** 63:
+        order = key.argsort(kind="stable")
+        return order, key[order]
+    packed = (key << bits) | np.arange(key.size)
+    packed.sort()
+    return packed & ((1 << bits) - 1), packed >> bits
 
-    Row i predicts ``tgt[i]`` from the l days of ``x`` (the predictor row)
-    from ``starts[i]`` on; a node reads feature f as ``x[starts + f]``, and
-    passes each child its rows' starts.  Each node is one ``[feature,
-    threshold, left, right, missing_left]`` row; a leaf keeps ``[-1, nan, -1,
-    -1, False]``.  A node draws its feature, then up to N_THRESHOLD_CANDIDATES
-    thresholds among the observed values; rows missing the feature join the
-    side with more observed rows.  One pass over the sorted column scores
-    every threshold: prefix sums of the centred target give each side's sum,
-    and the gain is the between-sides sum of squares.  The split keeps a
-    positive gain, the first best in ascending threshold.  Prefix sums round
-    differently from the direct formula, so gains within _TIE_TOLERANCE *
-    node_sse of the best are scored again by it; a lone clear winner needs no
-    second score.
+
+def _split_step(values, rank, popped, rngs, lengths) -> list:
+    """Score one node of each of several trees at once; returns ``(k, feature,
+    threshold, missing_left, left rows, right rows)`` for each node k of ``popped``
+    that splits.
+
+    ``popped[k]`` is ``(tree, id, depth, base, tgt)``: row i predicts ``tgt[i]`` from
+    the ``lengths[tree]`` cells from ``base[i]`` on, and a side's rows are its ``(base,
+    tgt)``.  Cell c holds ``values[rank[c]]``; ``values`` ascends to inf, the value of
+    every absent cell.  A node whose target varies draws its feature f from its tree's
+    generator and reads the cells ``base + f``; if they hold 2 or more distinct observed
+    values, the generator draws up to N_THRESHOLD_CANDIDATES thresholds among them, in
+    row order.  Rows missing the feature join the side with more observed rows.  One
+    sort of all nodes' rows by (node, value, row) scores every threshold: prefix sums
+    of the centred target give each side's sum, and the gain is the between-sides sum
+    of squares.  The split keeps a positive gain, the first best in ascending threshold.
+
+    These whole-array sums round differently from per-node ones, so no choice rests on
+    their last bits: a target counts as constant by the per-node sum of squares, and
+    gains within _TIE_TOLERANCE * node_sse of the best are scored again by the direct
+    formula, node by node; a lone clear winner needs no second score.
     """
-    node = len(nodes)
-    nodes.append([-1, np.nan, -1, -1, False])
-    n = tgt.size
-    if depth >= max_depth or n < MIN_SPLIT_ROWS:
-        return node
-    centred = tgt - tgt.mean()
-    node_sse = float((centred ** 2).sum())
-    if node_sse == 0.0:
-        return node
-    f = int(rng.integers(l))
-    col = x[starts + f]
-    observed = ~np.isnan(col)
-    vals = col[observed]
-    order = np.argsort(vals)
-    ordered = vals[order]
-    if vals.size == 0 or ordered[0] == ordered[-1]:  # fewer than 2 distinct values
-        return node
-    cand = np.unique(rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
-                                replace=False))
-    cand = cand[cand < ordered[-1]]  # the maximum would leave no observed row on the right
-    if cand.size == 0:
-        return node
-    n_left_obs = np.searchsorted(ordered, cand, side="right")
-    missing_left = n_left_obs >= vals.size - n_left_obs
-    n_left = n_left_obs + (n - vals.size) * missing_left
-    s_left = np.cumsum(centred[observed][order])[n_left_obs - 1]
-    s_left += centred[~observed].sum() * missing_left
-    gains = s_left ** 2 / n_left + (centred.sum() - s_left) ** 2 / (n - n_left)
-    tol = _TIE_TOLERANCE * node_sse  # no split gains more than node_sse
-    near = np.flatnonzero(gains >= gains.max() - tol)
-    best = None
-    for i in near:
-        go_left = (col <= cand[i]) | (missing_left[i] & ~observed)
-        gain = gains[i]
-        if near.size > 1 or gain <= tol:
-            tl, tr = tgt[go_left], tgt[~go_left]
-            gain = node_sse - (float(((tl - tl.mean()) ** 2).sum())
-                               + float(((tr - tr.mean()) ** 2).sum()))
-        if gain > 0 and (best is None or gain > best[0]):
-            best = (gain, cand[i], missing_left[i], go_left)
-    if best is None:
-        return node
-    _, theta, missing_left, go_left = best
-    nodes[node] = [f, theta,
-                   _grow(x, starts[go_left], tgt[go_left], l, rng, max_depth, nodes, depth + 1),
-                   _grow(x, starts[~go_left], tgt[~go_left], l, rng, max_depth, nodes, depth + 1),
-                   missing_left]
-    return node
+    trees, _, _, bases, tgts = zip(*popped)
+    K, U = len(popped), values.size
+    sizes = np.array([t.size for t in tgts])
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    tgt = np.concatenate(tgts)
+    centred = tgt - (np.add.reduceat(tgt, starts) / sizes).repeat(sizes)
+    node_sse = np.add.reduceat(centred * centred, starts)
+    # Targets 1e-150 apart or more leave a centred square of 2.5e-301 or more, far
+    # from underflow, so only closer ones can have an exact sum of squares of 0.
+    varies = (np.maximum.reduceat(tgt, starts) - np.minimum.reduceat(tgt, starts)
+              >= 1e-150).tolist()
+    drawn = [v or _sse(t) > 0 for v, t in zip(varies, tgts)]
+    f = np.array([int(rngs[j].integers(lengths[j])) if d else 0 for j, d in zip(trees, drawn)])
+    base = np.concatenate(bases)
+    cell_rank = rank[base + f.repeat(sizes)]
+    missing = cell_rank == U - 1
+    node_key = np.arange(0, K * U, U)
+    key = node_key.repeat(sizes) + cell_rank  # orders a node's rows by value, absent last
+    order, sorted_key = _stable_order(key, K * U)
+    obs_end = sorted_key.searchsorted(node_key + U - 1)
+    n_obs = obs_end - starts
+    varied = (drawn & (n_obs > 1) & (sorted_key[starts] != sorted_key[obs_end - 1])).nonzero()[0]
+    if not varied.size:
+        return []
+    obs = (~missing).nonzero()[0]
+    cand = key[obs[np.concatenate([
+        s + rngs[trees[k]].choice(m, size=min(N_THRESHOLD_CANDIDATES, m), replace=False)
+        for k, s, m in zip(varied.tolist(), obs.searchsorted(starts[varied]).tolist(),
+                           n_obs[varied].tolist())])]]
+    cand.sort()
+    node = cand // U
+    left_end = sorted_key.searchsorted(cand, side="right")  # past each threshold's rows
+    # Distinct thresholds short of the node's maximum, which leaves no observed row right.
+    keep = left_end < obs_end[node]
+    keep[1:] &= cand[1:] != cand[:-1]
+    keep = keep.nonzero()[0]
+    if not keep.size:
+        return []
+    cand, node, left_end = cand[keep], node[keep], left_end[keep]
+    n_left_obs, nobs, n = left_end - starts[node], n_obs[node], sizes[node]
+    missing_left = 2 * n_left_obs >= nobs
+    n_left = n_left_obs + (n - nobs) * missing_left
+    # Prefix sums of the centred target over each node's rows in sorted order; each
+    # node's rows sum to about 0, so the running total stays small.
+    prefix = np.concatenate(([0.0], centred[order].cumsum()))
+    at_start, at_end = prefix[starts], prefix[ends]
+    s_left = (prefix[left_end] - at_start[node]
+              + (at_end - prefix[obs_end])[node] * missing_left)
+    s_right = (at_end - at_start)[node] - s_left
+    gains = s_left ** 2 / n_left + s_right ** 2 / (n - n_left)
+    tol = _TIE_TOLERANCE * node_sse[node]  # no split gains more than node_sse
+    top = np.full(K, -np.inf)
+    np.maximum.at(top, node, gains)
+    near = gains >= top[node] - tol
+    direct = near & (np.bincount(node[near], minlength=K) == 1)[node] & (gains > tol)
+    # Per node: the winning threshold's key (below the node's keys if none wins),
+    # its missing side and its left row count.
+    win, side, n_lefts = node_key - 1, np.zeros(K, dtype=bool), np.zeros(K, dtype=int)
+    at = node[direct]
+    win[at], side[at], n_lefts[at] = cand[direct], missing_left[direct], n_left[direct]
+    best = {}
+    for i in (near & ~direct).nonzero()[0].tolist():
+        k = int(node[i])
+        rows = slice(starts[k], ends[k])
+        go_left = (key[rows] <= cand[i]) | (missing_left[i] & missing[rows])
+        if k not in best:
+            best[k] = (0.0, _sse(tgts[k]))
+        gain = best[k][1] - (_sse(tgts[k][go_left]) + _sse(tgts[k][~go_left]))
+        if gain > best[k][0]:
+            best[k] = (gain, best[k][1])
+            win[k], side[k], n_lefts[k] = cand[i], missing_left[i], n_left[i]
+    split = win >= node_key
+    go_left = (key <= win.repeat(sizes)) | (missing & (split & side).repeat(sizes))
+    left, right = go_left.nonzero()[0], (split.repeat(sizes) ^ go_left).nonzero()[0]
+    lb, lt, rb, rt = base[left], tgt[left], base[right], tgt[right]
+    lc = [0] + n_lefts.cumsum().tolist()
+    rc = [0] + ((sizes - n_lefts) * split).cumsum().tolist()
+    return [(k, f[k], values[win[k] - node_key[k]], side[k],
+             (lb[lc[k]:lc[k + 1]], lt[lc[k]:lc[k + 1]]), (rb[rc[k]:rc[k + 1]], rt[rc[k]:rc[k + 1]]))
+            for k in split.nonzero()[0].tolist()]
+
+
+def _grow_forest(flat, roots, rngs, lengths, max_depth: int) -> list[tuple]:
+    """Grow one tree per root, all in lockstep; returns each tree's ``(feature,
+    threshold, left, right, missing_left)`` node arrays, with -1, nan, -1, -1 and
+    False at its leaves.
+
+    Tree j starts from the rows ``roots[j] = (base, tgt)`` (see _split_step), draws
+    from ``rngs[j]`` and reads features in [0, lengths[j]).  Each tree keeps its own
+    depth-first stack and numbers its nodes as it pops them, so its nodes and its
+    generator's draws come as if it grew alone, and a split's left child is the next
+    node.  Each step pops, per tree, nodes up to the next one below max_depth with at
+    least MIN_SPLIT_ROWS rows, and _split_step scores those nodes together.
+    """
+    # Dense ranks of flat's values; absent cells (NaN) share the top rank, that of inf.
+    filled = np.append(np.where(np.isnan(flat), np.inf, flat), np.inf)
+    order = filled.argsort()
+    ordered = filled[order]
+    distinct = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    rank = np.empty(filled.size, dtype=int)
+    rank[order] = distinct.cumsum() - 1
+    values = ordered[distinct]
+    sizes = [0] * len(roots)  # nodes numbered so far
+    splits = []  # [tree, node, feature, threshold, missing_left, right child] per split
+    stacks = [[(0, base, tgt, None)] for base, tgt in roots]  # (depth, rows, split if right)
+    while True:
+        popped = []
+        for j, stack in enumerate(stacks):
+            while stack:
+                depth, base, tgt, parent = stack.pop()
+                if parent:
+                    parent[5] = sizes[j]
+                sizes[j] += 1
+                if depth < max_depth and tgt.size >= MIN_SPLIT_ROWS:
+                    popped.append((j, sizes[j] - 1, depth + 1, base, tgt))
+                    break
+        if not popped:
+            break
+        for k, f, theta, missing_left, left, right in _split_step(values, rank, popped, rngs,
+                                                                  lengths):
+            j, node, depth = popped[k][:3]
+            splits.append([j, node, f, theta, missing_left, -1])
+            stacks[j] += [(depth, *right, splits[-1]), (depth, *left, None)]
+    tree, node, feature, threshold, missing_left, right = (
+        np.array(column, dtype=dtype) for column, dtype in
+        zip(list(zip(*splits)) or [()] * 6, (int, int, int, float, bool, int)))
+    at = np.cumsum([0] + sizes[:-1])[tree] + node
+    arrays = [np.full(sum(sizes), fill) for fill in (-1, np.nan, -1, -1, False)]
+    for a, column in zip(arrays, (feature, threshold, node + 1, right, missing_left)):
+        a[at] = column
+    return list(zip(*(np.split(a, np.cumsum(sizes[:-1])) for a in arrays)))
 
 
 def segment_ranges(T: int) -> tuple[int, int, int]:
@@ -192,7 +314,7 @@ def lps_train(
         raise ValueError(f"window of {T} day(s) is too short for segment rows")
 
     series, row_starts = _segment_rows(train)
-    trees = []
+    shapes, rngs, roots = [], [], []
     for j in range(n_trees):
         rng = np.random.default_rng([seed, j])
         l = int(rng.integers(l_min, l_max + 1))
@@ -200,43 +322,61 @@ def lps_train(
         v_pred = int(rng.integers(V))
         v_tgt = int(rng.integers(V))
         starts = row_starts(l, p)
-        tgt = series[v_tgt, starts + l + p - 1]
-        keep = ~np.isnan(tgt)  # rows with an absent target teach nothing
-        nodes = []
-        # Rows are pooled patient by patient; _grow's threshold draws depend on that order.
-        _grow(series[v_pred], starts[keep], tgt[keep], l, rng, max_depth, nodes)
-        feature, threshold, left, right, missing_left = (
-            np.array(column, dtype=dtype)
-            for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
-        trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
-                             missing_left, _leaf_slots(feature)))
+        tgt = series[v_tgt][starts + (l + p - 1)]
+        keep = (tgt == tgt).nonzero()[0]  # rows with an absent (NaN) target teach nothing
+        shapes.append((l, p, v_pred, v_tgt))
+        rngs.append(rng)
+        # Rows are pooled patient by patient; the threshold draws depend on that order.
+        roots.append((v_pred * series.shape[1] + starts[keep], tgt[keep]))
+    grown = _grow_forest(series.ravel(), roots, rngs, [s[0] for s in shapes], max_depth)
+    trees = [LPSTree(*shape, *nodes, _leaf_slots(nodes[0])) for shape, nodes in zip(shapes, grown)]
     return LPSForest(trees, V, T)
 
 
 def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     """Leaf counts of every patient: an (N, representation_length) int matrix.
 
-    Each tree routes all segment rows at once: row (patient n, start s)
-    reads day s + feature of the tree's predictor attribute from the
-    ``_segment_rows`` layout.  A tree's block of columns counts,
-    per patient, the rows that reached each of its leaves.
+    The trees' node arrays are laid end to end, each tree's ids shifted by its
+    offset, and every leaf made its own two children.  Each chunk of _ROUTE_CHUNK
+    trees then routes all its segment rows at once, one level per pass, as deep as
+    its deepest leaf: row (patient n, start s) of a tree reads day s + feature of the
+    tree's predictor attribute from the ``_segment_rows`` layout, in one of two copies
+    that differ in what an absent day reads.  A tree's block of columns counts, per
+    patient, the rows that reached each of its leaves.
     """
     N, _, T = cohort.values.shape
     _require_shape(cohort, (forest.n_attributes, forest.window_length), "the forest's")
     series, row_starts = _segment_rows(cohort)
-    blocks = []
-    for t in forest.trees:
-        starts = row_starts(t.segment_length, t.lag)
-        node = np.zeros(starts.size, dtype=int)
-        while (rows := np.flatnonzero(t.feature[node] >= 0)).size:
-            at = node[rows]
-            vals = series[t.predictor_attr, starts[rows] + t.feature[at]]
-            go_left = np.where(np.isnan(vals), t.missing_left[at], vals <= t.threshold[at])
-            node[rows] = np.where(go_left, t.left[at], t.right[at])
-        counts = np.bincount(starts // T * t.n_leaves + t.leaf_slot[node],
-                             minlength=N * t.n_leaves)
-        blocks.append(counts.reshape(N, t.n_leaves))
-    return np.hstack(blocks)
+    # Absent cells read -inf in the first copy and +inf in the second, so that a split
+    # sends them left or right by reading the copy of its missing side.
+    flat = np.where(np.isnan(series), np.array([-np.inf, np.inf])[:, None, None], series).ravel()
+    trees = forest.trees
+    offset = np.cumsum([0] + [t.feature.size for t in trees])
+    column = np.cumsum([0] + [t.n_leaves for t in trees])
+    feature, threshold, missing_left = (np.concatenate([getattr(t, a) for t in trees])
+                                        for a in ("feature", "threshold", "missing_left"))
+    split = feature >= 0
+    children = np.stack([np.concatenate([getattr(t, a) + o for t, o in zip(trees, offset)])
+                         for a in ("left", "right")], axis=1)
+    children[~split] = np.flatnonzero(~split)[:, None]
+    read = np.where(split, feature, 0) + ~missing_left * series.size
+    slot = np.concatenate([t.leaf_slot + o for t, o in zip(trees, column)])
+    counts = np.empty((N, column[-1]), dtype=int)
+    for c in range(0, len(trees), _ROUTE_CHUNK):
+        chunk = trees[c:c + _ROUTE_CHUNK]
+        starts = [row_starts(t.segment_length, t.lag) for t in chunk]
+        base = np.concatenate([t.predictor_attr * series.shape[1] + s
+                               for t, s in zip(chunk, starts)])
+        node = offset[c:c + len(chunk)].repeat([s.size for s in starts])
+        level = offset[c:c + len(chunk)]  # the chunk's nodes at the rows' depth
+        while (level := level[split[level]]).size:
+            node = children.ravel()[2 * node + (flat[base + read[node]] > threshold[node])]
+            level = children[level].ravel()
+        width = column[c + len(chunk)] - column[c]
+        counts[:, column[c]:column[c] + width] = np.bincount(
+            np.concatenate(starts) // T * width + slot[node] - column[c],
+            minlength=N * width).reshape(N, width)
+    return counts
 
 
 def _intersection(H: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -245,13 +385,15 @@ def _intersection(H: np.ndarray, B: np.ndarray) -> np.ndarray:
     Counts are non-negative integers and min(a, b) = sum over k >= 1 of
     [a >= k][b >= k], so the sums are one matrix product of 0/1 indicators
     per count level k, over the columns where both sides reach k.  Every
-    partial sum is an integer far below 2**53, so float64 holds it exactly.
+    partial sum of a product is an integer no larger than the row length, so
+    float32 holds it exactly below 2**24 columns, and float64 their total.
     """
     out = np.zeros((H.shape[0], B.shape[0]))
     h_top, b_top = H.max(axis=0, initial=0), B.max(axis=0, initial=0)
+    dtype = np.float32 if H.shape[1] < 2 ** 24 else float
     for k in range(1, int(np.minimum(h_top, b_top).max(initial=0)) + 1):
         cols = np.flatnonzero((h_top >= k) & (b_top >= k))
-        out += (H[:, cols] >= k).astype(float) @ (B[:, cols] >= k).astype(float).T
+        out += (H[:, cols] >= k).astype(dtype) @ (B[:, cols] >= k).astype(dtype).T
     return out / H.shape[1]
 
 
@@ -278,4 +420,6 @@ def load_lps_forest(path) -> LPSForest:
     if "n_attributes" not in meta:
         raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
                          "train and save the forest again")
-    return LPSForest([LPSTree(**r) for r in records], **meta)
+    # Each tree is also checked alone against the forest, so that an error names its record.
+    trees = _records(path, records, lambda **r: LPSForest([LPSTree(**r)], **meta).trees[0])
+    return LPSForest(trees, **meta)

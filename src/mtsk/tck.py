@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .kernels import KernelMatrix, _load_npz, _require_shape, _save_npz
+from .kernels import KernelMatrix, _load_npz, _records, _require_shape, _save_npz
 
 logger = logging.getLogger(__name__)
 
@@ -551,4 +551,4 @@ def save_tck_model(model: TCKModel, path) -> None:
 
 def load_tck_model(path) -> TCKModel:
     meta, records, arrays = _load_npz(path, "TCK model")
-    return TCKModel([TCKMember(**r) for r in records], train_gram=arrays["train_gram"], **meta)
+    return TCKModel(_records(path, records, TCKMember), train_gram=arrays["train_gram"], **meta)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtsk import lps
 from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
     generate_synthetic_cohort, train_test_split,
@@ -18,8 +20,9 @@ from mtsk.lps import (
     LPSForest,
     LPSTree,
     _TIE_TOLERANCE,
-    _grow,
+    _grow_forest,
     _segment_rows,
+    _stable_order,
     load_lps_forest,
     lps_gram,
     lps_represent,
@@ -307,6 +310,141 @@ def _oracle_matrix_train(train: Cohort, n_trees: int, max_depth: int, seed: int)
     return LPSForest(trees, V, T), generators
 
 
+def _grow(x: np.ndarray, starts: np.ndarray, tgt: np.ndarray, l: int, rng, max_depth: int,
+          nodes: list, depth: int = 0) -> int:
+    """The recursive grower, one node at a time: appends the subtree of these rows to
+    ``nodes`` depth first and returns its root id.
+
+    Row i predicts ``tgt[i]`` from the l days of ``x`` (the predictor row)
+    from ``starts[i]`` on; a node reads feature f as ``x[starts + f]``, and
+    passes each child its rows' starts.  Each node is one ``[feature,
+    threshold, left, right, missing_left]`` row; a leaf keeps ``[-1, nan, -1,
+    -1, False]``.  A node draws its feature, then up to N_THRESHOLD_CANDIDATES
+    thresholds among the observed values; rows missing the feature join the
+    side with more observed rows.  One pass over the sorted column scores
+    every threshold: prefix sums of the centred target give each side's sum,
+    and the gain is the between-sides sum of squares.  The split keeps a
+    positive gain, the first best in ascending threshold.  Prefix sums round
+    differently from the direct formula, so gains within _TIE_TOLERANCE *
+    node_sse of the best are scored again by it; a lone clear winner needs no
+    second score.
+    """
+    node = len(nodes)
+    nodes.append([-1, np.nan, -1, -1, False])
+    n = tgt.size
+    if depth >= max_depth or n < MIN_SPLIT_ROWS:
+        return node
+    centred = tgt - tgt.mean()
+    node_sse = float((centred ** 2).sum())
+    if node_sse == 0.0:
+        return node
+    f = int(rng.integers(l))
+    col = x[starts + f]
+    observed = ~np.isnan(col)
+    vals = col[observed]
+    order = np.argsort(vals)
+    ordered = vals[order]
+    if vals.size == 0 or ordered[0] == ordered[-1]:  # fewer than 2 distinct values
+        return node
+    cand = np.unique(rng.choice(vals, size=min(N_THRESHOLD_CANDIDATES, vals.size),
+                                replace=False))
+    cand = cand[cand < ordered[-1]]  # the maximum would leave no observed row on the right
+    if cand.size == 0:
+        return node
+    n_left_obs = np.searchsorted(ordered, cand, side="right")
+    missing_left = n_left_obs >= vals.size - n_left_obs
+    n_left = n_left_obs + (n - vals.size) * missing_left
+    s_left = np.cumsum(centred[observed][order])[n_left_obs - 1]
+    s_left += centred[~observed].sum() * missing_left
+    gains = s_left ** 2 / n_left + (centred.sum() - s_left) ** 2 / (n - n_left)
+    tol = _TIE_TOLERANCE * node_sse  # no split gains more than node_sse
+    near = np.flatnonzero(gains >= gains.max() - tol)
+    best = None
+    for i in near:
+        go_left = (col <= cand[i]) | (missing_left[i] & ~observed)
+        gain = gains[i]
+        if near.size > 1 or gain <= tol:
+            tl, tr = tgt[go_left], tgt[~go_left]
+            gain = node_sse - (float(((tl - tl.mean()) ** 2).sum())
+                               + float(((tr - tr.mean()) ** 2).sum()))
+        if gain > 0 and (best is None or gain > best[0]):
+            best = (gain, cand[i], missing_left[i], go_left)
+    if best is None:
+        return node
+    _, theta, missing_left, go_left = best
+    nodes[node] = [f, theta,
+                   _grow(x, starts[go_left], tgt[go_left], l, rng, max_depth, nodes, depth + 1),
+                   _grow(x, starts[~go_left], tgt[~go_left], l, rng, max_depth, nodes, depth + 1),
+                   missing_left]
+    return node
+
+
+def _oracle_recursive_train(train: Cohort, n_trees: int, max_depth: int, seed: int):
+    """The tree-at-a-time ``lps_train``: ``(forest, generators)``, each tree grown alone by
+    ``_grow`` from its own generator."""
+    _, V, T = train.values.shape
+    l_min, l_max, p_max = segment_ranges(T)
+    series, row_starts = _segment_rows(train)
+    trees, generators = [], []
+    for j in range(n_trees):
+        rng = np.random.default_rng([seed, j])
+        l = int(rng.integers(l_min, l_max + 1))
+        p = int(rng.integers(1, min(p_max, T - l) + 1))
+        v_pred = int(rng.integers(V))
+        v_tgt = int(rng.integers(V))
+        starts = row_starts(l, p)
+        tgt = series[v_tgt, starts + l + p - 1]
+        keep = ~np.isnan(tgt)
+        nodes = []
+        _grow(series[v_pred], starts[keep], tgt[keep], l, rng, max_depth, nodes)
+        feature, threshold, left, right, missing_left = (
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
+        leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
+        trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
+                             missing_left, leaf_slot))
+        generators.append(rng)
+    return LPSForest(trees, V, T), generators
+
+
+def _oracle_tree_loop_represent(forest, cohort: Cohort) -> np.ndarray:
+    """The tree-at-a-time ``lps_represent``: each tree routes its own segment rows."""
+    N, _, T = cohort.values.shape
+    series, row_starts = _segment_rows(cohort)
+    blocks = []
+    for t in forest.trees:
+        starts = row_starts(t.segment_length, t.lag)
+        node = np.zeros(starts.size, dtype=int)
+        while (rows := np.flatnonzero(t.feature[node] >= 0)).size:
+            at = node[rows]
+            vals = series[t.predictor_attr, starts[rows] + t.feature[at]]
+            go_left = np.where(np.isnan(vals), t.missing_left[at], vals <= t.threshold[at])
+            node[rows] = np.where(go_left, t.left[at], t.right[at])
+        counts = np.bincount(starts // T * t.n_leaves + t.leaf_slot[node],
+                             minlength=N * t.n_leaves)
+        blocks.append(counts.reshape(N, t.n_leaves))
+    return np.hstack(blocks)
+
+
+def _grown_alone(pred_tgt_seeds, max_depth=6) -> list:
+    """Grow one tree per ``(pred, tgt, seed)`` in one ``_grow_forest`` call, each row i of
+    a tree reading its predictors from ``pred[i]``; returns ``(nodes, generator)`` per tree,
+    ``nodes`` as ``[feature, threshold, left, right, missing_left]`` rows.
+
+    Any warning inside ``_grow_forest`` fails the test.
+    """
+    flat = np.concatenate([pred.ravel() for pred, _, _ in pred_tgt_seeds])
+    at = np.cumsum([0] + [pred.size for pred, _, _ in pred_tgt_seeds])
+    roots = [(o + np.arange(pred.shape[0]) * pred.shape[1], tgt)
+             for o, (pred, tgt, _) in zip(at, pred_tgt_seeds)]
+    rngs = [np.random.default_rng(seed) for _, _, seed in pred_tgt_seeds]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grown = _grow_forest(flat, roots, rngs, [p.shape[1] for p, _, _ in pred_tgt_seeds],
+                             max_depth)
+    return [(list(map(list, zip(*arrays))), rng) for arrays, rng in zip(grown, rngs)]
+
+
 def _recorded_generators(monkeypatch) -> list:
     """Every generator ``np.random.default_rng`` makes from now on, in order of creation."""
     made, make = [], np.random.default_rng
@@ -320,16 +458,9 @@ def _recorded_generators(monkeypatch) -> list:
 
 
 def _assert_grows_like_builder(pred, tgt, seed, max_depth=6):
-    """``_grow`` and the list builder give the same nodes from the same draws; returns the nodes.
-
-    Any warning inside ``_grow`` fails the test.
-    """
-    rng = np.random.default_rng(seed)
-    nodes = []
-    n, l = pred.shape
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _grow(pred.ravel(), np.arange(n) * l, tgt, l, rng, max_depth, nodes)
+    """``_grow_forest`` and the list builder give the same nodes from the same draws; returns
+    the nodes.  Any warning inside ``_grow_forest`` fails the test."""
+    [(nodes, rng)] = _grown_alone([(pred, tgt, seed)], max_depth)
     builder = _TreeBuilder(np.random.default_rng(seed), max_depth)
     builder.grow(pred, tgt)
     expected = (builder.feature, builder.threshold, builder.left, builder.right,
@@ -698,6 +829,98 @@ class TestOracle:
         nodes = _assert_grows_like_builder(x, (x[:, 0] >= 8) * 1.0, seed=75)
         assert nodes[0][:4] == [0, 7.0, 1, 2] and len(nodes) == 3
 
+    def test_constant_target_draws_as_its_rounded_mean_says(self):
+        # Twelve targets of 0.1 average to 0.10000000000000002: the node's sum of
+        # squares is 2.3e-33, not 0, so it draws a feature and thresholds; twelve of
+        # 0.5 average exactly and leave a leaf that draws nothing.
+        pred = np.random.default_rng(83).normal(size=(12, 2))
+        assert np.full(12, 0.1).mean() != 0.1
+        nodes = _assert_grows_like_builder(pred, np.full(12, 0.1), seed=84)
+        assert nodes[0][0] >= 0
+        assert len(_assert_grows_like_builder(pred, np.full(12, 0.5), seed=85)) == 1
+
+    def test_lockstep_trees_match_builder_each(self):
+        # Trees grown together in one call: an all-missing split column, a constant
+        # child, integer ties and a plain tree, each with its own generator.
+        rng = np.random.default_rng(78)
+        x = np.arange(16.0)[:, None]
+        both = np.hstack([rng.normal(size=(40, 1)), np.full((40, 1), np.nan)])
+        ints = rng.integers(0, 6, size=(30, 3)).astype(float)
+        ints[rng.random((30, 3)) < 0.2] = np.nan
+        cases = [(x, (x[:, 0] >= 8) * 1.0, 79), (both, rng.normal(size=40), 80),
+                 (ints, rng.integers(0, 3, size=30) * 1.0, 81),
+                 (rng.normal(size=(60, 4)), rng.normal(size=60), 82)]
+        for (nodes, rng_got), (pred, tgt, seed) in zip(_grown_alone(cases), cases):
+            builder = _TreeBuilder(np.random.default_rng(seed), 6)
+            builder.grow(pred, tgt)
+            for got, want in zip(zip(*nodes), (builder.feature, builder.threshold, builder.left,
+                                               builder.right, builder.missing_left)):
+                assert np.array_equal(np.array(got, dtype=float), np.array(want, dtype=float),
+                                      equal_nan=True)
+            assert rng_got.bit_generator.state == builder.rng.bit_generator.state
+
+    @pytest.mark.parametrize("mechanism", [Missingness.MCAR, Missingness.MAR, Missingness.MNAR])
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    @pytest.mark.parametrize("n_trees", [1, 2, 20, 200])
+    def test_forest_matches_recursive_grower(self, n_trees, max_depth, mechanism,
+                                             assert_same_fields, monkeypatch):
+        full = generate_synthetic_cohort(10, 30, 4, 16, 1.5, seed=84)
+        cohort = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=85))
+        expected, oracle_generators = _oracle_recursive_train(cohort, n_trees, max_depth, 86)
+        generators = _recorded_generators(monkeypatch)
+        assert_same_fields(lps_train(cohort, n_trees=n_trees, max_depth=max_depth, seed=86),
+                           expected)
+        assert ([g.bit_generator.state for g in generators]
+                == [g.bit_generator.state for g in oracle_generators])
+
+    @pytest.mark.parametrize("mechanism", [Missingness.MCAR, Missingness.MAR, Missingness.MNAR])
+    def test_integer_forest_matches_recursive_grower(self, mechanism, assert_same_fields,
+                                                     monkeypatch):
+        # Integer values and targets: exact ties between candidate gains, constant
+        # nodes and zero gains, which the direct formula decides.
+        full = _rounded(generate_synthetic_cohort(10, 30, 4, 16, 1.5, seed=87))
+        cohort = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=88))
+        expected, oracle_generators = _oracle_recursive_train(cohort, 60, 6, 89)
+        generators = _recorded_generators(monkeypatch)
+        assert_same_fields(lps_train(cohort, n_trees=60, seed=89), expected)
+        assert ([g.bit_generator.state for g in generators]
+                == [g.bit_generator.state for g in oracle_generators])
+
+    def test_absent_attribute_forest_matches_recursive_grower(self, assert_same_fields,
+                                                              monkeypatch):
+        # Attribute 0 is never observed: its trees split on an all-missing column, or
+        # have no rows with a target at all.
+        full = apply_missingness(generate_synthetic_cohort(10, 30, 3, 16, 1.5, seed=90),
+                                 MissingnessSpec(Missingness.MCAR, 0.2, seed=91))
+        mask = full.mask.copy()
+        mask[:, 0] = 0.0
+        cohort = Cohort([MTSample(s.id, s.values, m, s.label)
+                         for s, m in zip(full.samples, mask)], full.attribute_names, 16)
+        expected, oracle_generators = _oracle_recursive_train(cohort, 30, 6, 92)
+        assert {t.predictor_attr for t in expected.trees} >= {0, 1}
+        assert any(t.target_attr == 0 for t in expected.trees)
+        generators = _recorded_generators(monkeypatch)
+        assert_same_fields(lps_train(cohort, n_trees=30, seed=92), expected)
+        assert ([g.bit_generator.state for g in generators]
+                == [g.bit_generator.state for g in oracle_generators])
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_represent_over_route_chunks_matches_tree_loop(self, chunk, monkeypatch):
+        train, test = _mar_split(10, 30, 4, 16, seed=93)
+        forest = lps_train(train, n_trees=10, seed=94)
+        monkeypatch.setattr(lps, "_ROUTE_CHUNK", chunk)
+        for cohort in (train, test):
+            assert np.array_equal(lps_represent(forest, cohort),
+                                  _oracle_tree_loop_represent(forest, cohort))
+
+    @pytest.mark.parametrize("bound", [50, 2 ** 62])
+    def test_stable_order_sorts_by_key_then_index(self, bound):
+        # A small bound packs each key with its index; a large one sorts the keys alone.
+        key = np.random.default_rng(95).integers(0, 50, size=300) * (bound // 50)
+        order, sorted_key = _stable_order(key, bound)
+        assert np.array_equal(order, np.argsort(key, kind="stable"))
+        assert np.array_equal(sorted_key, key[order])
+
     def test_gram_and_cross_match_row_loop(self):
         train, test = _mar_split(8, 24, 3, 30, seed=76)
         forest = lps_train(train, n_trees=30, seed=77)
@@ -809,11 +1032,23 @@ class TestSerialization:
          r"segment length \d+ and lag \d+ must be >= 1 and sum to <= 12"),
         ({"predictor_attr": lambda t: 3}, r"tree attributes must lie in \[0, 3\)"),
         ({"target_attr": lambda t: -1}, r"tree attributes must lie in \[0, 3\)"),
+        ({"feature": lambda t: t["feature"] + 0.5},
+         "a tree's feature array must hold integers, got float64"),
+        ({"left": lambda t: t["left"].astype(float)},
+         "a tree's left array must hold integers, got float64"),
+        ({"right": lambda t: t["right"].astype(float)},
+         "a tree's right array must hold integers, got float64"),
+        ({"leaf_slot": lambda t: t["leaf_slot"].astype(float)},
+         "a tree's leaf_slot array must hold integers, got float64"),
+        ({"missing_left": lambda t: t["missing_left"].astype(int)},
+         "a tree's missing_left array must hold booleans, got int64"),
     ], ids=["node-lengths", "root-cycle", "child-past-end", "feature-past-segment",
-            "leaf-slots", "lag-past-window", "predictor-attr", "target-attr"])
+            "leaf-slots", "lag-past-window", "predictor-attr", "target-attr", "float-feature",
+            "float-left", "float-right", "float-leaf-slot", "int-missing-left"])
     def test_tampered_tree_rejected(self, tmp_path, edit, message):
         # Each edit breaks one rule for the first tree, whose root is a split.  The
-        # children that point back at the root made lps_gram loop forever.
+        # children that point back at the root made lps_gram loop forever, and a
+        # feature stored as floats made it fail with a bare IndexError.
         forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=3,
                            seed=22)
         assert forest.trees[0].feature[0] >= 0
@@ -822,8 +1057,55 @@ class TestSerialization:
         meta, trees, _ = _load_npz(path, "LPS forest")
         trees[0].update({field: change(trees[0]) for field, change in edit.items()})
         _save_npz(path, meta, trees, {})
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 0: {message}$"):
             load_lps_forest(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("left", 0, "a split's children must have larger node ids inside the tree"),
+        ("lag", 12, r"segment length \d+ and lag 12 must be >= 1 and sum to <= 12"),
+    ])
+    def test_tampered_tree_names_its_record(self, tmp_path, field, value, message):
+        forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=3,
+                           seed=22)
+        assert forest.trees[2].feature[0] >= 0
+        path = tmp_path / "forest.npz"
+        save_lps_forest(forest, path)
+        meta, trees, _ = _load_npz(path, "LPS forest")
+        trees[2][field] = _with_root(trees[2][field], value) if field == "left" else value
+        _save_npz(path, meta, trees, {})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 2: {message}$"):
+            load_lps_forest(path)
+
+    def test_archive_from_commit_c7ee263_loads_and_matches_lockstep_forest(
+            self, tmp_path, assert_same_fields):
+        """The fixture pair was written at commit c7ee263, whose trees grew one at a
+        time, by:
+
+            full = generate_synthetic_cohort(10, 15, 3, 10, 1.5, seed=40)
+            masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=41))
+            train, test = train_test_split(masked, 0.8, seed=42)
+            forest = lps_train(train, n_trees=8, seed=43)
+            save_lps_forest(forest, "tests/data/lps_forest_c7ee263.lps.npz")
+            km = lps_gram(forest, train, test)
+            np.savez_compressed("tests/data/lps_gram_c7ee263.npz", gram=km.gram,
+                                cross=km.cross)
+        """
+        data = pathlib.Path(__file__).parent / "data"
+        full = generate_synthetic_cohort(10, 15, 3, 10, 1.5, seed=40)
+        masked = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=41))
+        train, test = train_test_split(masked, 0.8, seed=42)
+        old = load_lps_forest(data / "lps_forest_c7ee263.lps.npz")
+        forest = lps_train(train, n_trees=8, seed=43)
+        assert_same_fields(forest, old)
+        km = lps_gram(old, train, test)
+        with np.load(data / "lps_gram_c7ee263.npz") as expected:
+            assert np.array_equal(km.gram, expected["gram"])
+            assert np.array_equal(km.cross, expected["cross"])
+        save_lps_forest(forest, tmp_path / "forest.npz")
+        with (np.load(data / "lps_forest_c7ee263.lps.npz") as a,
+              np.load(tmp_path / "forest.npz") as b):
+            assert len(a.files) == 21 and sorted(a.files) == sorted(b.files)
+            assert json.loads(str(a["__meta__"])) == json.loads(str(b["__meta__"]))
 
     def test_archive_without_trees_rejected(self, tmp_path):
         path = tmp_path / "empty.npz"
