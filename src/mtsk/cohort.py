@@ -26,6 +26,11 @@ MIN_OBSERVED_CELLS = 2
 CSV_HEADER = ["patient_id", "label", "day", "attribute", "value"]
 
 
+def _require_distinct(what: str, names) -> None:
+    if repeated := [name for name, count in Counter(names).items() if count > 1]:
+        raise ValueError(f"duplicate {what} {repeated[0]!r}")
+
+
 class CohortFormatError(ValueError):
     """Raised when a cohort CSV file does not conform to the long format."""
 
@@ -66,6 +71,7 @@ class Cohort:
 
     def __init__(self, samples: list[MTSample], attribute_names: list[str],
                  window_length: int):
+        _require_distinct("attribute name", attribute_names)
         shape = (len(attribute_names), window_length)
         for s in samples:
             if s.values.shape != shape:
@@ -89,9 +95,7 @@ class Cohort:
         return cohort
 
     def _assign(self, ids, labels, values, mask, attribute_names, window_length):
-        dup = [i for i, count in Counter(ids).items() if count > 1]
-        if dup:
-            raise ValueError(f"duplicate sample id {dup[0]!r}")
+        _require_distinct("sample id", ids)
         n_observed = mask.sum(axis=(1, 2))
         low = np.flatnonzero(n_observed < MIN_OBSERVED_CELLS)
         if low.size:
@@ -255,6 +259,7 @@ def load_cohort(
                 batches.append(_parse_batch(batch, lines, patients, seen))
 
     attr_names = list(attributes) if attributes is not None else sorted(seen)
+    _require_distinct("attribute name", attr_names)
     if not batches:
         T = window_length or 0
         return Cohort._from_arrays([], [], *np.zeros((2, 0, len(attr_names), T)), attr_names, T)

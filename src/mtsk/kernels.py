@@ -303,13 +303,15 @@ def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
     return meta, records, arrays
 
 
-def _records(path, records: list[dict], make) -> list:
-    """``make(**record)`` for each record of an archive; its ValueError names the archive
+def _records(path, records: list[dict], make, whole):
+    """``whole(made)``, ``made`` holding ``make(**record)`` for each record of an archive.
+    Each record is first checked alone in ``whole``, so that a ValueError names the archive
     and the record."""
     made = []
     for i, record in enumerate(records):
         try:
             made.append(make(**record))
+            whole(made[-1:])
         except ValueError as exc:
             raise ValueError(f"{path}, record {i}: {exc}") from None
-    return made
+    return whole(made)

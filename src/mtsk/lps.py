@@ -249,13 +249,8 @@ def _grow_forest(flat, roots, rngs, lengths, max_depth: int) -> list[tuple]:
     least MIN_SPLIT_ROWS rows, and _split_step scores those nodes together.
     """
     # Dense ranks of flat's values; absent cells (NaN) share the top rank, that of inf.
-    filled = np.append(np.where(np.isnan(flat), np.inf, flat), np.inf)
-    order = filled.argsort()
-    ordered = filled[order]
-    distinct = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    rank = np.empty(filled.size, dtype=int)
-    rank[order] = distinct.cumsum() - 1
-    values = ordered[distinct]
+    values, rank = np.unique(np.append(np.where(np.isnan(flat), np.inf, flat), np.inf),
+                             return_inverse=True)
     sizes = [0] * len(roots)  # nodes numbered so far
     splits = []  # [tree, node, feature, threshold, missing_left, right child] per split
     stacks = [[(0, base, tgt, None)] for base, tgt in roots]  # (depth, rows, split if right)
@@ -420,6 +415,4 @@ def load_lps_forest(path) -> LPSForest:
     if "n_attributes" not in meta:
         raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
                          "train and save the forest again")
-    # Each tree is also checked alone against the forest, so that an error names its record.
-    trees = _records(path, records, lambda **r: LPSForest([LPSTree(**r)], **meta).trees[0])
-    return LPSForest(trees, **meta)
+    return _records(path, records, LPSTree, lambda trees: LPSForest(trees, **meta))

@@ -61,21 +61,13 @@ def _smoothing_window(T: int, width: int) -> np.ndarray:
 
 def _flat_data(X: np.ndarray, R: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Data rows [1, R_v, Σ_t R·X², R·X, R], (N, 1 + 2·V + 2·V·T), of X centered on
-    ``center`` (V,).  The blocks are written in place: views of a cohort are rarely
-    contiguous, and large temporaries cost more than the arithmetic."""
-    N, V, T = X.shape
-    F = np.empty((N, 1 + 2 * V + 2 * V * T))
-    RX, R_rows = (F[:, 1 + 2 * V + k * V * T:1 + 2 * V + (k + 1) * V * T].reshape(N, V, T)
-                  for k in (0, 1))
-    RX[...] = X  # copies first: arithmetic across two layouts is the slow path
-    R_rows[...] = R
-    RX -= center[:, None]
-    RX *= R_rows
-    F[:, 0] = 1.0
-    F[:, 1:1 + V] = np.einsum("nvt->nv", R_rows)
+    ``center`` (V,)."""
+    N = len(X)
+    RX = (X - center[:, None]) * R
     with np.errstate(over="ignore"):  # a wild value squares to inf; see _Batch.posteriors
-        F[:, 1 + V:1 + 2 * V] = np.einsum("nvt,nvt->nv", RX, RX)
-    return F
+        squares = np.einsum("nvt,nvt->nv", RX, RX)
+    return np.concatenate([np.ones((N, 1)), np.einsum("nvt->nv", R), squares,
+                           RX.reshape(N, -1), R.reshape(N, -1)], axis=1)
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -383,8 +375,7 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
 
 @dataclass
 class TCKMember:
-    """One fitted member, stored in a model archive field for field.  Its mixture
-    is checked here, since an archive comes from outside the program."""
+    """One fitted member, stored in a model archive field for field; ``TCKModel`` checks it."""
 
     q1: int
     q2: int
@@ -401,13 +392,6 @@ class TCKMember:
     means: np.ndarray           # (q2, V_m, T_m) over the member's view
     variances: np.ndarray       # (q2, V_m)
 
-    def __post_init__(self):
-        # Written so that NaN fails each check.
-        if not abs(self.weights.sum() - 1.0) <= 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-        if not (self.variances > 0).all():
-            raise ValueError("variances must stay above the floor (> 0)")
-
 
 @dataclass
 class TCKModel:
@@ -418,6 +402,23 @@ class TCKModel:
     n_attributes: int
     window_length: int
     train_gram: np.ndarray
+
+    def __post_init__(self):  # each member must fit itself and the model; NaN fails each check
+        N, V, T = self.n_train, self.n_attributes, self.window_length
+        for m in self.members:
+            G, A, attrs, s = m.q2, len(m.attributes), m.attributes.tolist(), m.segment_start
+            for name, shape in (("weights", (G,)), ("means", (G, A, m.segment_length)),
+                                ("variances", (G, A)), ("train_posteriors", (N, G))):
+                if np.shape(getattr(m, name)) != shape:
+                    raise ValueError(f"{name} has shape {np.shape(getattr(m, name))}, not {shape}")
+            if not abs(m.weights.sum() - 1.0) <= 1e-12:
+                raise ValueError("mixture weights must sum to 1")
+            if not (m.variances > 0).all():
+                raise ValueError("variances must stay above the floor (> 0)")
+            if len(set(attrs)) < A or not all(0 <= a < V for a in attrs):
+                raise ValueError(f"attributes {attrs} must be distinct and lie in [0, {V})")
+            if not 0 <= s <= T - m.segment_length:
+                raise ValueError(f"segment days [{s}, {s + m.segment_length}) must lie in [0, {T})")
 
 
 def default_max_components(n_train: int) -> int:
@@ -551,4 +552,7 @@ def save_tck_model(model: TCKModel, path) -> None:
 
 def load_tck_model(path) -> TCKModel:
     meta, records, arrays = _load_npz(path, "TCK model")
-    return TCKModel(_records(path, records, TCKMember), train_gram=arrays["train_gram"], **meta)
+    gram = arrays["train_gram"]
+    if gram.shape != (meta.get("n_train"),) * 2:
+        raise ValueError(f"{path}: train_gram has shape {gram.shape}, not (n_train, n_train)")
+    return _records(path, records, TCKMember, functools.partial(TCKModel, train_gram=gram, **meta))

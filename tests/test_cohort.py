@@ -101,6 +101,11 @@ class TestLoad:
             load_cohort(_write(tmp_path, text), window_length=20, attributes=["CRP"])
         assert str(err.value) == message
 
+    def test_repeated_attribute_name_rejected(self, tmp_path):
+        path = _write(tmp_path, HEADER + "p1,1,1,attr01,1.0\np1,1,2,attr01,2.0\n")
+        with pytest.raises(ValueError, match="^duplicate attribute name 'attr01'$"):
+            load_cohort(path, attributes=["attr01", "attr01"])
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = _write(tmp_path, HEADER + "p1,1,3,CRP,40.0\np1,1,nope,CRP,1.0\n")
         with pytest.raises(CohortFormatError, match="line 3"):
@@ -598,6 +603,11 @@ class TestInvariants:
         mask[0, 0] = 1.0
         with pytest.raises(ValueError, match="observed cells"):
             Cohort([MTSample("x", np.zeros((2, 3)), mask)], ["a", "b"], 3)
+
+    def test_repeated_attribute_name_rejected(self):
+        s = MTSample("x", np.zeros((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^duplicate attribute name 'v'$"):
+            Cohort([s], ["v", "v"], 3)
 
     def test_duplicate_ids_rejected(self):
         s = MTSample("x", np.zeros((1, 3)), np.ones((1, 3)))

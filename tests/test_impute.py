@@ -95,6 +95,14 @@ class TestImpute:
             assert np.array_equal(stacked.values[11:], orig.mask)
             assert stacked.mask.all()
 
+    def test_bias_correction_keeps_attribute_already_named_like_its_mask_row(self):
+        # Internal transforms accept repeated names: "v_obs" names an attribute and v's mask.
+        cohort = generate_synthetic_cohort(4, 4, 2, 6, 1.0, seed=5)
+        cohort = apply_missingness(cohort, MissingnessSpec(Missingness.MCAR, 0.3, seed=6))
+        cohort = Cohort(cohort.samples, ["v", "v_obs"], 6)
+        out = impute(fit_imputer(cohort, ImputationMethod.MEAN, bias_correct=True), cohort)
+        assert out.attribute_names == ["v", "v_obs", "v_obs", "v_obs_obs"]
+
     def test_observed_cells_never_modified(self):
         cohort = generate_synthetic_cohort(5, 5, 3, 10, 1.0, seed=3)
         masked = apply_missingness(cohort, MissingnessSpec(Missingness.MCAR, 0.4, seed=4))

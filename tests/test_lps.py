@@ -445,6 +445,18 @@ def _grown_alone(pred_tgt_seeds, max_depth=6) -> list:
     return [(list(map(list, zip(*arrays))), rng) for arrays, rng in zip(grown, rngs)]
 
 
+def _handwritten_ranks(flat):
+    """``(values, rank)`` as _grow_forest computed them before it called np.unique: the
+    dense ranks of flat's values, absent cells (NaN) sharing the top rank, that of inf."""
+    filled = np.append(np.where(np.isnan(flat), np.inf, flat), np.inf)
+    order = filled.argsort()
+    ordered = filled[order]
+    distinct = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    rank = np.empty(filled.size, dtype=int)
+    rank[order] = distinct.cumsum() - 1
+    return ordered[distinct], rank
+
+
 def _recorded_generators(monkeypatch) -> list:
     """Every generator ``np.random.default_rng`` makes from now on, in order of creation."""
     made, make = [], np.random.default_rng
@@ -920,6 +932,30 @@ class TestOracle:
         order, sorted_key = _stable_order(key, bound)
         assert np.array_equal(order, np.argsort(key, kind="stable"))
         assert np.array_equal(sorted_key, key[order])
+
+    @pytest.mark.parametrize("source", ["ties", "cohort"])
+    def test_value_ranks_match_handwritten_ranking(self, source, monkeypatch):
+        rng = np.random.default_rng(96)
+        if source == "ties":  # few distinct values, ±0.0 among them, and absent cells
+            flat = rng.integers(-3, 4, size=200).astype(float)
+            flat[(flat == 0) & (rng.random(200) < 0.5)] = -0.0
+            flat[rng.random(200) < 0.3] = np.nan
+        else:
+            flat = _segment_rows(_mar_split(10, 30, 4, 16, seed=93)[0])[0].ravel()
+        passed, split_step = [], lps._split_step
+
+        def recording(values, rank, *args):
+            passed.append((values, rank))
+            return split_step(values, rank, *args)
+
+        monkeypatch.setattr(lps, "_split_step", recording)
+        _grow_forest(flat, [(np.arange(150), rng.normal(size=150))], [np.random.default_rng(97)],
+                     [50], 3)
+        want = _handwritten_ranks(flat)
+        assert np.isnan(flat).any() and np.isinf(want[0][-1])
+        for got, expected in zip(passed[0], want):  # bytes tell -0.0 from 0.0
+            assert ((got.dtype, got.shape, got.tobytes())
+                    == (expected.dtype, expected.shape, expected.tobytes()))
 
     def test_gram_and_cross_match_row_loop(self):
         train, test = _mar_split(8, 24, 3, 30, seed=76)

@@ -20,7 +20,7 @@ from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
     generate_synthetic_cohort, train_test_split,
 )
-from mtsk.kernels import _save_npz
+from mtsk.kernels import _load_npz, _save_npz
 from mtsk.tck import (
     EM_TOL,
     EMPTY_COMPONENT_WEIGHT,
@@ -104,6 +104,26 @@ def member_flat_data(X, R, center):
     with np.errstate(over="ignore"):
         rows = [R.sum(axis=2), Xc * Xc, Xc, R]
     return np.concatenate([r.reshape(len(X), -1) for r in rows], axis=1)
+
+
+def inplace_flat_data(X, R, center):
+    """tck._flat_data as it was before it became one expression: the data rows
+    [1, R_v, Σ_t R·X², R·X, R] written block by block into one preallocated buffer,
+    with the views copied in first.  Its arithmetic is the same, so they agree bit
+    for bit."""
+    N, V, T = X.shape
+    F = np.empty((N, 1 + 2 * V + 2 * V * T))
+    RX, R_rows = (F[:, 1 + 2 * V + k * V * T:1 + 2 * V + (k + 1) * V * T].reshape(N, V, T)
+                  for k in (0, 1))
+    RX[...] = X
+    R_rows[...] = R
+    RX -= center[:, None]
+    RX *= R_rows
+    F[:, 0] = 1.0
+    F[:, 1:1 + V] = np.einsum("nvt->nv", R_rows)
+    with np.errstate(over="ignore"):
+        F[:, 1 + V:1 + 2 * V] = np.einsum("nvt,nvt->nv", RX, RX)
+    return F
 
 
 def member_log_likelihoods(means, variances, F):
@@ -433,6 +453,30 @@ def _assert_trace_monotone(result, tol=1e-10):
 def diaggmm_posterior(params, values, mask):
     """Posterior component probabilities of one (possibly incomplete) sample."""
     return posteriors(params, np.asarray(values, float)[None], np.asarray(mask, float)[None])[0][0]
+
+
+class TestFlatData:
+    @pytest.mark.parametrize("view", [
+        # _fit_lockstep's view: its fitted rows first, then the rest; an attribute subset
+        # and a time segment.
+        (np.random.default_rng(61).permutation(15)[:, None], np.array([1, 2, 4]), slice(2, 8)),
+        # tck_test's view: every row, through a row index.
+        (np.arange(15)[:, None], np.array([0, 1, 2]), slice(1, 9)),
+        # A plain strided view.
+        (slice(None, None, 2), slice(1, 4), slice(3, None)),
+    ])
+    def test_matches_inplace_oracle_bit_for_bit(self, view):
+        rng = np.random.default_rng(60)
+        R = (rng.random((15, 5, 9)) >= 0.3).astype(float)
+        R[:, 2] = 0.0  # an attribute with no observed cell
+        R[4, 1, 3] = 1.0
+        X = np.where(R > 0, 3.0 * rng.normal(size=R.shape), 0.0)
+        X[4, 1, 3] = 1e200  # observed; its square overflows to inf
+        Xv, Rv = X[view], R[view]
+        center = rng.normal(size=Xv.shape[1])
+        got, want = tck_mod._flat_data(Xv, Rv, center), inplace_flat_data(Xv, Rv, center)
+        assert np.isinf(want).any() and not Rv.any(axis=(0, 2)).all()
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestPosterior:
@@ -789,6 +833,40 @@ class TestSerialization:
         np.savez_compressed(path, **arrays)
         # The first member's values come first: its check fails before any other's.
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 0: {message}$"):
+            load_tck_model(path)
+
+    @pytest.mark.parametrize("part, field, tamper, message", [
+        # Member 0 (q2 = 2) of a 30-patient model over 4 attributes and 12 days.  Its
+        # weights gain a third entry and still sum to 1.
+        ("record", "weights", lambda w: np.append(w, 0.0),
+         r", record 0: weights has shape \(3,\), not \(2,\)"),
+        ("record", "means", lambda mu: mu[:, :, :-1],
+         r", record 0: means has shape \(2, \d+, \d+\), not \(2, \d+, \d+\)"),
+        ("record", "variances", lambda v: v[:, :-1],
+         r", record 0: variances has shape \(2, \d+\), not \(2, \d+\)"),
+        ("record", "train_posteriors", lambda p: p[:-3],
+         r", record 0: train_posteriors has shape \(27, 2\), not \(30, 2\)"),
+        ("record", "attributes", lambda a: np.append(a[:-1], 7),
+         r", record 0: attributes \[[\d, ]*7\] must be distinct and lie in \[0, 4\)"),
+        ("record", "attributes", lambda a: np.append(a[:-1], a[0]),
+         r", record 0: attributes \[[\d, ]*\] must be distinct and lie in \[0, 4\)"),
+        ("record", "segment_start", lambda start: start + 12,
+         r", record 0: segment days \[\d+, \d+\) must lie in \[0, 12\)"),
+        ("arrays", "train_gram", lambda g: g[:-1, :-1],
+         r": train_gram has shape \(29, 29\), not \(n_train, n_train\)"),
+        ("meta", "n_train", lambda n: 25,
+         r": train_gram has shape \(30, 30\), not \(n_train, n_train\)"),
+    ], ids=["weights", "means", "variances", "train_posteriors", "attribute_range",
+            "attribute_repeat", "segment", "train_gram", "n_train"])
+    def test_archive_that_does_not_fit_its_model_rejected(self, setup, tmp_path, part, field,
+                                                           tamper, message):
+        path = tmp_path / "model.npz"
+        save_tck_model(setup[3], path)
+        meta, records, arrays = _load_npz(path, "TCK model")
+        edited = {"meta": meta, "record": records[0], "arrays": arrays}[part]
+        edited[field] = tamper(edited[field])
+        _save_npz(path, meta, records, arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}$"):
             load_tck_model(path)
 
 
