@@ -5,7 +5,8 @@ A cohort is a set of patients, each described by a V x T grid of values
 observation mask.  Missing cells are represented by mask = 0; whatever
 value is stored underneath a masked cell must never influence any
 computation.  A ``Cohort`` stores the whole set densely, as (N, V, T)
-value and mask arrays, and every transform here works on those arrays.
+value and mask arrays, and every transform here works on those arrays.  A
+per-patient ``MTSample`` is a plain record, checked by the cohort built from it.
 """
 from __future__ import annotations
 
@@ -44,29 +45,14 @@ class MTSample:
     mask: np.ndarray
     label: int | None = None
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=float)
-        if self.values.ndim != 2 or self.values.shape != self.mask.shape:
-            raise ValueError(
-                f"sample {self.id!r}: values {self.values.shape} and mask "
-                f"{self.mask.shape} must be identical V x T grids"
-            )
-        if not np.isin(self.mask, (0.0, 1.0)).all():
-            raise ValueError(f"sample {self.id!r}: mask entries must be 0 or 1")
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"sample {self.id!r}: values must be finite")
-        if self.label is not None and self.label not in (0, 1):
-            raise ValueError(f"sample {self.id!r}: label must be 0, 1 or None")
-
 
 class Cohort:
     """A set of patients sharing attribute names and window length.
 
-    Stored dense: ``values`` and ``mask`` are read-only float arrays of
-    shape (N, V, T), row i belonging to ``ids()[i]`` and ``labels()[i]``.
-    ``Cohort(samples, attribute_names, window_length)`` builds one from
-    ``MTSample`` records; ``samples`` gives those records back as views.
+    Stored dense: ``values`` and ``mask`` are read-only float arrays of shape
+    (N, V, T = ``window_length``), row i belonging to ``ids()[i]`` and ``labels()[i]``.
+    ``Cohort(samples, attribute_names, window_length)`` builds one from ``MTSample``
+    records, which it checks; ``samples`` gives those records back as views.
     """
 
     def __init__(self, samples: list[MTSample], attribute_names: list[str],
@@ -74,27 +60,22 @@ class Cohort:
         _require_distinct("attribute name", attribute_names)
         shape = (len(attribute_names), window_length)
         for s in samples:
-            if s.values.shape != shape:
-                raise ValueError(
-                    f"sample {s.id!r} has shape {s.values.shape}, cohort expects {shape}"
-                )
-        self._assign(
-            [s.id for s in samples],
-            [s.label for s in samples],
-            np.array([s.values for s in samples]).reshape(len(samples), *shape),
-            np.array([s.mask for s in samples]).reshape(len(samples), *shape),
-            attribute_names,
-            window_length,
-        )
+            if (got := np.shape(s.values)) != shape or (got := np.shape(s.mask)) != shape:
+                raise ValueError(f"sample {s.id!r} has shape {got}, cohort expects {shape}")
+        values, mask = (np.array([getattr(s, a) for s in samples], dtype=float)
+                        .reshape(len(samples), *shape) for a in ("values", "mask"))
+        faults = np.array([~np.isin(mask, (0.0, 1.0)).all(axis=(1, 2)),
+                           ~np.isfinite(values).all(axis=(1, 2)),
+                           [s.label not in (None, 0, 1) for s in samples]]).T
+        if faults.any():  # the first fault, in this order, of the first sample with one
+            i, k = divmod(int(faults.argmax()), 3)
+            raise ValueError(f"sample {samples[i].id!r}: " + ("mask entries must be 0 or 1",
+                             "values must be finite", "label must be 0, 1 or None")[k])
+        vars(self).update(vars(Cohort._from_arrays(  # the array constructor's checks and fields
+            [s.id for s in samples], [s.label for s in samples], values, mask, attribute_names)))
 
     @classmethod
-    def _from_arrays(cls, ids, labels, values, mask, attribute_names,
-                     window_length) -> "Cohort":
-        cohort = cls.__new__(cls)
-        cohort._assign(ids, labels, values, mask, attribute_names, window_length)
-        return cohort
-
-    def _assign(self, ids, labels, values, mask, attribute_names, window_length):
+    def _from_arrays(cls, ids, labels, values, mask, attribute_names) -> "Cohort":
         _require_distinct("sample id", ids)
         n_observed = mask.sum(axis=(1, 2))
         low = np.flatnonzero(n_observed < MIN_OBSERVED_CELLS)
@@ -103,19 +84,20 @@ class Cohort:
                 f"sample {ids[low[0]]!r} has {int(n_observed[low[0]])} observed cells, "
                 f"minimum is {MIN_OBSERVED_CELLS}"
             )
-        self.values = np.ascontiguousarray(values, dtype=float)
-        self.mask = np.ascontiguousarray(mask, dtype=float)
-        self.values.flags.writeable = False
-        self.mask.flags.writeable = False
-        self._ids = list(ids)
-        self._labels = list(labels)
-        self.attribute_names = list(attribute_names)
-        self.window_length = window_length
+        cohort = cls.__new__(cls)
+        cohort.values = np.ascontiguousarray(values, dtype=float)
+        cohort.mask = np.ascontiguousarray(mask, dtype=float)
+        cohort.values.flags.writeable = False
+        cohort.mask.flags.writeable = False
+        cohort._ids = list(ids)
+        cohort._labels = list(labels)
+        cohort.attribute_names = list(attribute_names)
+        return cohort
 
     def __reduce__(self):
         # Unpickle (e.g. in a sweep worker) through the array constructor: read-only again.
         return Cohort._from_arrays, (self._ids, self._labels, self.values, self.mask,
-                                     self.attribute_names, self.window_length)
+                                     self.attribute_names)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -123,6 +105,10 @@ class Cohort:
     @property
     def n_attributes(self) -> int:
         return len(self.attribute_names)
+
+    @property
+    def window_length(self) -> int:
+        return self.values.shape[2]
 
     @property
     def samples(self) -> list[MTSample]:
@@ -146,14 +132,12 @@ class Cohort:
         return float(1.0 - self.mask.mean()) if self.mask.size else 0.0
 
 
-def _keep_observed(ids, labels, values, mask, attribute_names, window_length, warning, *args):
+def _keep_observed(ids, labels, values, mask, attribute_names, warning, *args):
     """The cohort of the rows with enough observed cells.  If a row is dropped, ``warning``
     is logged with ``args``, the number of rows dropped and the minimum."""
     keep = np.flatnonzero(mask.sum(axis=(1, 2)) >= MIN_OBSERVED_CELLS)
-    cohort = Cohort._from_arrays(
-        [ids[i] for i in keep], [labels[i] for i in keep], values[keep], mask[keep],
-        attribute_names, window_length,
-    )
+    cohort = Cohort._from_arrays([ids[i] for i in keep], [labels[i] for i in keep],
+                                 values[keep], mask[keep], attribute_names)
     if keep.size < len(ids):
         logger.warning(warning, *args, len(ids) - keep.size, MIN_OBSERVED_CELLS)
     return cohort
@@ -261,8 +245,8 @@ def load_cohort(
     attr_names = list(attributes) if attributes is not None else sorted(seen)
     _require_distinct("attribute name", attr_names)
     if not batches:
-        T = window_length or 0
-        return Cohort._from_arrays([], [], *np.zeros((2, 0, len(attr_names), T)), attr_names, T)
+        return Cohort._from_arrays([], [], *np.zeros((2, 0, len(attr_names), window_length or 0)),
+                                   attr_names)
     pid, raw_attr, day, value, label, lines = map(np.concatenate, zip(*batches))
     # A file whose days are all below 1 gives an empty window, and its first row is reported.
     T = window_length if window_length is not None else max(int(day.max()), 0)
@@ -287,7 +271,7 @@ def load_cohort(
     values.ravel()[cells] = value
     mask.ravel()[cells] = 1.0
     labels = [(0, 1, None)[code] for code in label[first].tolist()]
-    return _keep_observed(list(patients), labels, values, mask, attr_names, T,
+    return _keep_observed(list(patients), labels, values, mask, attr_names,
                           "excluded %d patient(s) with fewer than %d observations")
 
 
@@ -296,6 +280,9 @@ def write_cohort(cohort: Cohort, path) -> None:
     ids = cohort.ids()
     labels = ["NA" if lab is None else str(lab) for lab in cohort.labels()]
     names = cohort.attribute_names
+    if bad := [name for name in (*ids, *names) if not name or name != name.strip()]:
+        raise ValueError(f"id or attribute name {bad[0]!r} is empty or has leading or trailing "
+                         "whitespace; load_cohort, which strips fields, would not read it back")
     n, v, t = np.nonzero(cohort.mask)  # C order: patient, then attribute, then day
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -370,7 +357,7 @@ def generate_synthetic_cohort(
     ids = [f"case{i + 1:0{pad}d}" for i in range(n_cases)]
     ids += [f"ctrl{i + 1:0{pad}d}" for i in range(n_controls)]
     labels = [1] * n_cases + [0] * n_controls
-    return Cohort._from_arrays(ids, labels, values, np.ones_like(values), attr_names, T)
+    return Cohort._from_arrays(ids, labels, values, np.ones_like(values), attr_names)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +433,9 @@ def apply_missingness(cohort: Cohort, spec: MissingnessSpec) -> Cohort:
         prob = _sigmoid(a - score)
 
     hide = rng.random((N, V, T)) < prob
-    return _keep_observed(
-        cohort.ids(), cohort.labels(), X, np.where(hide, 0.0, 1.0),
-        cohort.attribute_names, cohort.window_length,
-        "dropped %d sample(s) reduced below %d observations by masking",
-    )
+    return _keep_observed(cohort.ids(), cohort.labels(), X, np.where(hide, 0.0, 1.0),
+                          cohort.attribute_names,
+                          "dropped %d sample(s) reduced below %d observations by masking")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +475,7 @@ def train_test_split(
     def take(rows):
         return Cohort._from_arrays(
             [ids[i] for i in rows], [labels[i] for i in rows], cohort.values[rows],
-            cohort.mask[rows], cohort.attribute_names, cohort.window_length,
+            cohort.mask[rows], cohort.attribute_names,
         )
 
     return take(train_idx), take(test_idx)
@@ -502,6 +487,6 @@ def truncate_window(cohort: Cohort, days: int) -> Cohort:
         raise ValueError(f"days must be in [1, {cohort.window_length}], got {days}")
     return _keep_observed(
         cohort.ids(), cohort.labels(), cohort.values[:, :, :days], cohort.mask[:, :, :days],
-        cohort.attribute_names, days,
+        cohort.attribute_names,
         "truncation to %d day(s) dropped %d sample(s) below %d observations", days,
     )

@@ -110,4 +110,4 @@ def impute(spec: ImputationSpec, cohort: Cohort) -> Cohort:
     if spec.bias_correct:
         filled = np.concatenate([filled, R], axis=1)
     return Cohort._from_arrays(cohort.ids(), cohort.labels(), filled, np.ones_like(filled),
-                               out_names, cohort.window_length)
+                               out_names)

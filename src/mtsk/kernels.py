@@ -229,6 +229,8 @@ def gram_matrix(
 
 def save_matrix(path, tag: str, matrix: np.ndarray) -> None:
     """Write a dense matrix as CSV rows under a one-line ``tag,N,M`` header."""
+    if not set(tag).isdisjoint(",\r\n"):  # load_matrix could not split the header back
+        raise ValueError(f"matrix tag {tag!r} must not hold a comma or a line break")
     arr = np.asarray(matrix, dtype=float)
     with open(path, "w") as fh:
         fh.write(f"{tag},{arr.shape[0]},{arr.shape[1]}\n")
@@ -303,15 +305,24 @@ def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
     return meta, records, arrays
 
 
-def _records(path, records: list[dict], make, whole):
-    """``whole(made)``, ``made`` holding ``make(**record)`` for each record of an archive.
-    Each record is first checked alone in ``whole``, so that a ValueError names the archive
-    and the record."""
-    made = []
-    for i, record in enumerate(records):
-        try:
-            made.append(make(**record))
-            whole(made[-1:])
-        except ValueError as exc:
-            raise ValueError(f"{path}, record {i}: {exc}") from None
-    return whole(made)
+def _records(path, made: list, whole):
+    """``whole(made)``, the model of an archive's records, which checks them all at once.  If
+    that raises a ValueError, it names the archive and the first record failing alone."""
+    try:
+        return whole(made)
+    except ValueError:
+        for i, record in enumerate(made):
+            try:
+                whole([record])
+            except ValueError as exc:
+                raise ValueError(f"{path}, record {i}: {exc}") from None
+        raise
+
+
+def _require_kind(record, names: str, message: str, kinds="iu", ndim=0) -> None:
+    """Raise ``message`` for the first named field without ``ndim`` axes and a kind in ``kinds``."""
+    for name in names.split():
+        a = np.asarray(getattr(record, name))
+        if a.ndim != ndim or a.dtype.kind not in kinds:
+            shape = f" of shape {a.shape}" if a.ndim != ndim else ""
+            raise ValueError(f"{message.format(name)}, got {a.dtype}{shape}")

@@ -17,7 +17,8 @@ stack: every step takes the next node of each tree, draws its feature and
 thresholds from that tree's generator, and scores all those nodes in one
 sort of their rows, so a tree comes out as if grown alone.  Scoring routes
 the whole forest at once, a fixed number of trees at a time, one tree level
-per pass.
+per pass.  An ``LPSTree`` is a plain record of node arrays; the ``LPSForest``
+holding it checks it, so that a forest loaded from disk routes every row to a leaf.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .kernels import KernelMatrix, _load_npz, _records, _require_shape, _save_npz
+from .kernels import KernelMatrix, _load_npz, _records, _require_kind, _require_shape, _save_npz
 
 MIN_SEGMENT_FRACTION = 0.15
 MAX_SEGMENT_FRACTION = 0.5
@@ -64,7 +65,7 @@ def _leaf_slots(feature: np.ndarray) -> np.ndarray:  # leaves numbered in node o
 
 @dataclass
 class LPSTree:
-    """One random-lag regression tree, stored as flat node arrays."""
+    """One random-lag regression tree, stored as flat node arrays; ``LPSForest`` checks it."""
 
     segment_length: int
     lag: int
@@ -77,25 +78,6 @@ class LPSTree:
     missing_left: np.ndarray  # bool: absent split value goes left
     leaf_slot: np.ndarray     # leaf position within this tree's block, -1 inside
 
-    def __post_init__(self):  # an archive comes from outside: routing must reach a leaf
-        n = np.size(self.feature)
-        if not n or {np.shape(a) for a in (self.feature, self.threshold, self.left, self.right,
-                                          self.missing_left, self.leaf_slot)} != {(n,)}:
-            raise ValueError("a tree's six node arrays must share one nonzero length")
-        for name, kinds, what in (("feature", "iu", "integers"), ("left", "iu", "integers"),
-                                  ("right", "iu", "integers"), ("leaf_slot", "iu", "integers"),
-                                  ("missing_left", "b", "booleans")):
-            dtype = np.asarray(getattr(self, name)).dtype
-            if dtype.kind not in kinds:
-                raise ValueError(f"a tree's {name} array must hold {what}, got {dtype}")
-        split = np.flatnonzero(self.feature >= 0)
-        if not all(((c > split) & (c < n)).all() for c in (self.left[split], self.right[split])):
-            raise ValueError("a split's children must have larger node ids inside the tree")
-        if not (self.feature[split] < self.segment_length).all():
-            raise ValueError(f"split features must lie in [0, {self.segment_length})")
-        if not (self.leaf_slot == _leaf_slots(self.feature)).all():
-            raise ValueError("leaf slots must number the leaves in node order")
-
     @property
     def n_leaves(self) -> int:
         return int((self.leaf_slot >= 0).sum())
@@ -107,8 +89,24 @@ class LPSForest:
     n_attributes: int
     window_length: int
 
-    def __post_init__(self):
+    def __post_init__(self):  # an archive comes from outside: routing must reach a leaf
         for t in self.trees:
+            n = np.size(t.feature)
+            if not n or {np.shape(a) for a in (t.feature, t.threshold, t.left, t.right,
+                                               t.missing_left, t.leaf_slot)} != {(n,)}:
+                raise ValueError("a tree's six node arrays must share one nonzero length")
+            _require_kind(t, "feature left right leaf_slot", "a tree's {} array must hold integers",
+                          ndim=1)
+            _require_kind(t, "missing_left", "a tree's {} array must hold booleans", "b", ndim=1)
+            _require_kind(t, "segment_length lag predictor_attr target_attr",
+                          "a tree's {} must be an integer")
+            split = np.flatnonzero(t.feature >= 0)
+            if not all(((c > split) & (c < n)).all() for c in (t.left[split], t.right[split])):
+                raise ValueError("a split's children must have larger node ids inside the tree")
+            if not (t.feature[split] < t.segment_length).all():
+                raise ValueError(f"split features must lie in [0, {t.segment_length})")
+            if not (t.leaf_slot == _leaf_slots(t.feature)).all():
+                raise ValueError("leaf slots must number the leaves in node order")
             l, p, T = t.segment_length, t.lag, self.window_length
             if not (l >= 1 and p >= 1 and l + p <= T):
                 raise ValueError(f"segment length {l} and lag {p} must be >= 1 and sum to <= {T}")
@@ -415,4 +413,4 @@ def load_lps_forest(path) -> LPSForest:
     if "n_attributes" not in meta:
         raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
                          "train and save the forest again")
-    return _records(path, records, LPSTree, lambda trees: LPSForest(trees, **meta))
+    return _records(path, [LPSTree(**r) for r in records], lambda trees: LPSForest(trees, **meta))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .kernels import KernelMatrix, _load_npz, _records, _require_shape, _save_npz
+from .kernels import KernelMatrix, _load_npz, _records, _require_kind, _require_shape, _save_npz
 
 logger = logging.getLogger(__name__)
 
@@ -406,6 +406,10 @@ class TCKModel:
     def __post_init__(self):  # each member must fit itself and the model; NaN fails each check
         N, V, T = self.n_train, self.n_attributes, self.window_length
         for m in self.members:
+            _require_kind(m, "q1 q2 segment_start segment_length smoothing_width",
+                          "{} must be an integer")
+            _require_kind(m, "attributes train_subset", "{} must be a 1-d integer array", ndim=1)
+            _require_kind(m, "strength a0 b0_scale", "{} must be a real number", "iuf")
             G, A, attrs, s = m.q2, len(m.attributes), m.attributes.tolist(), m.segment_start
             for name, shape in (("weights", (G,)), ("means", (G, A, m.segment_length)),
                                 ("variances", (G, A)), ("train_posteriors", (N, G))):
@@ -555,4 +559,5 @@ def load_tck_model(path) -> TCKModel:
     gram = arrays["train_gram"]
     if gram.shape != (meta.get("n_train"),) * 2:
         raise ValueError(f"{path}: train_gram has shape {gram.shape}, not (n_train, n_train)")
-    return _records(path, records, TCKMember, functools.partial(TCKModel, train_gram=gram, **meta))
+    return _records(path, [TCKMember(**r) for r in records],
+                    functools.partial(TCKModel, train_gram=gram, **meta))

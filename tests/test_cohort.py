@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import logging
+import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +28,7 @@ from mtsk.cohort import (
     truncate_window,
     write_cohort,
 )
+from mtsk.impute import ImputationMethod, fit_imputer, impute
 
 
 def _write(tmp_path, text, name="cohort.csv"):
@@ -210,7 +213,7 @@ def _row_loader(path, window_length=None, attributes=None):
     ids, labs = list(patient), list(labels.values())
     keep = np.flatnonzero(mask.sum(axis=(1, 2)) >= MIN_OBSERVED_CELLS)
     cohort = Cohort._from_arrays([ids[i] for i in keep], [labs[i] for i in keep], values[keep],
-                                 mask[keep], attr_names, T)
+                                 mask[keep], attr_names)
     if keep.size < len(ids):
         logging.getLogger("mtsk.cohort").warning(
             "excluded %d patient(s) with fewer than %d observations",
@@ -388,6 +391,32 @@ class TestRoundTrip:
         write_cohort(cohort, out)
         got = sorted(out.read_text().strip().splitlines()[1:])
         assert got == sorted(rows)
+
+    def test_names_the_format_carries_round_trip(self, tmp_path):
+        names = ['"a"', "b,c", "d\ne"]  # sorted, as load_cohort orders attributes
+        ids = ['p "1"', "p,2", "p\n3"]
+        values = np.arange(18.0).reshape(3, 3, 2)
+        cohort = Cohort([MTSample(i, v, np.ones((3, 2)), 0) for i, v in zip(ids, values)],
+                        names, 2)
+        write_cohort(cohort, tmp_path / "c.csv")
+        back = load_cohort(tmp_path / "c.csv")
+        assert (back.ids(), back.attribute_names) == (ids, names)
+        assert np.array_equal(back.values, values)
+
+    @pytest.mark.parametrize("ids, names, message", [
+        ([" p1", "p2"], ["a"], "' p1'"),
+        (["p1", "p2 "], ["a"], "'p2 '"),
+        (["", "p2"], ["a"], "''"),
+        (["p1", "p2"], [" a"], "' a'"),
+        (["p1", "p2"], ["a\n"], "'a\\n'"),
+    ])
+    def test_names_load_would_change_refused(self, tmp_path, ids, names, message):
+        cohort = Cohort([MTSample(i, np.ones((1, 2)), np.ones((1, 2))) for i in ids], names, 2)
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=f"^id or attribute name {re.escape(message)} is "
+                                             "empty or has leading or trailing whitespace"):
+            write_cohort(cohort, path)
+        assert not path.exists()
 
     def test_load_of_write_is_identity(self, tmp_path):
         cohort = generate_synthetic_cohort(3, 5, 4, 10, 1.0, seed=5)
@@ -595,8 +624,41 @@ class TestTruncate:
 
 class TestInvariants:
     def test_mask_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="identical"):
-            MTSample("x", np.zeros((2, 3)), np.zeros((3, 2)))
+        sample = MTSample("x", np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError,
+                           match=r"^sample 'x' has shape \(3, 2\), cohort expects \(2, 3\)$"):
+            Cohort([sample], ["a", "b"], 3)
+
+    @pytest.mark.parametrize("mask, values, label, message", [
+        (0.5, 0.0, None, "mask entries must be 0 or 1"),
+        (np.nan, 0.0, None, "mask entries must be 0 or 1"),
+        (1.0, np.inf, None, "values must be finite"),
+        (1.0, np.nan, 0, "values must be finite"),
+        (1.0, 0.0, 2, "label must be 0, 1 or None"),
+        (0.5, np.nan, 2, "mask entries must be 0 or 1"),  # a sample's first fault, in order
+    ], ids=["half-mask", "nan-mask", "inf-value", "nan-value", "label", "first-fault"])
+    def test_record_fault_names_its_sample(self, mask, values, label, message):
+        good = MTSample("a", np.zeros((2, 3)), np.ones((2, 3)), 1)
+        grid_mask, grid_values = np.ones((2, 3)), np.zeros((2, 3))
+        grid_mask[1, 2], grid_values[1, 2] = mask, values
+        bad = MTSample("b", grid_values, grid_mask, label)
+        later = MTSample("c", np.full((2, 3), np.nan), np.ones((2, 3)))  # a fault too
+        with pytest.raises(ValueError, match=f"^sample 'b': {re.escape(message)}$"):
+            Cohort([good, bad, later], ["u", "v"], 3)
+
+    def test_window_length_is_the_arrays_last_axis(self, tmp_path):
+        full = generate_synthetic_cohort(4, 6, 3, 9, 1.0, seed=2)
+        masked = apply_missingness(full, MissingnessSpec(Missingness.MCAR, 0.3, seed=3))
+        write_cohort(masked, tmp_path / "c.csv")
+        spec = fit_imputer(masked, ImputationMethod.LOCF, bias_correct=True)
+        derived = [full, masked, *train_test_split(masked, 0.5, seed=4),
+                   truncate_window(masked, 5), impute(spec, masked),
+                   load_cohort(tmp_path / "c.csv"), load_cohort(tmp_path / "c.csv", 12),
+                   pickle.loads(pickle.dumps(masked)),
+                   Cohort(masked.samples, masked.attribute_names, 9)]
+        assert [c.window_length for c in derived] == [9, 9, 9, 9, 5, 9, 9, 12, 9, 9]
+        for c in derived:
+            assert c.window_length == c.values.shape[2] and "window_length" not in vars(c)
 
     def test_under_observed_sample_rejected(self):
         mask = np.zeros((2, 3))

@@ -559,6 +559,14 @@ class TestSerialization:
         first = path.read_text().splitlines()[0]
         assert first == "tck,4,7"
 
+    @pytest.mark.parametrize("tag", ["lps,mean", "lps\n", "a\rb"])
+    def test_tag_load_could_not_read_refused(self, tmp_path, tag):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=f"^matrix tag {re.escape(repr(tag))} must not hold "
+                                             "a comma or a line break$"):
+            save_matrix(path, tag, np.eye(2))
+        assert not path.exists()
+
     def test_matrix_bytes_match_per_entry_writer(self, tmp_path):
         arr = np.vstack([[0.0, -0.0, 1e-300, 0.1, 1 / 3, 1e300],
                          np.random.default_rng(6).normal(size=(3, 6))])

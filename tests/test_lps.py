@@ -1078,9 +1078,18 @@ class TestSerialization:
          "a tree's leaf_slot array must hold integers, got float64"),
         ({"missing_left": lambda t: t["missing_left"].astype(int)},
          "a tree's missing_left array must hold booleans, got int64"),
+        # Each of these loaded and made lps_gram fail with a bare IndexError.
+        ({"segment_length": lambda t: float(t["segment_length"])},
+         "a tree's segment_length must be an integer, got float64"),
+        ({"lag": lambda t: float(t["lag"])}, "a tree's lag must be an integer, got float64"),
+        ({"predictor_attr": lambda t: float(t["predictor_attr"])},
+         "a tree's predictor_attr must be an integer, got float64"),
+        ({"target_attr": lambda t: float(t["target_attr"])},
+         "a tree's target_attr must be an integer, got float64"),
     ], ids=["node-lengths", "root-cycle", "child-past-end", "feature-past-segment",
             "leaf-slots", "lag-past-window", "predictor-attr", "target-attr", "float-feature",
-            "float-left", "float-right", "float-leaf-slot", "int-missing-left"])
+            "float-left", "float-right", "float-leaf-slot", "int-missing-left",
+            "float-segment-length", "float-lag", "float-predictor-attr", "float-target-attr"])
     def test_tampered_tree_rejected(self, tmp_path, edit, message):
         # Each edit breaks one rule for the first tree, whose root is a split.  The
         # children that point back at the root made lps_gram loop forever, and a
@@ -1111,6 +1120,16 @@ class TestSerialization:
         _save_npz(path, meta, trees, {})
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 2: {message}$"):
             load_lps_forest(path)
+
+    def test_valid_archive_builds_its_forest_once(self, tmp_path, monkeypatch):
+        forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=20,
+                           seed=22)
+        save_lps_forest(forest, tmp_path / "forest.npz")
+        built = []
+        check = LPSForest.__post_init__
+        monkeypatch.setattr(LPSForest, "__post_init__", lambda f: built.append(check(f)))
+        assert len(load_lps_forest(tmp_path / "forest.npz").trees) == 20
+        assert len(built) == 1
 
     def test_archive_from_commit_c7ee263_loads_and_matches_lockstep_forest(
             self, tmp_path, assert_same_fields):

@@ -816,6 +816,14 @@ class TestSerialization:
             "weights", "means", "variances",
         ]
 
+    def test_valid_archive_builds_its_model_once(self, setup, tmp_path, monkeypatch):
+        save_tck_model(setup[3], tmp_path / "model.npz")
+        built = []
+        check = TCKModel.__post_init__
+        monkeypatch.setattr(TCKModel, "__post_init__", lambda m: built.append(check(m)))
+        assert len(load_tck_model(tmp_path / "model.npz").members) == 6
+        assert len(built) == 1
+
     @pytest.mark.parametrize("field, tamper, message", [
         ("weights", lambda v: v * 0.9, "mixture weights must sum to 1"),
         ("variances", lambda v: np.where(np.arange(v.size) == 3, 0.0, v),
@@ -856,15 +864,35 @@ class TestSerialization:
          r": train_gram has shape \(29, 29\), not \(n_train, n_train\)"),
         ("meta", "n_train", lambda n: 25,
          r": train_gram has shape \(30, 30\), not \(n_train, n_train\)"),
+        # Fields of the wrong type.  A 0-d attributes failed with a bare TypeError, and a
+        # float segment or attributes loaded, then made tck_test fail.  A field is stored
+        # as one array over all members, so "records" edits every member.
+        ("records", "attributes", lambda a: a[0],
+         r", record 0: attributes must be a 1-d integer array, got int64 of shape \(\)"),
+        ("record", "attributes", lambda a: a.astype(float),
+         r", record 0: attributes must be a 1-d integer array, got float64"),
+        ("record", "segment_start", float,
+         r", record 0: segment_start must be an integer, got float64"),
+        ("record", "segment_length", float,
+         r", record 0: segment_length must be an integer, got float64"),
+        ("record", "q2", float, r", record 0: q2 must be an integer, got float64"),
+        ("record", "smoothing_width", float,
+         r", record 0: smoothing_width must be an integer, got float64"),
+        ("records", "train_subset", lambda s: s[:, None],
+         r", record 0: train_subset must be a 1-d integer array, got int64 of shape \(\d+, 1\)"),
+        ("records", "a0", str, r", record 0: a0 must be a real number, got <U\d+"),
     ], ids=["weights", "means", "variances", "train_posteriors", "attribute_range",
-            "attribute_repeat", "segment", "train_gram", "n_train"])
+            "attribute_repeat", "segment", "train_gram", "n_train", "0-d-attributes",
+            "float-attributes", "float-segment-start", "float-segment-length", "float-q2",
+            "float-smoothing-width", "2-d-train-subset", "str-a0"])
     def test_archive_that_does_not_fit_its_model_rejected(self, setup, tmp_path, part, field,
                                                            tamper, message):
         path = tmp_path / "model.npz"
         save_tck_model(setup[3], path)
         meta, records, arrays = _load_npz(path, "TCK model")
-        edited = {"meta": meta, "record": records[0], "arrays": arrays}[part]
-        edited[field] = tamper(edited[field])
+        for edited in {"meta": [meta], "record": records[:1], "records": records,
+                       "arrays": [arrays]}[part]:
+            edited[field] = tamper(edited[field])
         _save_npz(path, meta, records, arrays)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}$"):
             load_tck_model(path)
