@@ -44,17 +44,12 @@ class ConfigError(Exception):
 
 
 def cmd_synth(args) -> int:
-    cohort = generate_synthetic_cohort(
-        n_cases=args.cases,
-        n_controls=args.controls,
-        n_attributes=args.attrs,
-        n_days=args.days,
-        effect_size=args.effect,
-        seed=args.seed,
-    )
-    if args.missing != "none" and args.rate > 0:
-        spec = MissingnessSpec(Missingness(args.missing), args.rate, seed=args.seed)
-        cohort = apply_missingness(cohort, spec)
+    synthetic = {"n_cases": args.cases, "n_controls": args.controls, "n_attributes": args.attrs,
+                 "n_days": args.days, "effect_size": args.effect, "seed": args.seed}
+    if args.missing != "none":
+        synthetic["missing"] = {"mechanism": Missingness(args.missing), "rate": args.rate,
+                                "seed": args.seed}
+    cohort = _load_run_cohort({"synthetic": synthetic})
     write_cohort(cohort, args.out)
     print(
         f"wrote {args.out}: {len(cohort)} samples, {cohort.n_attributes} attributes, "
@@ -295,12 +290,16 @@ def cmd_run(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {args.config} is not valid JSON: {exc}") from None
     source, output_dir, config = parse_run_config(doc, os.path.dirname(args.config))
-    if args.workers < 1:  # before the dry run prints a plan and before output_dir exists
+    if args.workers < 1:  # before the cohort is built and before output_dir exists
         raise ValueError(f"n_workers must be >= 1, got {args.workers}")
+    cohort = _load_run_cohort(source)
+    if max(config.windows) > cohort.window_length:
+        raise ConfigError([f"windows: {max(config.windows)} exceeds the cohort's "
+                           f"{cohort.window_length} days"])
 
     methods = config.effective_methods()
     n_cells = config.runs * len(config.windows) * len(methods)
-    if args.dry_run:
+    if args.dry_run:  # every check of a run is made; nothing is written
         print(f"cohort: {source.get('path', 'synthetic')}")
         print(f"methods ({len(methods)}): " + ", ".join(m.label for m in methods))
         print(f"windows ({len(config.windows)}): " + ", ".join(map(str, config.windows)))
@@ -308,10 +307,6 @@ def cmd_run(args) -> int:
         print(f"planned cells: {n_cells}")
         return EXIT_OK
 
-    cohort = _load_run_cohort(source)
-    if max(config.windows) > cohort.window_length:
-        raise ConfigError([f"windows: {max(config.windows)} exceeds the cohort's "
-                           f"{cohort.window_length} days"])
     os.makedirs(output_dir, exist_ok=True)
     report = evaluate.run_experiment(cohort, config, n_workers=args.workers)
     evaluate.write_rows_csv(report, os.path.join(output_dir, "report_rows.csv"))

@@ -66,7 +66,8 @@ class Cohort:
                         .reshape(len(samples), *shape) for a in ("values", "mask"))
         faults = np.array([~np.isin(mask, (0.0, 1.0)).all(axis=(1, 2)),
                            ~np.isfinite(values).all(axis=(1, 2)),
-                           [s.label not in (None, 0, 1) for s in samples]]).T
+                           [s.label is not None and (np.asarray(s.label).dtype.kind not in "iu"
+                                                     or s.label not in (0, 1)) for s in samples]]).T
         if faults.any():  # the first fault, in this order, of the first sample with one
             i, k = divmod(int(faults.argmax()), 3)
             raise ValueError(f"sample {samples[i].id!r}: " + ("mask entries must be 0 or 1",

@@ -334,8 +334,8 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     trees then routes all its segment rows at once, one level per pass, as deep as
     its deepest leaf: row (patient n, start s) of a tree reads day s + feature of the
     tree's predictor attribute from the ``_segment_rows`` layout, in one of two copies
-    that differ in what an absent day reads.  A tree's block of columns counts, per
-    patient, the rows that reached each of its leaves.
+    that differ in what an absent day reads.  Column k counts, per patient, the rows
+    that reached the forest's k-th leaf in that node order, so each tree has a block.
     """
     N, _, T = cohort.values.shape
     _require_shape(cohort, (forest.n_attributes, forest.window_length), "the forest's")
@@ -345,15 +345,15 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     flat = np.where(np.isnan(series), np.array([-np.inf, np.inf])[:, None, None], series).ravel()
     trees = forest.trees
     offset = np.cumsum([0] + [t.feature.size for t in trees])
-    column = np.cumsum([0] + [t.n_leaves for t in trees])
     feature, threshold, missing_left = (np.concatenate([getattr(t, a) for t in trees])
                                         for a in ("feature", "threshold", "missing_left"))
     split = feature >= 0
+    slot = _leaf_slots(feature)
+    column = np.append(0, np.cumsum(~split))[offset]  # leaves before each tree
     children = np.stack([np.concatenate([getattr(t, a) + o for t, o in zip(trees, offset)])
                          for a in ("left", "right")], axis=1)
     children[~split] = np.flatnonzero(~split)[:, None]
     read = np.where(split, feature, 0) + ~missing_left * series.size
-    slot = np.concatenate([t.leaf_slot + o for t, o in zip(trees, column)])
     counts = np.empty((N, column[-1]), dtype=int)
     for c in range(0, len(trees), _ROUTE_CHUNK):
         chunk = trees[c:c + _ROUTE_CHUNK]

@@ -84,13 +84,13 @@ class _Batch:
     """B mixtures over their own data rows, laid out for whole-batch arithmetic.
 
     Member m has data rows F_m (n_m, W_m) over V_m attributes and T_m days,
-    W_m = 1 + 2·V_m + 2·V_m·T_m, and G_m components.  Its coefficients
-    (W_m, G_m) and its M-step sums P_mF_m (G_m, W_m) are views of two flat
-    buffers.  Its log-likelihoods are the rows of an (N, G_max) buffer and
-    its posteriors the columns of a (G_max, N) one, N = Σ n_m, padded past
-    G_m with −inf and 0.  Components, (component, attribute) pairs and
-    (component, attribute, day) cells are numbered across the batch (``comp``,
-    ``gv`` and ``gvt``), and gather indices place each in the buffers.
+    W_m = 1 + 2·V_m + 2·V_m·T_m, and G_m components.  It owns one block of G_m·W_m
+    cells of a flat buffer, viewed as (W_m, G_m): the E-step scatters its coefficients
+    there (``coef_at``), and the M-step overwrites them with its sums P_mF_m (G_m, W_m),
+    read back at ``sum_at``.  Its log-likelihoods are the rows of an (N, G_max) buffer
+    and its posteriors the columns of a (G_max, N) one, N = Σ n_m, padded past G_m
+    with −inf and 0.  Components, (component, attribute) pairs and (component,
+    attribute, day) cells are numbered across the batch (``comp``, ``gv`` and ``gvt``).
     """
 
     def __init__(self, F: list[np.ndarray], G, V, T, like: _Batch | None = None):
@@ -102,11 +102,10 @@ class _Batch:
         G, V, T = (np.asarray(a) for a in (G, V, T))
         W, VT = 1 + 2 * V + 2 * V * T, V * T
         cw, self.rows = _offsets(G * W), _offsets(n)
-        self.coef, self.sums = np.zeros(cw[-1]), np.zeros(cw[-1])
+        self.block = np.zeros(cw[-1])
         self.loglik = np.full((self.rows[-1], G.max()), -np.inf)
         self.post = np.zeros((G.max(), self.rows[-1]))
-        self.views = [(self.coef[cw[m]:cw[m + 1]].reshape(W[m], G[m]),
-                       self.sums[cw[m]:cw[m + 1]].reshape(G[m], W[m]),
+        self.views = [(self.block[cw[m]:cw[m + 1]].reshape(W[m], G[m]),
                        self.loglik[self.rows[m]:self.rows[m + 1], :G[m]],
                        self.post[:G[m], self.rows[m]:self.rows[m + 1]]) for m in range(B)]
         members = np.arange(B)
@@ -124,16 +123,13 @@ class _Batch:
         days = np.repeat(T[cm], V[cm])                          # per (component, attribute)
         self.gv_starts = _offsets(days)[:-1]
         self.gvt_gv = np.repeat(np.arange(self.gv[-1]), days)
-        self.gv_attr = _ragged(_offsets(V)[cm], V[cm])          # member attribute, numbered
-        self.gvt_cell = _ragged(_offsets(VT)[cm], VT[cm])       # member (attribute, day) cell
         # Positions of log w, then of c and −a (the R_v and Σ_t R·X² rows), then of 2μa
         # and −μ²a (the R·X and R rows) in the coefficients; of the same rows in the sums.
         col, row = cw[cm] + self.comp_local, cw[cm] + self.comp_local * W[cm]
         c_at = _ragged(col + G[cm], V[cm], G[cm])
         mu_at = _ragged(col + (1 + 2 * V[cm]) * G[cm], VT[cm], G[cm])
-        self.coef_from = np.empty(cw[-1], dtype=np.intp)  # inverse of the value order
-        self.coef_from[np.concatenate([col, c_at, c_at + (V * G)[self.gv_member], mu_at,
-                                       mu_at + (VT * G)[self.gvt_member]])] = np.arange(cw[-1])
+        self.coef_at = np.concatenate([col, c_at, c_at + (V * G)[self.gv_member], mu_at,
+                                       mu_at + (VT * G)[self.gvt_member]])
         c_at, mu_at = _ragged(row + 1, V[cm]), _ragged(row + 1 + 2 * V[cm], VT[cm])
         self.sum_at = np.concatenate([c_at, c_at + V[self.gv_member], mu_at,
                                       mu_at + VT[self.gvt_member]])
@@ -146,10 +142,10 @@ class _Batch:
         with np.errstate(divide="ignore"):  # weight 0 gives -inf
             log_w = np.log(weights)
         values = np.concatenate([log_w, -0.5 * (LOG_2PI + log_var), -a, 2.0 * mu_a, -means * mu_a])
-        np.take(values, self.coef_from, out=self.coef)
+        self.block[self.coef_at] = values
         with np.errstate(over="ignore", invalid="ignore"):  # a wild value gives -inf or nan
             for m in np.flatnonzero(live).tolist():
-                np.matmul(self.F[m], self.views[m][0], out=self.views[m][2])
+                np.matmul(self.F[m], self.views[m][0], out=self.views[m][1])
 
     def posteriors(self, live: np.ndarray, labels: list[str]) -> np.ndarray:
         """Fill the posteriors and return the log-evidence of every row."""
@@ -193,7 +189,7 @@ def _posteriors(mixes: list, Xs: list, Rs: list, labels: list[str]) -> list:
     batch.log_likelihoods(np.concatenate([mix.weights for mix in mixes]), means,
                           np.log(variances), 1.0 / variances, live)
     evidence = batch.posteriors(live, labels)
-    return [(batch.views[m][3].T.copy(), evidence[batch.rows[m]:batch.rows[m + 1]])
+    return [(batch.views[m][2].T.copy(), evidence[batch.rows[m]:batch.rows[m + 1]])
             for m in range(batch.B)]
 
 
@@ -267,9 +263,9 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
     lam, a0, b0_scale = (np.array([draw[k] for draw in draws])
                          for k in ("strength", "a0", "b0_scale"))
     lam_gv, lam_gvt, a0 = lam[gv_member], lam[gvt_member], a0[gv_member]
-    attr_var = np.concatenate(attr_var)[batch.gv_attr]
+    attr_var = np.concatenate([np.tile(a, g) for a, g in zip(attr_var, G)])
     b0, floor = b0_scale[gv_member] * attr_var, VARIANCE_FLOOR_FACTOR * attr_var
-    smooth = np.concatenate(smooth)[batch.gvt_cell]
+    smooth = np.concatenate([np.tile(s, g) for s, g in zip(smooth, G)])
     lam_smooth = lam_gvt * smooth
     # With the means' update substituted, the variance update's spread plus penalty is
     # S2 + λ·Σ_t s² − Σ_t μ·(S + λ·s); the constant part is fixed per pair.
@@ -332,9 +328,9 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
             # M-step: exact coordinate maximization of the penalized bound, computed for
             # every slot; every member that does not step keeps its parameters.
             for m in np.flatnonzero(stepping).tolist():
-                _, sums, _, post = batch.views[m]
-                np.matmul(post, batch.F[m], out=sums)
-            sums = batch.sums[batch.sum_at]
+                block, _, post = batch.views[m]  # C-ordered, so its reshape is a view too
+                np.matmul(post, batch.F[m], out=block.reshape(post.shape[0], -1))
+            sums = batch.block[batch.sum_at]
             Wv, S2, S, Wt = (sums[i:j] for i, j in split)  # R_v, Σ_t R·X²; R·X, R by day
             with np.errstate(all="ignore"):  # a member that does not step may hold anything here
                 num = S + lam_smooth
@@ -361,7 +357,7 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
             continue
         w, mu, var = (p[at] for p, at in zip((weights, means, variances), own[m]))
         post = np.empty((N, G[m]))
-        post[orders[m]] = scoring.views[m][3].T
+        post[orders[m]] = scoring.views[m][2].T
         member = TCKMember(**draws[m], train_posteriors=post, weights=w,
                            means=mu.reshape(G[m], V[m], T[m]) + centers[m][None, :, None],
                            variances=var.reshape(G[m], V[m]))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,19 @@ class TestSynth:
         a = _synth_csv(tmp_path, name="a.csv")
         b = _synth_csv(tmp_path, name="b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of the files written at commit 41866d7, before synth built its cohort
+    # through the run config's builder.
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "452a54b6571a29992dc354a543ff4e8d9f758078ed6a4d09585423d7b77ba517"),
+        (["--missing", "mar", "--rate", 0.2, "--seed", 4],
+         "f7ded7085672afcc61889d2d089bb3fa613ffb17ec0edcd7073f243bfb1cd01b"),
+    ], ids=["complete", "mar"])
+    def test_writes_the_bytes_of_commit_41866d7(self, tmp_path, flags, digest):
+        path = tmp_path / "c.csv"
+        assert run_cli("synth", "--cases", 7, "--controls", 13, "--attrs", 4, "--days", 9,
+                       *flags, "--out", path) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestKernel:
@@ -447,6 +461,9 @@ _INPUT_ERRORS = {
     "synth-rate-above-1": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 2, "--missing", "mcar",
                                       "--rate", 1.5, "--out", t / "x.csv"],
                            "rate must be in [0, 1], got 1.5"),
+    "synth-rate-below-0": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 2, "--missing", "mar",
+                                      "--rate", -0.2, "--out", t / "x.csv"],
+                           "rate must be in [0, 1], got -0.2"),
     "synth-mar-one-attribute": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 1, "--missing",
                                            "mar", "--rate", 0.3, "--out", t / "x.csv"],
                                 "MAR requires at least 2 attributes"),
@@ -491,7 +508,15 @@ _RUN_INPUT_ERRORS = {
     "synthetic-window-length": ({"synthetic": {"days": 10}, "window_length": 4}, {},
                                 "cohort.window_length: not read for a synthetic cohort; "
                                 "set synthetic.days instead"),
+    "window-past-cohort": ({"synthetic": {"days": 10}}, {},
+                           "windows: 14 exceeds the cohort's 10 days"),
 }
+
+
+def _error_config(tmp_path, cohort, dumps):
+    if "synthetic" not in cohort:
+        cohort = {"path": str(_synth_csv(tmp_path)), **cohort}
+    return _run_config(tmp_path, "ignored", cohort=cohort, embedding_dumps=dumps)
 
 
 def _env_cli(*args, **env):
@@ -519,12 +544,21 @@ class TestInputErrors:
     @pytest.mark.parametrize("cohort, dumps, message", _RUN_INPUT_ERRORS.values(),
                              ids=_RUN_INPUT_ERRORS)
     def test_run_input_error_exits_2(self, tmp_path, capsys, cohort, dumps, message):
-        if "synthetic" not in cohort:
-            cohort = {"path": str(_synth_csv(tmp_path)), **cohort}
-        config = _run_config(tmp_path, "ignored", cohort=cohort, embedding_dumps=dumps)
+        config = _error_config(tmp_path, cohort, dumps)
         capsys.readouterr()
         code = run_cli("run", config)
         self._assert_input_error(code, capsys.readouterr().err, message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cohort, dumps, message", _RUN_INPUT_ERRORS.values(),
+                             ids=_RUN_INPUT_ERRORS)
+    def test_dry_run_rejects_what_a_run_rejects(self, tmp_path, capsys, cohort, dumps, message):
+        config = _error_config(tmp_path, cohort, dumps)
+        capsys.readouterr()
+        code = run_cli("run", config, "--dry-run")
+        out, err = capsys.readouterr()
+        self._assert_input_error(code, err, message)
+        assert out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])

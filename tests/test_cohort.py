@@ -431,6 +431,16 @@ class TestRoundTrip:
             assert np.array_equal(a.values * a.mask, b.values * b.mask)
             assert a.label == b.label
 
+    def test_numpy_integer_labels_round_trip(self, tmp_path):
+        labels = [np.int64(1), np.int64(0), np.int32(1), None]
+        values = np.arange(24.0).reshape(4, 3, 2)
+        cohort = Cohort([MTSample(f"p{i}", v, np.ones((3, 2)), lab)
+                         for i, (v, lab) in enumerate(zip(values, labels))], ["a", "b", "c"], 2)
+        write_cohort(cohort, tmp_path / "c.csv")
+        back = load_cohort(tmp_path / "c.csv")
+        assert back.labels() == [1, 0, 1, None]
+        assert np.array_equal(back.values, values)
+
 
 class TestSynthetic:
     def test_seeded_determinism(self):
@@ -636,7 +646,12 @@ class TestInvariants:
         (1.0, np.nan, 0, "values must be finite"),
         (1.0, 0.0, 2, "label must be 0, 1 or None"),
         (0.5, np.nan, 2, "mask entries must be 0 or 1"),  # a sample's first fault, in order
-    ], ids=["half-mask", "nan-mask", "inf-value", "nan-value", "label", "first-fault"])
+        # write_cohort would write these as True, 1.0 and 0.0, which load_cohort refuses.
+        (1.0, 0.0, True, "label must be 0, 1 or None"),
+        (1.0, 0.0, 1.0, "label must be 0, 1 or None"),
+        (1.0, 0.0, np.float64(0.0), "label must be 0, 1 or None"),
+    ], ids=["half-mask", "nan-mask", "inf-value", "nan-value", "label", "first-fault",
+            "bool-label", "float-label", "numpy-float-label"])
     def test_record_fault_names_its_sample(self, mask, values, label, message):
         good = MTSample("a", np.zeros((2, 3)), np.ones((2, 3)), 1)
         grid_mask, grid_values = np.ones((2, 3)), np.zeros((2, 3))

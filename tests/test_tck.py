@@ -1092,6 +1092,58 @@ class TestLockstep:
         assert any(0 in m.attributes for m in model.members)
 
 
+def parent_coefficients(G, V, T, weights, means, log_var, inv_var) -> list:
+    """Each member's (W_m, G_m) coefficients as _Batch placed them before its coefficients
+    and M-step sums shared one block: every cell's source in the value order [log w, c, −a,
+    2μa, −μ²a] (``coef_from``), taken with ``np.take`` into a separate buffer."""
+    G, V, T = (np.asarray(a) for a in (G, V, T))
+    W, VT = 1 + 2 * V + 2 * V * T, V * T
+    cw, members = tck_mod._offsets(G * W), np.arange(len(G))
+    cm = np.repeat(members, G)
+    col = cw[cm] + np.arange(len(cm)) - tck_mod._offsets(G)[cm]
+    c_at = tck_mod._ragged(col + G[cm], V[cm], G[cm])
+    mu_at = tck_mod._ragged(col + (1 + 2 * V[cm]) * G[cm], VT[cm], G[cm])
+    coef_from = np.empty(cw[-1], dtype=np.intp)
+    coef_from[np.concatenate([col, c_at, c_at + (V * G)[np.repeat(members, G * V)], mu_at,
+                              mu_at + (VT * G)[np.repeat(members, G * VT)]])] = np.arange(cw[-1])
+    a = 0.5 * inv_var
+    mu_a = means * a[np.repeat(np.arange(np.sum(G * V)), np.repeat(T[cm], V[cm]))]
+    values = np.concatenate([np.log(weights), -0.5 * (LOG_2PI + log_var), -a, 2.0 * mu_a,
+                             -means * mu_a])
+    coef = np.take(values, coef_from)
+    return [coef[cw[m]:cw[m + 1]].reshape(W[m], G[m]) for m in members]
+
+
+class TestBlockPlacement:
+    def test_coefficients_and_log_likelihoods_match_the_separate_buffer(self):
+        # Members of mixed G, V and T, fitted on some rows and scored on others.
+        rng = np.random.default_rng(40)
+        G, V, T = (2, 4, 3), (3, 1, 2), (5, 8, 6)
+        weights = rng.dirichlet(np.ones(sum(G)))  # flat over all members, as in _fit_lockstep
+        means = rng.normal(size=sum(g * v * t for g, v, t in zip(G, V, T)))
+        variances = rng.uniform(0.5, 2.0, size=sum(g * v for g, v in zip(G, V)))
+        log_var, inv_var = np.log(variances), 1.0 / variances
+        expected = parent_coefficients(G, V, T, weights, means, log_var, inv_var)
+
+        def flat_data(sizes):
+            out = []
+            for n, v, t in zip(sizes, V, T):
+                X = rng.normal(size=(n, v, t))
+                R = (rng.random((n, v, t)) >= 0.3).astype(float)
+                out.append(tck_mod._flat_data(X * R, R, rng.normal(size=v)))
+            return out
+
+        fitting = tck_mod._Batch(flat_data((7, 5, 9)), G, V, T)
+        scoring = tck_mod._Batch(flat_data((11, 4, 6)), G, V, T, like=fitting)
+        for batch in (fitting, scoring):
+            batch.block[:] = np.nan  # every cell must be written, as after an M-step
+            batch.log_likelihoods(weights, means, log_var, inv_var, np.ones(3, dtype=bool))
+            for m, coef in enumerate(expected):
+                got_coef, loglik, _ = batch.views[m]
+                assert got_coef.tobytes() == coef.tobytes()
+                assert np.ascontiguousarray(loglik).tobytes() == (batch.F[m] @ coef).tobytes()
+
+
 class TestWarningsNameMember:
     def test_underflow_and_failed_attempts(self, caplog):
         # One observed value whose square overflows: every member viewing its
