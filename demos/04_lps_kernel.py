@@ -29,7 +29,7 @@ print(f"  {sum(int(np.isnan(w).sum()) for w, _ in rows)} missing predictor cells
       "carried as NaN\n")
 
 forest = lps_train(train, n_trees=60, seed=3)
-sizes = [t.n_leaves for t in forest.trees]
+sizes = [int((t.feature < 0).sum()) for t in forest.trees]  # a leaf has feature -1
 print(f"forest: {len(forest.trees)} trees, {min(sizes)}-{max(sizes)} leaves each, "
       f"representation length {forest.representation_length}")
 

@@ -47,6 +47,8 @@ def cmd_synth(args) -> int:
     synthetic = {"n_cases": args.cases, "n_controls": args.controls, "n_attributes": args.attrs,
                  "n_days": args.days, "effect_size": args.effect, "seed": args.seed}
     if args.missing != "none":
+        if args.rate is None:
+            raise ValueError(f"--missing {args.missing} needs --rate")
         synthetic["missing"] = {"mechanism": Missingness(args.missing), "rate": args.rate,
                                 "seed": args.seed}
     cohort = _load_run_cohort({"synthetic": synthetic})
@@ -255,9 +257,10 @@ def parse_run_config(doc: dict, config_dir: str = ".") -> tuple:
         cohort["path"] = os.path.join(config_dir, cohort["path"])
         if not os.path.exists(cohort["path"]):
             errors.append(f"cohort.path: input file not found: {cohort['path']}")
-    if "missing" in cohort.get("synthetic", {}) and (
-            "mechanism" not in doc["cohort"]["synthetic"]["missing"]):
-        errors.append("cohort.synthetic.missing.mechanism: must be mcar, mar or mnar")
+    if "missing" in cohort.get("synthetic", {}):
+        errors += [f"cohort.synthetic.missing.{key}: {need}" for key, need in (
+            ("mechanism", "must be mcar, mar or mnar"), ("rate", "required, a number in [0, 1]"))
+            if key not in given["synthetic"]["missing"]]
     if "output_dir" not in doc:
         errors.append("output_dir: required string")
     output_dir = os.path.join(config_dir, fields.pop("output_dir", ""))
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--effect", type=float, default=1.5)
     p.add_argument("--missing", choices=["none", "mcar", "mar", "mnar"], default="none")
-    p.add_argument("--rate", type=float, default=0.0)
+    p.add_argument("--rate", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

@@ -67,7 +67,8 @@ class Cohort:
         faults = np.array([~np.isin(mask, (0.0, 1.0)).all(axis=(1, 2)),
                            ~np.isfinite(values).all(axis=(1, 2)),
                            [s.label is not None and (np.asarray(s.label).dtype.kind not in "iu"
-                                                     or s.label not in (0, 1)) for s in samples]]).T
+                                                     or np.ndim(s.label) or s.label not in (0, 1))
+                            for s in samples]]).T
         if faults.any():  # the first fault, in this order, of the first sample with one
             i, k = divmod(int(faults.argmax()), 3)
             raise ValueError(f"sample {samples[i].id!r}: " + ("mask entries must be 0 or 1",

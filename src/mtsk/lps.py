@@ -17,8 +17,10 @@ stack: every step takes the next node of each tree, draws its feature and
 thresholds from that tree's generator, and scores all those nodes in one
 sort of their rows, so a tree comes out as if grown alone.  Scoring routes
 the whole forest at once, a fixed number of trees at a time, one tree level
-per pass.  An ``LPSTree`` is a plain record of node arrays; the ``LPSForest``
-holding it checks it, so that a forest loaded from disk routes every row to a leaf.
+per pass.  An ``LPSTree`` is a plain record of node arrays, numbered depth first:
+a split's left child is the next node, its right child is stored, and a tree's
+leaves take its columns in node order.  The ``LPSForest`` holding a tree checks
+it, so that a forest loaded from disk routes every row to a leaf.
 """
 from __future__ import annotations
 
@@ -58,11 +60,6 @@ def _sse(t: np.ndarray) -> float:
     return float(((t - t.mean()) ** 2).sum())
 
 
-def _leaf_slots(feature: np.ndarray) -> np.ndarray:  # leaves numbered in node order
-    leaf = feature < 0
-    return np.where(leaf, leaf.cumsum() - 1, -1)
-
-
 @dataclass
 class LPSTree:
     """One random-lag regression tree, stored as flat node arrays; ``LPSForest`` checks it."""
@@ -73,14 +70,8 @@ class LPSTree:
     target_attr: int
     feature: np.ndarray       # split feature per node, -1 at leaves
     threshold: np.ndarray
-    left: np.ndarray          # child node ids, -1 at leaves
-    right: np.ndarray
+    right: np.ndarray         # right child node id, -1 at leaves; the left one is the next node
     missing_left: np.ndarray  # bool: absent split value goes left
-    leaf_slot: np.ndarray     # leaf position within this tree's block, -1 inside
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.leaf_slot >= 0).sum())
 
 
 @dataclass
@@ -92,21 +83,18 @@ class LPSForest:
     def __post_init__(self):  # an archive comes from outside: routing must reach a leaf
         for t in self.trees:
             n = np.size(t.feature)
-            if not n or {np.shape(a) for a in (t.feature, t.threshold, t.left, t.right,
-                                               t.missing_left, t.leaf_slot)} != {(n,)}:
-                raise ValueError("a tree's six node arrays must share one nonzero length")
-            _require_kind(t, "feature left right leaf_slot", "a tree's {} array must hold integers",
-                          ndim=1)
+            if not n or {np.shape(a) for a in (t.feature, t.threshold, t.right,
+                                               t.missing_left)} != {(n,)}:
+                raise ValueError("a tree's four node arrays must share one nonzero length")
+            _require_kind(t, "feature right", "a tree's {} array must hold integers", ndim=1)
             _require_kind(t, "missing_left", "a tree's {} array must hold booleans", "b", ndim=1)
             _require_kind(t, "segment_length lag predictor_attr target_attr",
                           "a tree's {} must be an integer")
             split = np.flatnonzero(t.feature >= 0)
-            if not all(((c > split) & (c < n)).all() for c in (t.left[split], t.right[split])):
+            if not ((t.right[split] > split) & (t.right[split] < n)).all():  # so split + 1 <= right
                 raise ValueError("a split's children must have larger node ids inside the tree")
             if not (t.feature[split] < t.segment_length).all():
                 raise ValueError(f"split features must lie in [0, {t.segment_length})")
-            if not (t.leaf_slot == _leaf_slots(t.feature)).all():
-                raise ValueError("leaf slots must number the leaves in node order")
             l, p, T = t.segment_length, t.lag, self.window_length
             if not (l >= 1 and p >= 1 and l + p <= T):
                 raise ValueError(f"segment length {l} and lag {p} must be >= 1 and sum to <= {T}")
@@ -115,7 +103,7 @@ class LPSForest:
 
     @property
     def representation_length(self) -> int:
-        return sum(t.n_leaves for t in self.trees)
+        return sum(int((t.feature < 0).sum()) for t in self.trees)
 
 
 def _stable_order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +224,8 @@ def _split_step(values, rank, popped, rngs, lengths) -> list:
 
 def _grow_forest(flat, roots, rngs, lengths, max_depth: int) -> list[tuple]:
     """Grow one tree per root, all in lockstep; returns each tree's ``(feature,
-    threshold, left, right, missing_left)`` node arrays, with -1, nan, -1, -1 and
-    False at its leaves.
+    threshold, right, missing_left)`` node arrays, with -1, nan, -1 and False at its
+    leaves.
 
     Tree j starts from the rows ``roots[j] = (base, tgt)`` (see _split_step), draws
     from ``rngs[j]`` and reads features in [0, lengths[j]).  Each tree keeps its own
@@ -274,8 +262,8 @@ def _grow_forest(flat, roots, rngs, lengths, max_depth: int) -> list[tuple]:
         np.array(column, dtype=dtype) for column, dtype in
         zip(list(zip(*splits)) or [()] * 6, (int, int, int, float, bool, int)))
     at = np.cumsum([0] + sizes[:-1])[tree] + node
-    arrays = [np.full(sum(sizes), fill) for fill in (-1, np.nan, -1, -1, False)]
-    for a, column in zip(arrays, (feature, threshold, node + 1, right, missing_left)):
+    arrays = [np.full(sum(sizes), fill) for fill in (-1, np.nan, -1, False)]
+    for a, column in zip(arrays, (feature, threshold, right, missing_left)):
         a[at] = column
     return list(zip(*(np.split(a, np.cumsum(sizes[:-1])) for a in arrays)))
 
@@ -322,15 +310,15 @@ def lps_train(
         # Rows are pooled patient by patient; the threshold draws depend on that order.
         roots.append((v_pred * series.shape[1] + starts[keep], tgt[keep]))
     grown = _grow_forest(series.ravel(), roots, rngs, [s[0] for s in shapes], max_depth)
-    trees = [LPSTree(*shape, *nodes, _leaf_slots(nodes[0])) for shape, nodes in zip(shapes, grown)]
-    return LPSForest(trees, V, T)
+    return LPSForest([LPSTree(*shape, *nodes) for shape, nodes in zip(shapes, grown)], V, T)
 
 
 def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     """Leaf counts of every patient: an (N, representation_length) int matrix.
 
     The trees' node arrays are laid end to end, each tree's ids shifted by its
-    offset, and every leaf made its own two children.  Each chunk of _ROUTE_CHUNK
+    offset, so that a split's children are the next node and its shifted right
+    child, and every leaf is made its own two children.  Each chunk of _ROUTE_CHUNK
     trees then routes all its segment rows at once, one level per pass, as deep as
     its deepest leaf: row (patient n, start s) of a tree reads day s + feature of the
     tree's predictor attribute from the ``_segment_rows`` layout, in one of two copies
@@ -348,10 +336,10 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
     feature, threshold, missing_left = (np.concatenate([getattr(t, a) for t in trees])
                                         for a in ("feature", "threshold", "missing_left"))
     split = feature >= 0
-    slot = _leaf_slots(feature)
-    column = np.append(0, np.cumsum(~split))[offset]  # leaves before each tree
-    children = np.stack([np.concatenate([getattr(t, a) + o for t, o in zip(trees, offset)])
-                         for a in ("left", "right")], axis=1)
+    leaves_before = np.append(0, np.cumsum(~split))  # at a leaf: its column in the forest
+    column = leaves_before[offset]  # leaves before each tree
+    children = np.stack([np.arange(1, split.size + 1),
+                         np.concatenate([t.right + o for t, o in zip(trees, offset)])], axis=1)
     children[~split] = np.flatnonzero(~split)[:, None]
     read = np.where(split, feature, 0) + ~missing_left * series.size
     counts = np.empty((N, column[-1]), dtype=int)
@@ -367,7 +355,7 @@ def lps_represent(forest: LPSForest, cohort: Cohort) -> np.ndarray:
             level = children[level].ravel()
         width = column[c + len(chunk)] - column[c]
         counts[:, column[c]:column[c] + width] = np.bincount(
-            np.concatenate(starts) // T * width + slot[node] - column[c],
+            np.concatenate(starts) // T * width + leaves_before[node] - column[c],
             minlength=N * width).reshape(N, width)
     return counts
 
@@ -413,4 +401,6 @@ def load_lps_forest(path) -> LPSForest:
     if "n_attributes" not in meta:
         raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
                          "train and save the forest again")
-    return _records(path, [LPSTree(**r) for r in records], lambda trees: LPSForest(trees, **meta))
+    old = ("left", "leaf_slot")  # older archives store these too; both follow from feature
+    trees = [LPSTree(**{k: v for k, v in r.items() if k not in old}) for r in records]
+    return _records(path, trees, lambda trees: LPSForest(trees, **meta))

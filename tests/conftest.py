@@ -31,7 +31,7 @@ def _assert_same(a, b):
         assert a == b
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def assert_same_fields():
     """Asserts that two objects are equal field by field, with equal types and dtypes.
 

@@ -74,7 +74,9 @@ class TestSynth:
         ([], "452a54b6571a29992dc354a543ff4e8d9f758078ed6a4d09585423d7b77ba517"),
         (["--missing", "mar", "--rate", 0.2, "--seed", 4],
          "f7ded7085672afcc61889d2d089bb3fa613ffb17ec0edcd7073f243bfb1cd01b"),
-    ], ids=["complete", "mar"])
+        (["--missing", "none", "--rate", 0.4],  # the rate is not read
+         "452a54b6571a29992dc354a543ff4e8d9f758078ed6a4d09585423d7b77ba517"),
+    ], ids=["complete", "mar", "none-with-rate"])
     def test_writes_the_bytes_of_commit_41866d7(self, tmp_path, flags, digest):
         path = tmp_path / "c.csv"
         assert run_cli("synth", "--cases", 7, "--controls", 13, "--attrs", 4, "--days", 9,
@@ -464,6 +466,9 @@ _INPUT_ERRORS = {
     "synth-rate-below-0": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 2, "--missing", "mar",
                                       "--rate", -0.2, "--out", t / "x.csv"],
                            "rate must be in [0, 1], got -0.2"),
+    **{f"synth-{m}-without-rate": (
+        lambda t, m=m: [*_SYNTH, "--cases", 1, "--attrs", 2, "--missing", m, "--out", t / "x.csv"],
+        f"--missing {m} needs --rate") for m in ("mcar", "mar", "mnar")},
     "synth-mar-one-attribute": (lambda t: [*_SYNTH, "--cases", 1, "--attrs", 1, "--missing",
                                            "mar", "--rate", 0.3, "--out", t / "x.csv"],
                                 "MAR requires at least 2 attributes"),
@@ -497,6 +502,9 @@ _RUN_INPUT_ERRORS = {
                                   "effect_size must be >= 0, got -1"),
     "synthetic-rate-above-1": ({"synthetic": {"missing": {"mechanism": "mcar", "rate": 1.5}}},
                                {}, "rate must be in [0, 1], got 1.5"),
+    "synthetic-mechanism-without-rate": ({"synthetic": {"missing": {"mechanism": "mar"}}}, {},
+                                         "cohort.synthetic.missing.rate: required, a number "
+                                         "in [0, 1]"),
     "synthetic-rate-1": ({"synthetic": {"missing": {"mechanism": "mcar", "rate": 1.0}}}, {},
                          "rate = 1 would produce"),
     "dump-methods-string": ({"synthetic": {}}, {"methods": "tck/none"},
@@ -540,6 +548,7 @@ class TestInputErrors:
         capsys.readouterr()
         code = run_cli(*args)
         self._assert_input_error(code, capsys.readouterr().err, message)
+        assert not (tmp_path / "x.csv").exists()  # where every synth case would write
 
     @pytest.mark.parametrize("cohort, dumps, message", _RUN_INPUT_ERRORS.values(),
                              ids=_RUN_INPUT_ERRORS)

@@ -646,12 +646,13 @@ class TestInvariants:
         (1.0, np.nan, 0, "values must be finite"),
         (1.0, 0.0, 2, "label must be 0, 1 or None"),
         (0.5, np.nan, 2, "mask entries must be 0 or 1"),  # a sample's first fault, in order
-        # write_cohort would write these as True, 1.0 and 0.0, which load_cohort refuses.
+        # write_cohort would write these as True, 1.0, 0.0 and [1], which load_cohort refuses.
         (1.0, 0.0, True, "label must be 0, 1 or None"),
         (1.0, 0.0, 1.0, "label must be 0, 1 or None"),
         (1.0, 0.0, np.float64(0.0), "label must be 0, 1 or None"),
+        (1.0, 0.0, np.array([1]), "label must be 0, 1 or None"),
     ], ids=["half-mask", "nan-mask", "inf-value", "nan-value", "label", "first-fault",
-            "bool-label", "float-label", "numpy-float-label"])
+            "bool-label", "float-label", "numpy-float-label", "one-element-array-label"])
     def test_record_fault_names_its_sample(self, mask, values, label, message):
         good = MTSample("a", np.zeros((2, 3)), np.ones((2, 3)), 1)
         grid_mask, grid_values = np.ones((2, 3)), np.zeros((2, 3))

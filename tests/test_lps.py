@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtsk import lps
@@ -50,9 +50,31 @@ def _cohort(*samples):
     return Cohort(list(samples), [f"a{v}" for v in range(V)], T)
 
 
+def _n_leaves(tree) -> int:
+    return int((tree.feature < 0).sum())
+
+
+def _leaf_slots(tree) -> np.ndarray:
+    """Each leaf's column in its tree's block, leaves numbered in node order; -1 at splits."""
+    leaf = tree.feature < 0
+    return np.where(leaf, leaf.cumsum() - 1, -1)
+
+
 def _blocks(forest):
     """Column boundaries of each tree's block in an ``lps_represent`` matrix."""
-    return np.cumsum([0] + [t.n_leaves for t in forest.trees])
+    return np.cumsum([0] + [_n_leaves(t) for t in forest.trees])
+
+
+def _without_left(rows) -> tuple:
+    """``(feature, threshold, right, missing_left)`` arrays of depth-first ``[feature,
+    threshold, left, right, missing_left]`` node rows, once every split's left child is
+    checked to be the next node, as ``LPSTree`` leaves it."""
+    feature, threshold, left, right, missing_left = (
+        np.array(column, dtype=dtype)
+        for column, dtype in zip(zip(*rows), (int, float, int, int, bool)))
+    split = np.flatnonzero(feature >= 0)
+    assert np.array_equal(left[split], split + 1)
+    return feature, threshold, right, missing_left
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +108,13 @@ def _route_leaves(tree, predictors):
         vals = predictors[rows, tree.feature[at]]
         absent = np.isnan(vals)
         go_left = np.where(absent, tree.missing_left[at], vals <= tree.threshold[at])
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.leaf_slot[node]
+        node[rows] = np.where(go_left, at + 1, tree.right[at])
+    return _leaf_slots(tree)[node]
 
 
 def _oracle_route(tree, predictors):
     """Histogram of one sample's segment rows over the tree's leaves."""
-    return np.bincount(_route_leaves(tree, predictors), minlength=tree.n_leaves)
+    return np.bincount(_route_leaves(tree, predictors), minlength=_n_leaves(tree))
 
 
 def _oracle_lps_represent(forest, cohort: Cohort):
@@ -104,8 +126,8 @@ def _oracle_lps_represent(forest, cohort: Cohort):
                                    t.predictor_attr, t.target_attr)
         leaf = _route_leaves(t, pred.reshape(-1, t.segment_length))
         sample = np.repeat(np.arange(N), pred.shape[1])
-        counts = np.bincount(sample * t.n_leaves + leaf, minlength=N * t.n_leaves)
-        blocks.append(counts.reshape(N, t.n_leaves))
+        counts = np.bincount(sample * _n_leaves(t) + leaf, minlength=N * _n_leaves(t))
+        blocks.append(counts.reshape(N, _n_leaves(t)))
     return np.hstack(blocks)
 
 
@@ -191,23 +213,13 @@ class _TreeBuilder:
         self.right[node] = self.grow(pred[~go_left], tgt[~go_left], depth + 1)
         return node
 
+    def columns(self) -> tuple:
+        """``(feature, threshold, right, missing_left)``; see ``_without_left``."""
+        return _without_left(zip(self.feature, self.threshold, self.left, self.right,
+                                 self.missing_left))
+
     def finish(self, segment_length, lag, v_pred, v_tgt) -> LPSTree:
-        feature = np.array(self.feature, dtype=int)
-        leaf_slot = np.full(feature.size, -1, dtype=int)
-        leaves = np.flatnonzero(feature < 0)
-        leaf_slot[leaves] = np.arange(leaves.size)
-        return LPSTree(
-            segment_length=segment_length,
-            lag=lag,
-            predictor_attr=v_pred,
-            target_attr=v_tgt,
-            feature=feature,
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=int),
-            right=np.array(self.right, dtype=int),
-            missing_left=np.array(self.missing_left, dtype=bool),
-            leaf_slot=leaf_slot,
-        )
+        return LPSTree(segment_length, lag, v_pred, v_tgt, *self.columns())
 
 
 def _oracle_train(train: Cohort, n_trees: int, max_depth: int, seed: int) -> LPSForest:
@@ -300,12 +312,7 @@ def _oracle_matrix_train(train: Cohort, n_trees: int, max_depth: int, seed: int)
         keep = ~np.isnan(tgt)
         nodes = []
         _matrix_grow(pred[keep], tgt[keep], rng, max_depth, nodes)
-        feature, threshold, left, right, missing_left = (
-            np.array(column, dtype=dtype)
-            for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
-        leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
-        trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
-                             missing_left, leaf_slot))
+        trees.append(LPSTree(l, p, v_pred, v_tgt, *_without_left(nodes)))
         generators.append(rng)
     return LPSForest(trees, V, T), generators
 
@@ -397,12 +404,7 @@ def _oracle_recursive_train(train: Cohort, n_trees: int, max_depth: int, seed: i
         keep = ~np.isnan(tgt)
         nodes = []
         _grow(series[v_pred], starts[keep], tgt[keep], l, rng, max_depth, nodes)
-        feature, threshold, left, right, missing_left = (
-            np.array(column, dtype=dtype)
-            for column, dtype in zip(zip(*nodes), (int, float, int, int, bool)))
-        leaf_slot = np.where(feature < 0, np.cumsum(feature < 0) - 1, -1)
-        trees.append(LPSTree(l, p, v_pred, v_tgt, feature, threshold, left, right,
-                             missing_left, leaf_slot))
+        trees.append(LPSTree(l, p, v_pred, v_tgt, *_without_left(nodes)))
         generators.append(rng)
     return LPSForest(trees, V, T), generators
 
@@ -419,17 +421,17 @@ def _oracle_tree_loop_represent(forest, cohort: Cohort) -> np.ndarray:
             at = node[rows]
             vals = series[t.predictor_attr, starts[rows] + t.feature[at]]
             go_left = np.where(np.isnan(vals), t.missing_left[at], vals <= t.threshold[at])
-            node[rows] = np.where(go_left, t.left[at], t.right[at])
-        counts = np.bincount(starts // T * t.n_leaves + t.leaf_slot[node],
-                             minlength=N * t.n_leaves)
-        blocks.append(counts.reshape(N, t.n_leaves))
+            node[rows] = np.where(go_left, at + 1, t.right[at])
+        counts = np.bincount(starts // T * _n_leaves(t) + _leaf_slots(t)[node],
+                             minlength=N * _n_leaves(t))
+        blocks.append(counts.reshape(N, _n_leaves(t)))
     return np.hstack(blocks)
 
 
 def _grown_alone(pred_tgt_seeds, max_depth=6) -> list:
     """Grow one tree per ``(pred, tgt, seed)`` in one ``_grow_forest`` call, each row i of
     a tree reading its predictors from ``pred[i]``; returns ``(nodes, generator)`` per tree,
-    ``nodes`` as ``[feature, threshold, left, right, missing_left]`` rows.
+    ``nodes`` as ``[feature, threshold, right, missing_left]`` rows.
 
     Any warning inside ``_grow_forest`` fails the test.
     """
@@ -475,9 +477,7 @@ def _assert_grows_like_builder(pred, tgt, seed, max_depth=6):
     [(nodes, rng)] = _grown_alone([(pred, tgt, seed)], max_depth)
     builder = _TreeBuilder(np.random.default_rng(seed), max_depth)
     builder.grow(pred, tgt)
-    expected = (builder.feature, builder.threshold, builder.left, builder.right,
-                builder.missing_left)
-    for got, want in zip(zip(*nodes), expected):
+    for got, want in zip(zip(*nodes), builder.columns(), strict=True):
         assert np.array_equal(np.array(got, dtype=float), np.array(want, dtype=float),
                               equal_nan=True)
     assert rng.bit_generator.state == builder.rng.bit_generator.state
@@ -567,7 +567,7 @@ class TestTrain:
         samples = [MTSample(f"s{i}", values, np.ones((2, 10))) for i in range(4)]
         cohort = Cohort(samples, ["a", "b"], 10)
         forest = lps_train(cohort, n_trees=5, seed=1)
-        assert all(t.n_leaves == 1 for t in forest.trees)
+        assert all(_n_leaves(t) == 1 for t in forest.trees)
         rep = lps_represent(forest, cohort)
         expected = [10 - t.segment_length - t.lag + 1 for t in forest.trees]
         assert rep.tolist() == [expected] * 4
@@ -589,7 +589,7 @@ class TestTrain:
     def test_depth_bound(self):
         cohort = generate_synthetic_cohort(10, 20, 3, 12, 1.0, seed=4)
         forest = lps_train(cohort, n_trees=10, max_depth=2, seed=5)
-        assert max(t.n_leaves for t in forest.trees) <= 4
+        assert max(_n_leaves(t) for t in forest.trees) <= 4
 
 
 class TestRepresent:
@@ -657,18 +657,16 @@ class TestRepresent:
         cohort = generate_synthetic_cohort(10, 10, 2, 10, 2.0, seed=13)
         forest = lps_train(cohort, n_trees=1, max_depth=1, seed=14)
         tree = forest.trees[0]
-        assert tree.n_leaves == 2
+        assert tree.feature.tolist()[1:] == [-1, -1]  # the left leaf is node 1, column 0
         pred, _ = _oracle_segments(
             cohort, tree.segment_length, tree.lag, tree.predictor_attr, tree.target_attr
         )
         rep = lps_represent(forest, cohort)
-        left_slot = tree.leaf_slot[tree.left[0]]
         for i in range(6):
             col = pred[i, :, tree.feature[0]]
             go_left = np.where(np.isnan(col), tree.missing_left[0], col <= tree.threshold[0])
             manual = [int(go_left.sum()), int((~go_left).sum())]
-            assert rep[i, left_slot] == manual[0]
-            assert rep[i, 1 - left_slot] == manual[1]
+            assert rep[i].tolist() == manual
 
     def test_masking_moves_at_most_affected_rows(self):
         cohort = generate_synthetic_cohort(6, 6, 3, 12, 1.0, seed=15)
@@ -745,7 +743,7 @@ class TestOracle:
         train, test = _mar_split(8, 24, 4, 14, seed=50)
         forest = lps_train(train, n_trees=12, max_depth=4, seed=51)
         # Multi-level trees, and rows that reach a split with its feature missing.
-        assert max(t.n_leaves for t in forest.trees) > 4
+        assert max(_n_leaves(t) for t in forest.trees) > 4
         assert any(
             np.isnan(_oracle_segments(train, t.segment_length, t.lag, t.predictor_attr,
                                       t.target_attr)[0][..., t.feature[0]]).any()
@@ -761,7 +759,7 @@ class TestOracle:
         cohort = apply_missingness(full, MissingnessSpec(mechanism, 0.3, seed=55))
         forest = lps_train(cohort, n_trees=24, max_depth=6, seed=56)
         # Deep trees, with absent split values sent both ways.
-        assert max(t.left.size for t in forest.trees) > 2 ** 4
+        assert max(t.feature.size for t in forest.trees) > 2 ** 4
         sides = np.concatenate([t.missing_left[t.feature >= 0] for t in forest.trees])
         assert sides.any() and not sides.all()
         assert_same_fields(forest, _oracle_train(cohort, 24, 6, 56))
@@ -786,7 +784,7 @@ class TestOracle:
     def test_default_depth_forest_matches_list_builder(self, assert_same_fields):
         train, _ = _mar_split(20, 60, 5, 20, seed=58)
         forest = lps_train(train, n_trees=40, seed=59)
-        assert max(t.left.size for t in forest.trees) > 2 ** 5
+        assert max(t.feature.size for t in forest.trees) > 2 ** 5
         assert_same_fields(forest, _oracle_train(train, 40, 6, 59))
 
     @pytest.mark.parametrize("n_trees", [20, 200])
@@ -839,7 +837,7 @@ class TestOracle:
         # leaves two children of 8 equal targets each (node_sse == 0).
         x = np.arange(16.0)[:, None]
         nodes = _assert_grows_like_builder(x, (x[:, 0] >= 8) * 1.0, seed=75)
-        assert nodes[0][:4] == [0, 7.0, 1, 2] and len(nodes) == 3
+        assert nodes[0][:3] == [0, 7.0, 2] and len(nodes) == 3
 
     def test_constant_target_draws_as_its_rounded_mean_says(self):
         # Twelve targets of 0.1 average to 0.10000000000000002: the node's sum of
@@ -865,8 +863,7 @@ class TestOracle:
         for (nodes, rng_got), (pred, tgt, seed) in zip(_grown_alone(cases), cases):
             builder = _TreeBuilder(np.random.default_rng(seed), 6)
             builder.grow(pred, tgt)
-            for got, want in zip(zip(*nodes), (builder.feature, builder.threshold, builder.left,
-                                               builder.right, builder.missing_left)):
+            for got, want in zip(zip(*nodes), builder.columns(), strict=True):
                 assert np.array_equal(np.array(got, dtype=float), np.array(want, dtype=float),
                                       equal_nan=True)
             assert rng_got.bit_generator.state == builder.rng.bit_generator.state
@@ -992,6 +989,11 @@ def fixed_forest():
     return forest, train, test, lps_gram(forest, train, test)
 
 
+@pytest.fixture(scope="module")
+def archive_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lps_archives")
+
+
 def _reordered(cohort: Cohort, order) -> Cohort:
     samples = cohort.samples
     return Cohort([samples[i] for i in order], cohort.attribute_names, cohort.window_length)
@@ -1025,6 +1027,36 @@ class TestSerialization:
         save_lps_forest(forest, path)
         assert_same_fields(load_lps_forest(path), forest)
 
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_archive_loads_the_forest_in_either_layout(self, archive_dir, assert_same_fields,
+                                                       data):
+        # Older archives also store each tree's left children and leaf slots; loading
+        # drops them, so both layouts give the saved forest, field for field and dtype
+        # for dtype, and the same kernel.
+        n_cases, n_controls = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 6))
+        V, T = data.draw(st.integers(2, 3)), data.draw(st.integers(6, 12))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        spec = MissingnessSpec(data.draw(st.sampled_from(list(Missingness))),
+                               data.draw(st.sampled_from([0.1, 0.3, 0.5])), seed=seed + 1)
+        cohort = apply_missingness(
+            generate_synthetic_cohort(n_cases, n_controls, V, T, 1.5, seed=seed), spec)
+        assume(len(cohort) >= 2 and (cohort.mask == 0).any())
+        forest = lps_train(cohort, n_trees=data.draw(st.integers(1, 6)),
+                           max_depth=data.draw(st.integers(1, 4)), seed=seed)
+        path, old_path = archive_dir / "forest.npz", archive_dir / "old.npz"
+        save_lps_forest(forest, path)
+        meta = {"n_attributes": V, "window_length": T}
+        _save_npz(old_path, meta, [
+            {**vars(t), "left": np.where(t.feature >= 0, np.arange(t.feature.size) + 1, -1),
+             "leaf_slot": _leaf_slots(t)} for t in forest.trees], {})
+        with np.load(old_path) as old:
+            assert {"left.values", "leaf_slot.values"} <= set(old.files)
+        gram = lps_gram(forest, cohort).gram
+        for loaded in (load_lps_forest(path), load_lps_forest(old_path)):
+            assert_same_fields(loaded, forest)
+            assert np.array_equal(lps_gram(loaded, cohort).gram, gram)
+
     def test_meta_records_attribute_count_and_window(self, tmp_path):
         forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=2)
         save_lps_forest(forest, tmp_path / "forest.npz")
@@ -1053,29 +1085,21 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         ({"threshold": lambda t: t["threshold"][1:]},
-         "a tree's six node arrays must share one nonzero length"),
-        ({"left": lambda t: _with_root(t["left"], 0),
-          "right": lambda t: _with_root(t["right"], 0)},
+         "a tree's four node arrays must share one nonzero length"),
+        ({"right": lambda t: _with_root(t["right"], 0)},
          "a split's children must have larger node ids inside the tree"),
         ({"right": lambda t: _with_root(t["right"], t["right"].size)},
          "a split's children must have larger node ids inside the tree"),
         ({"feature": lambda t: _with_root(t["feature"], t["segment_length"])},
          r"split features must lie in \[0, \d+\)"),
-        ({"leaf_slot": lambda t: np.where(t["leaf_slot"] < 0, -1,
-                                          t["leaf_slot"].max() - t["leaf_slot"])},
-         "leaf slots must number the leaves in node order"),
         ({"lag": lambda t: 13 - t["segment_length"]},
          r"segment length \d+ and lag \d+ must be >= 1 and sum to <= 12"),
         ({"predictor_attr": lambda t: 3}, r"tree attributes must lie in \[0, 3\)"),
         ({"target_attr": lambda t: -1}, r"tree attributes must lie in \[0, 3\)"),
         ({"feature": lambda t: t["feature"] + 0.5},
          "a tree's feature array must hold integers, got float64"),
-        ({"left": lambda t: t["left"].astype(float)},
-         "a tree's left array must hold integers, got float64"),
         ({"right": lambda t: t["right"].astype(float)},
          "a tree's right array must hold integers, got float64"),
-        ({"leaf_slot": lambda t: t["leaf_slot"].astype(float)},
-         "a tree's leaf_slot array must hold integers, got float64"),
         ({"missing_left": lambda t: t["missing_left"].astype(int)},
          "a tree's missing_left array must hold booleans, got int64"),
         # Each of these loaded and made lps_gram fail with a bare IndexError.
@@ -1087,9 +1111,9 @@ class TestSerialization:
         ({"target_attr": lambda t: float(t["target_attr"])},
          "a tree's target_attr must be an integer, got float64"),
     ], ids=["node-lengths", "root-cycle", "child-past-end", "feature-past-segment",
-            "leaf-slots", "lag-past-window", "predictor-attr", "target-attr", "float-feature",
-            "float-left", "float-right", "float-leaf-slot", "int-missing-left",
-            "float-segment-length", "float-lag", "float-predictor-attr", "float-target-attr"])
+            "lag-past-window", "predictor-attr", "target-attr", "float-feature", "float-right",
+            "int-missing-left", "float-segment-length", "float-lag", "float-predictor-attr",
+            "float-target-attr"])
     def test_tampered_tree_rejected(self, tmp_path, edit, message):
         # Each edit breaks one rule for the first tree, whose root is a split.  The
         # children that point back at the root made lps_gram loop forever, and a
@@ -1106,7 +1130,7 @@ class TestSerialization:
             load_lps_forest(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("left", 0, "a split's children must have larger node ids inside the tree"),
+        ("right", 0, "a split's children must have larger node ids inside the tree"),
         ("lag", 12, r"segment length \d+ and lag 12 must be >= 1 and sum to <= 12"),
     ])
     def test_tampered_tree_names_its_record(self, tmp_path, field, value, message):
@@ -1116,7 +1140,7 @@ class TestSerialization:
         path = tmp_path / "forest.npz"
         save_lps_forest(forest, path)
         meta, trees, _ = _load_npz(path, "LPS forest")
-        trees[2][field] = _with_root(trees[2][field], value) if field == "left" else value
+        trees[2][field] = _with_root(trees[2][field], value) if field == "right" else value
         _save_npz(path, meta, trees, {})
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 2: {message}$"):
             load_lps_forest(path)
@@ -1156,11 +1180,23 @@ class TestSerialization:
         with np.load(data / "lps_gram_c7ee263.npz") as expected:
             assert np.array_equal(km.gram, expected["gram"])
             assert np.array_equal(km.cross, expected["cross"])
+        # The archive's left children and leaf slots, which loading drops, are the next
+        # node at each split and the leaves numbered in node order.
+        _, stored, _ = _load_npz(data / "lps_forest_c7ee263.lps.npz", "LPS forest")
+        for r in stored:
+            split = r["feature"] >= 0
+            assert np.array_equal(r["left"], np.where(split, np.arange(split.size) + 1, -1))
+            assert np.array_equal(r["leaf_slot"], np.where(split, -1, np.cumsum(~split) - 1))
         save_lps_forest(forest, tmp_path / "forest.npz")
         with (np.load(data / "lps_forest_c7ee263.lps.npz") as a,
               np.load(tmp_path / "forest.npz") as b):
-            assert len(a.files) == 21 and sorted(a.files) == sorted(b.files)
-            assert json.loads(str(a["__meta__"])) == json.loads(str(b["__meta__"]))
+            dropped = {f"{f}.{part}" for f in ("left", "leaf_slot") for part in ("values", "shape")}
+            assert len(a.files) == 21 and dropped <= set(a.files)
+            assert sorted(b.files) == sorted(set(a.files) - dropped)
+            old, new = json.loads(str(a["__meta__"])), json.loads(str(b["__meta__"]))
+            assert new.pop("fields") == [f for f in old.pop("fields")
+                                         if f not in ("left", "leaf_slot")]
+            assert new == old
 
     def test_archive_without_trees_rejected(self, tmp_path):
         path = tmp_path / "empty.npz"
