@@ -16,6 +16,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -278,21 +279,21 @@ def load_cohort(
 
 
 def write_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort as a long CSV; masked cells produce no row."""
-    ids = cohort.ids()
-    labels = ["NA" if lab is None else str(lab) for lab in cohort.labels()]
-    names = cohort.attribute_names
+    """Write a cohort as a long CSV, quoted as by csv.writer; masked cells produce no row."""
+    ids, names = cohort.ids(), cohort.attribute_names
     if bad := [name for name in (*ids, *names) if not name or name != name.strip()]:
         raise ValueError(f"id or attribute name {bad[0]!r} is empty or has leading or trailing "
                          "whitespace; load_cohort, which strips fields, would not read it back")
-    n, v, t = np.nonzero(cohort.mask)  # C order: patient, then attribute, then day
+    quoted = []  # each (id, label) and (name,) row as csv.writer writes it, less its "\r\n"
+    csv.writer(SimpleNamespace(write=lambda row: quoted.append(row[:-2]))).writerows([
+        *zip(ids, ("NA" if lab is None else lab for lab in cohort.labels())), *zip(names)])
+    prefix, names = quoted[:len(ids)], quoted[len(ids):]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(
-            [ids[i], labels[i], int(d) + 1, names[a], repr(float(x))]
-            for i, a, d, x in zip(n, v, t, cohort.values[n, v, t])
-        )
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for p, head in enumerate(prefix):  # one patient's rows at a time
+            v, t = np.nonzero(cohort.mask[p])  # C order: attribute, then day
+            cells = zip(v.tolist(), t.tolist(), cohort.values[p][v, t].tolist())
+            fh.write("".join(f"{head},{d + 1},{names[a]},{x!r}\n" for a, d, x in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +367,13 @@ def generate_synthetic_cohort(
 # Missingness mechanisms
 
 
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
+def _sigmoid(x, out):
+    """1 / (1 + exp(-x)) into ``out`` from one exp(-|x|) pass, overwriting ``x``."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.negative(np.abs(x, out=out), out=out), out=out)
+    den = np.add(e, 1.0, out=x)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, den, out=e)
 
 
 _CALIBRATION_CELLS = 100_000
@@ -387,10 +388,12 @@ def _calibrate_intercept(scores: np.ndarray, rate: float, rng) -> float:
     s = scores.ravel()
     if s.size > _CALIBRATION_CELLS:
         s = rng.choice(s, size=_CALIBRATION_CELLS, replace=False)
+    x, out = np.empty_like(s), np.empty_like(s)
     lo, hi = -40.0, 40.0
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _sigmoid(mid - s).mean() < rate:
+        if not lo < (mid := 0.5 * (lo + hi)) < hi:  # lo, hi adjacent: no later step moves them
+            break
+        if _sigmoid(np.subtract(mid, s, out=x), out).mean() < rate:
             lo = mid
         else:
             hi = mid
@@ -432,7 +435,7 @@ def apply_missingness(cohort: Cohort, spec: MissingnessSpec) -> Cohort:
                 raise ValueError("MAR requires at least 2 attributes")
             score = (z.sum(axis=1, keepdims=True) - z) / (V - 1)
         a = _calibrate_intercept(score, spec.rate, rng)
-        prob = _sigmoid(a - score)
+        prob = _sigmoid(a - score, np.empty_like(score))
 
     hide = rng.random((N, V, T)) < prob
     return _keep_observed(cohort.ids(), cohort.labels(), X, np.where(hide, 0.0, 1.0),

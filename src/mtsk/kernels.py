@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import reduce
 
 import numpy as np
@@ -305,9 +305,15 @@ def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
     return meta, records, arrays
 
 
-def _records(path, made: list, whole):
-    """``whole(made)``, the model of an archive's records, which checks them all at once.  If
-    that raises a ValueError, it names the archive and the first record failing alone."""
+def _records(path, rows: list[dict], record, whole, old=()):
+    """``whole`` of the ``record``s made from an archive's rows, less the ``old`` fields of older
+    archives; ``whole`` checks all records at once.  An error names the archive, with the field
+    that the rows lack or the record does not know, or with the first record failing alone."""
+    known = [f.name for f in dataclass_fields(record)]
+    if odd := sorted(set(known).symmetric_difference(rows[0]) - set(old)):
+        raise ValueError(f"{path}: the records have {'no' if odd[0] in known else 'an unknown'} "
+                         f"field {odd[0]!r}")
+    made = [record(**{f: row[f] for f in known}) for row in rows]
     try:
         return whole(made)
     except ValueError:

@@ -401,6 +401,5 @@ def load_lps_forest(path) -> LPSForest:
     if "n_attributes" not in meta:
         raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
                          "train and save the forest again")
-    old = ("left", "leaf_slot")  # older archives store these too; both follow from feature
-    trees = [LPSTree(**{k: v for k, v in r.items() if k not in old}) for r in records]
-    return _records(path, trees, lambda trees: LPSForest(trees, **meta))
+    return _records(path, records, LPSTree, lambda trees: LPSForest(trees, **meta),
+                    old=("left", "leaf_slot"))  # both follow from feature

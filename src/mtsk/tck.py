@@ -338,11 +338,11 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
                 spread = S2 + spread_const - np.add.reduceat(new_means * num, batch.gv_starts)
                 new_vars = np.maximum(spread / (Wv + 2.0 * a0), floor)
                 new_weights = counts / n_rows
-            keep = ~stepping
-            for new, old, member in zip((new_weights, new_means, new_vars),
-                                        (weights, means, variances),
-                                        (batch.comp_member, gvt_member, gv_member)):
-                np.copyto(new, old, where=keep[member])
+            if (keep := ~stepping).any():  # when every member steps, no slot is kept
+                for new, old, member in zip((new_weights, new_means, new_vars),
+                                            (weights, means, variances),
+                                            (batch.comp_member, gvt_member, gv_member)):
+                    np.copyto(new, old, where=keep[member])
             weights, means, variances = new_weights, new_means, new_vars
 
     # Score all N rows of each fitted member's view, on the data its EM ran on.
@@ -555,5 +555,5 @@ def load_tck_model(path) -> TCKModel:
     gram = arrays["train_gram"]
     if gram.shape != (meta.get("n_train"),) * 2:
         raise ValueError(f"{path}: train_gram has shape {gram.shape}, not (n_train, n_train)")
-    return _records(path, [TCKMember(**r) for r in records],
+    return _records(path, records, TCKMember,
                     functools.partial(TCKModel, train_gram=gram, **meta))

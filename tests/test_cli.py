@@ -10,7 +10,7 @@ import pytest
 
 import mtsk
 from mtsk.cli import main, parse_run_config
-from mtsk.cohort import load_cohort
+from mtsk.cohort import _CALIBRATION_CELLS, load_cohort
 from mtsk.evaluate import ExperimentConfig, MethodSpec, cell_kernel, full_method_grid
 from mtsk.kernels import load_matrix
 from mtsk.lps import load_lps_forest, lps_gram
@@ -81,6 +81,21 @@ class TestSynth:
         path = tmp_path / "c.csv"
         assert run_cli("synth", "--cases", 7, "--controls", 13, "--attrs", 4, "--days", 9,
                        *flags, "--out", path) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # SHA-256 of the files written at commit c83ed5d.  The cohort has 721 x 11 x 20 cells,
+    # more than _CALIBRATION_CELLS, so the MAR and MNAR intercepts are calibrated on a
+    # seeded subsample of them.
+    @pytest.mark.parametrize("mechanism, digest", [
+        ("mar", "70e5050dada760e224de99942cfca9b76653ba00e3823610c250044e6d78d96e"),
+        ("mnar", "27105fd7219823422249bde38a3cfec52002e8473919497ad339fa824b7aa1ff"),
+    ], ids=["mar", "mnar"])
+    def test_subsampled_calibration_writes_the_bytes_of_commit_c83ed5d(self, tmp_path,
+                                                                        mechanism, digest):
+        assert 721 * 11 * 20 > _CALIBRATION_CELLS
+        path = tmp_path / "c.csv"
+        assert run_cli("synth", "--cases", 183, "--controls", 538, "--attrs", 11, "--days", 20,
+                       "--missing", mechanism, "--rate", 0.3, "--out", path) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

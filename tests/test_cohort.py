@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import logging
+import math
 import pickle
 import re
 import tracemalloc
@@ -9,8 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mtsk import cohort as cohort_module
 from mtsk.cohort import (
@@ -442,6 +444,91 @@ class TestRoundTrip:
         assert np.array_equal(back.values, values)
 
 
+def _oracle_write_cohort(cohort, path):
+    """The oracle: ``write_cohort`` as it was, one ``csv.writer`` row per observed cell."""
+    ids = cohort.ids()
+    labels = ["NA" if lab is None else str(lab) for lab in cohort.labels()]
+    names = cohort.attribute_names
+    if bad := [name for name in (*ids, *names) if not name or name != name.strip()]:
+        raise ValueError(f"id or attribute name {bad[0]!r} is empty or has leading or trailing "
+                         "whitespace; load_cohort, which strips fields, would not read it back")
+    n, v, t = np.nonzero(cohort.mask)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(
+            [ids[i], labels[i], int(d) + 1, names[a], repr(float(x))]
+            for i, a, d, x in zip(n, v, t, cohort.values[n, v, t])
+        )
+
+
+# Names and ids: any text but lone surrogates, which no UTF-8 file holds, with the
+# characters that quoting and stripping act on drawn often.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(' ,"\r\n'),
+                max_size=5)
+_LABEL = st.sampled_from([None, 0, 1, np.int64(1), np.int32(0), np.uint8(1)])
+_VALUE = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 5e-324, -1e-310, 0.1]))
+
+
+@st.composite
+def _any_cohort(draw):
+    """A cohort as ``Cohort`` accepts it: at least two observed cells a sample."""
+    N, V, T = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    assume(V * T >= MIN_OBSERVED_CELLS)
+    # Three cohorts in four wrap every name in "<>", which the writer accepts; in the
+    # fourth a name may be empty or have edge whitespace, which it refuses.
+    name = _TEXT if draw(st.integers(0, 3)) == 0 else _TEXT.map(lambda s: f"<{s}>")
+    ids = draw(st.lists(name, min_size=N, max_size=N, unique=True))
+    names = draw(st.lists(name, min_size=V, max_size=V, unique=True))
+    values = draw(arrays(float, (N, V, T), elements=_VALUE))
+    mask = draw(arrays(bool, (N, V, T), elements=st.booleans()))
+    for row in mask.reshape(N, V * T):
+        row[draw(st.lists(st.integers(0, V * T - 1), min_size=2, max_size=2, unique=True))] = 1
+    return Cohort([MTSample(i, v, m.astype(float), draw(_LABEL))
+                   for i, v, m in zip(ids, values, mask)], names, T)
+
+
+class TestWriterOracle:
+    """``write_cohort`` against the one-row-per-cell writer it replaced, and against
+    ``load_cohort``."""
+
+    @settings(max_examples=200)
+    @given(cohort=_any_cohort())
+    @example(cohort=Cohort([], ["a"], 2))
+    def test_load_of_write_is_the_cohort_in_the_oracles_bytes(self, csv_dir, cohort):
+        path, oracle = csv_dir / "written.csv", csv_dir / "oracle.csv"
+        path.unlink(missing_ok=True)
+        try:
+            write_cohort(cohort, path)
+        except ValueError as exc:  # refused before the file is opened, as the oracle refuses
+            assert not path.exists()
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _oracle_write_cohort(cohort, oracle)
+            return
+        _oracle_write_cohort(cohort, oracle)
+        if path.read_bytes() != oracle.read_bytes():
+            # The oracle's "\n" dialect left a "\r" unquoted unless the field also held a
+            # character that it quotes, and load_cohort refuses that file.
+            assert any("\r" in f and not set(',"\n') & set(f)
+                       for f in (*cohort.ids(), *cohort.attribute_names))
+            with pytest.raises(CohortFormatError, match=r"^line \d+: expected 5 fields"):
+                load_cohort(oracle, cohort.window_length, cohort.attribute_names)
+        # Every sample of a cohort has MIN_OBSERVED_CELLS, so load_cohort drops none; the
+        # window and the attribute order are given, since it would infer them otherwise.
+        back = load_cohort(path, cohort.window_length, cohort.attribute_names)
+        assert (back.ids(), back.attribute_names) == (cohort.ids(), cohort.attribute_names)
+        assert back.labels() == [None if lab is None else int(lab) for lab in cohort.labels()]
+        assert back.mask.tobytes() == cohort.mask.tobytes()
+        assert back.values.tobytes() == np.where(cohort.mask == 1, cohort.values, 0.0).tobytes()
+
+    def test_held_out_scale_cohort_matches_oracle(self, tmp_path):
+        full = generate_synthetic_cohort(60, 140, 11, 20, 1.5, seed=3)
+        cohort = apply_missingness(full, MissingnessSpec(Missingness.MAR, 0.3, seed=3))
+        write_cohort(cohort, tmp_path / "new.csv")
+        _oracle_write_cohort(cohort, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestSynthetic:
     def test_seeded_determinism(self):
         a = generate_synthetic_cohort(50, 150, 11, 20, 1.5, seed=7)
@@ -529,6 +616,71 @@ class TestMissingness:
         once = apply_missingness(cohort, MissingnessSpec(Missingness.MCAR, 0.3, seed=1))
         with pytest.raises(ValueError, match="fully observed"):
             apply_missingness(once, MissingnessSpec(Missingness.MCAR, 0.3, seed=2))
+
+
+def _oracle_sigmoid(x):
+    """The oracle: ``cohort._sigmoid`` as it was, gathering and scattering each sign's cells."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _oracle_calibrate_intercept(scores, rate, rng):
+    """The oracle: ``cohort._calibrate_intercept`` as it was, all 80 bisection steps through
+    the oracle sigmoid."""
+    s = scores.ravel()
+    if s.size > cohort_module._CALIBRATION_CELLS:
+        s = rng.choice(s, size=cohort_module._CALIBRATION_CELLS, replace=False)
+    lo, hi = -40.0, 40.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _oracle_sigmoid(mid - s).mean() < rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCalibrationOracle:
+    """The logistic and its intercept bisection against the two-branch forms they
+    replaced, with tolerance 0."""
+
+    @given(x=arrays(float, array_shapes(max_dims=3, max_side=9),
+                    elements=st.one_of(st.floats(-50, 50), st.floats())))
+    def test_sigmoid_matches_oracle_bit_for_bit(self, x):
+        want, nan = _oracle_sigmoid(x), np.isnan(x)
+        out = np.empty_like(x)
+        assert cohort_module._sigmoid(x.copy(), out) is out
+        assert np.isnan(out[nan]).all() and np.isnan(want[nan]).all()  # NaN only maps to NaN
+        assert out[~nan].tobytes() == want[~nan].tobytes()
+
+    @given(scores=arrays(float, array_shapes(max_dims=3, max_side=12),
+                         elements=st.one_of(st.floats(-10, 10), st.floats(allow_nan=False))),
+           rate=st.floats(0, 1, exclude_min=True, exclude_max=True))
+    @example(scores=np.array([-1.0, 1.0]), rate=0.5)  # intercept 0: all 80 steps run
+    @example(scores=np.array([0.0, 0.0]), rate=1 - 1e-16)  # intercept beyond 40
+    def test_intercept_matches_oracle(self, scores, rate):
+        got = cohort_module._calibrate_intercept(scores, rate, np.random.default_rng(0))
+        want = _oracle_calibrate_intercept(scores, rate, np.random.default_rng(0))
+        assert type(got) is type(want) and math.copysign(1, got) == math.copysign(1, want)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("mechanism", [Missingness.MAR, Missingness.MNAR])
+    def test_subsampled_intercept_matches_oracle(self, mechanism):
+        # 721 x 11 x 20 cells: the calibration draws _CALIBRATION_CELLS of them.
+        full = generate_synthetic_cohort(183, 538, 11, 20, 1.5, seed=0)
+        assert full.values.size > cohort_module._CALIBRATION_CELLS
+        z = (full.values - full.values.mean(axis=(0, 2))[:, None]) / \
+            full.values.std(axis=(0, 2))[:, None]
+        scores = z if mechanism == Missingness.MNAR else (z.sum(axis=1, keepdims=True) - z) / 10
+        for rate in (0.05, 0.3, 0.9):
+            rngs = np.random.default_rng(1), np.random.default_rng(1)
+            got = cohort_module._calibrate_intercept(scores, rate, rngs[0])
+            assert got == _oracle_calibrate_intercept(scores, rate, rngs[1])
+            assert rngs[0].random() == rngs[1].random()  # the same draws were taken
 
 
 def _oracle_split_ids(cohort, train_fraction, seed, stratify):

@@ -1145,6 +1145,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 2: {message}$"):
             load_lps_forest(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("right"), "no field 'right'"),
+        (lambda t: t.update(extra=np.zeros(2)), "an unknown field 'extra'"),
+    ], ids=["missing-right", "extra"])
+    def test_archive_with_other_fields_rejected(self, tmp_path, edit, message):
+        # These failed with a bare TypeError from LPSTree.
+        forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=3,
+                           seed=22)
+        path = tmp_path / "forest.npz"
+        save_lps_forest(forest, path)
+        meta, trees, _ = _load_npz(path, "LPS forest")
+        for t in trees:
+            edit(t)
+        _save_npz(path, meta, trees, {})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the records have "
+                                             f"{message}$"):
+            load_lps_forest(path)
+
     def test_valid_archive_builds_its_forest_once(self, tmp_path, monkeypatch):
         forest = lps_train(generate_synthetic_cohort(5, 10, 3, 12, 1.0, seed=21), n_trees=20,
                            seed=22)

@@ -816,6 +816,22 @@ class TestSerialization:
             "weights", "means", "variances",
         ]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(extra=1), "an unknown field 'extra'"),
+        (lambda r: r.pop("means"), "no field 'means'"),
+    ], ids=["extra", "missing-means"])
+    def test_fixture_archive_with_other_fields_rejected(self, tmp_path, edit, message):
+        # These failed with a bare TypeError from TCKMember.
+        fixture = pathlib.Path(__file__).parent / "data" / "tck_model_a1612ab.tck.npz"
+        meta, records, arrays = _load_npz(fixture, "TCK model")
+        for r in records:
+            edit(r)
+        path = tmp_path / "model.npz"
+        _save_npz(path, meta, records, arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the records have "
+                                             f"{message}$"):
+            load_tck_model(path)
+
     def test_valid_archive_builds_its_model_once(self, setup, tmp_path, monkeypatch):
         save_tck_model(setup[3], tmp_path / "model.npz")
         built = []
