@@ -287,7 +287,7 @@ def _load_run_cohort(source: dict):
 
 
 def cmd_run(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

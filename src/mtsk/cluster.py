@@ -121,7 +121,7 @@ def kpca_project(model: KPCAModel, cross: np.ndarray,
 def dump_embedding(path, emb: Embedding, labels, clusters) -> None:
     """Write ``id,label,cluster,e1..ed`` rows; the 2-D prefix is scatter-ready."""
     d = emb.points.shape[1]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label", "cluster"] + [f"e{i + 1}" for i in range(d)])
         for i, sid in enumerate(emb.ids):

@@ -228,7 +228,7 @@ def load_cohort(
     parse is reported before any fault between rows.
     """
     patients, seen, batches = {}, {}, []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)  # None for an empty file, which has no batch below
         if header is not None and [h.strip() for h in header] != CSV_HEADER:
@@ -284,11 +284,13 @@ def write_cohort(cohort: Cohort, path) -> None:
     if bad := [name for name in (*ids, *names) if not name or name != name.strip()]:
         raise ValueError(f"id or attribute name {bad[0]!r} is empty or has leading or trailing "
                          "whitespace; load_cohort, which strips fields, would not read it back")
+    if bad := [n for n in (*ids, *names) if any("\ud800" <= c <= "\udfff" for c in n)]:
+        raise ValueError(f"id or attribute name {bad[0]!r} holds a surrogate and has no UTF-8 form")
     quoted = []  # each (id, label) and (name,) row as csv.writer writes it, less its "\r\n"
     csv.writer(SimpleNamespace(write=lambda row: quoted.append(row[:-2]))).writerows([
         *zip(ids, ("NA" if lab is None else lab for lab in cohort.labels())), *zip(names)])
     prefix, names = quoted[:len(ids)], quoted[len(ids):]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for p, head in enumerate(prefix):  # one patient's rows at a time
             v, t = np.nonzero(cohort.mask[p])  # C order: attribute, then day

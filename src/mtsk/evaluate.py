@@ -436,7 +436,7 @@ def run_experiment(cohort: Cohort, config: ExperimentConfig,
 
 
 def write_rows_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(ROWS_HEADER + "\n")
         for r in report.rows:
             fh.write(
@@ -448,7 +448,7 @@ def write_rows_csv(report: ExperimentReport, path) -> None:
 def read_rows_csv(path) -> list[MetricRow]:
     """The metric rows of a file written by ``write_rows_csv``."""
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         if fh.readline().strip() != ROWS_HEADER:
             raise ValueError(f"{path}: unrecognized rows header")
         for lineno, line in enumerate(fh, start=2):
@@ -473,7 +473,7 @@ def aggregate_csv(report: ExperimentReport) -> str:
 
 
 def write_aggregate_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(aggregate_csv(report))
 
 
@@ -483,7 +483,7 @@ def write_report_json(report: ExperimentReport, path) -> None:
         "aggregates": [vars(a) for a in report.aggregates()],
         "errors": [vars(e) for e in report.errors],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -231,8 +231,10 @@ def save_matrix(path, tag: str, matrix: np.ndarray) -> None:
     """Write a dense matrix as CSV rows under a one-line ``tag,N,M`` header."""
     if not set(tag).isdisjoint(",\r\n"):  # load_matrix could not split the header back
         raise ValueError(f"matrix tag {tag!r} must not hold a comma or a line break")
+    if tag != tag.lstrip() or any("\ud800" <= c <= "\udfff" for c in tag):  # load strips; no UTF-8
+        raise ValueError(f"matrix tag {tag!r} must not start with whitespace or hold a surrogate")
     arr = np.asarray(matrix, dtype=float)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{tag},{arr.shape[0]},{arr.shape[1]}\n")
         for row in arr:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
@@ -240,7 +242,7 @@ def save_matrix(path, tag: str, matrix: np.ndarray) -> None:
 
 def load_matrix(path) -> tuple[str, np.ndarray]:
     """Read a ``save_matrix`` file whose body must hold the N rows of M values its header names."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if len(header) != 3 or not (header[1].isdecimal() and header[2].isdecimal()):
             raise ValueError(f"{path}, line 1: expected a tag,N,M header with counts N, M >= 0, "
@@ -262,17 +264,17 @@ def load_matrix(path) -> tuple[str, np.ndarray]:
     return tag, np.array(rows, dtype=float).reshape(n, m)
 
 
-# Model archives (TCK models, LPS forests), format version 2: a JSON header,
-# plain named arrays, and records (members, trees) stored field by field.  A
-# field's values over all records lie end to end in "<field>.values", and each
-# record's shape is one row of "<field>.shape".
+# Model archives (TCK models, LPS forests), format version 2: a JSON header and
+# records (members, trees) stored field by field.  A field's values over all
+# records lie end to end in "<field>.values", and each record's shape is one row
+# of "<field>.shape".  Any other entry, as an older archive's, is not read.
 _FORMAT_VERSION = 2
 
 
-def _save_npz(path, meta: dict, records: list[dict], arrays: dict) -> None:
+def _save_npz(path, meta: dict, records: list[dict]) -> None:
     """Write one archive.  Records share their keys; a field keeps its ndim across records."""
     fields = list(records[0]) if records else []
-    out = dict(arrays)
+    out = {}
     for f in fields:
         column = [np.asarray(r[f]) for r in records]
         out[f"{f}.values"] = np.concatenate([c.ravel() for c in column])
@@ -281,8 +283,8 @@ def _save_npz(path, meta: dict, records: list[dict], arrays: dict) -> None:
     np.savez_compressed(path, __meta__=json.dumps(header, sort_keys=True), **out)
 
 
-def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
-    """Header, records and plain arrays of an archive; 0-d fields come back as Python scalars."""
+def _load_npz(path, what: str) -> tuple[dict, list[dict]]:
+    """Header and records of an archive; 0-d fields come back as Python scalars."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"]))
         version = meta.pop("version")
@@ -297,12 +299,10 @@ def _load_npz(path, what: str) -> tuple[dict, list[dict], dict]:
             else:
                 ends = np.cumsum(np.prod(shapes, axis=1))[:-1]
                 columns.append([p.reshape(s) for p, s in zip(np.split(flat, ends), shapes)])
-        stored = {"__meta__", *(f"{f}.{part}" for f in fields for part in ("values", "shape"))}
-        arrays = {k: data[k] for k in data.files if k not in stored}
     records = [dict(zip(fields, values)) for values in zip(*columns)]
     if not records:
         raise ValueError(f"{what} {path} is empty")
-    return meta, records, arrays
+    return meta, records
 
 
 def _records(path, rows: list[dict], record, whole, old=()):

@@ -393,11 +393,11 @@ def lps_gram(
 
 def save_lps_forest(forest: LPSForest, path) -> None:
     _save_npz(path, {"n_attributes": forest.n_attributes, "window_length": forest.window_length},
-              [vars(t) for t in forest.trees], {})
+              [vars(t) for t in forest.trees])
 
 
 def load_lps_forest(path) -> LPSForest:
-    meta, records, _ = _load_npz(path, "LPS forest")
+    meta, records = _load_npz(path, "LPS forest")
     if "n_attributes" not in meta:
         raise ValueError(f"LPS forest {path} has no n_attributes entry in __meta__; "
                          "train and save the forest again")

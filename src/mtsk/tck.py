@@ -32,7 +32,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -397,7 +397,7 @@ class TCKModel:
     n_train: int
     n_attributes: int
     window_length: int
-    train_gram: np.ndarray
+    train_gram: np.ndarray = field(init=False)  # the mean cosine Gram of the members' posteriors
 
     def __post_init__(self):  # each member must fit itself and the model; NaN fails each check
         N, V, T = self.n_train, self.n_attributes, self.window_length
@@ -419,6 +419,14 @@ class TCKModel:
                 raise ValueError(f"attributes {attrs} must be distinct and lie in [0, {V})")
             if not 0 <= s <= T - m.segment_length:
                 raise ValueError(f"segment days [{s}, {s + m.segment_length}) must lie in [0, {T})")
+        K = np.zeros((N, N))
+        for m in self.members:
+            unit = _unit_rows(m.train_posteriors)
+            K += unit @ unit.T
+        K /= len(self.members)
+        np.clip(K, 0.0, 1.0, out=K)
+        np.fill_diagonal(K, 1.0)
+        self.train_gram = KernelMatrix(K, "tck").gram
 
 
 def default_max_components(n_train: int) -> int:
@@ -459,11 +467,11 @@ def tck_train(
     subset from a generator keyed on (seed, q1, q2, attempt), fits the
     mixture on the subset, and evaluates posteriors for all training
     samples.  The members of one q1 are fitted in one lockstep batch.  The
-    Gram accumulates cosine similarities of those posterior vectors in
-    (q1, q2) order and is divided by the member count, so the diagonal is
-    exactly one.  A member whose fit fails is refitted in a follow-up batch
-    with the next attempt's draws, twice at most, then skipped (the divisor
-    shrinks accordingly).  Each warning names its member.
+    model derives the Gram from them: the cosine similarities of their
+    posterior vectors, summed in (q1, q2) order and divided by the member
+    count, with a diagonal of exactly one.  A member whose fit fails is
+    refitted in a follow-up batch with the next attempt's draws, twice at
+    most, then skipped (the divisor shrinks).  Each warning names its member.
     """
     N = len(train)
     if N < 2:
@@ -482,7 +490,6 @@ def tck_train(
     V, T = X.shape[1], X.shape[2]
 
     members: list[TCKMember] = []
-    K = np.zeros((N, N))
     for q1 in range(1, Q + 1):
         fitted, pending = {}, list(range(2, C + 1))
         for attempt in range(3):  # members whose fit fails are refitted with fresh draws
@@ -503,16 +510,11 @@ def tck_train(
             if q2 not in fitted:
                 logger.warning("skipping member (q1=%d, q2=%d) after 3 attempts", q1, q2)
                 continue
-            unit = _unit_rows(fitted[q2].train_posteriors)
-            K += unit @ unit.T
             members.append(fitted[q2])
     if not members:
         raise ValueError("every ensemble member failed to train")
-    K /= len(members)
-    np.clip(K, 0.0, 1.0, out=K)
-    np.fill_diagonal(K, 1.0)
-    km = KernelMatrix(K, "tck")
-    return km, TCKModel(members, Q, C, N, V, T, km.gram)
+    model = TCKModel(members, Q, C, N, V, T)
+    return KernelMatrix(model.train_gram, "tck"), model
 
 
 def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
@@ -547,13 +549,9 @@ def tck_test(model: TCKModel, test: Cohort) -> KernelMatrix:
 
 def save_tck_model(model: TCKModel, path) -> None:
     meta = {k: v for k, v in vars(model).items() if k not in ("members", "train_gram")}
-    _save_npz(path, meta, [vars(m) for m in model.members], {"train_gram": model.train_gram})
+    _save_npz(path, meta, [vars(m) for m in model.members])
 
 
 def load_tck_model(path) -> TCKModel:
-    meta, records, arrays = _load_npz(path, "TCK model")
-    gram = arrays["train_gram"]
-    if gram.shape != (meta.get("n_train"),) * 2:
-        raise ValueError(f"{path}: train_gram has shape {gram.shape}, not (n_train, n_train)")
-    return _records(path, records, TCKMember,
-                    functools.partial(TCKModel, train_gram=gram, **meta))
+    meta, records = _load_npz(path, "TCK model")
+    return _records(path, records, TCKMember, functools.partial(TCKModel, **meta))

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mtsk.cohort import (
     Cohort, Missingness, MissingnessSpec, MTSample, apply_missingness,
@@ -567,6 +568,18 @@ class TestSerialization:
             save_matrix(path, tag, np.eye(2))
         assert not path.exists()
 
+    @pytest.mark.parametrize("tag, message", [
+        (" x", "' x'"), ("\tx", "'\\tx'"), ("\x1cx", "'\\x1cx'"), ("a\ud800", "'a\\ud800'"),
+    ])
+    def test_tag_load_would_change_refused(self, tmp_path, tag, message):
+        # load_matrix strips the header, so a leading space, tab or separator was lost,
+        # and a surrogate failed on encoding after the file was opened.
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=f"^matrix tag {re.escape(message)} must not start "
+                                             "with whitespace or hold a surrogate$"):
+            save_matrix(path, tag, np.eye(2))
+        assert not path.exists()
+
     def test_matrix_bytes_match_per_entry_writer(self, tmp_path):
         arr = np.vstack([[0.0, -0.0, 1e-300, 0.1, 1 / 3, 1e300],
                          np.random.default_rng(6).normal(size=(3, 6))])
@@ -592,3 +605,37 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
             load_matrix(path)
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrices")
+
+
+# Any finite float64, with signed zeros, subnormals and values near the largest drawn often.
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308])
+
+
+class TestMatrixTextRoundTrip:
+    @settings(max_examples=200)
+    @given(tag=st.text(st.characters() | st.sampled_from(" \t\x1c,\r\n\ud800"), max_size=5),
+           matrix=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                  max_side=4), elements=_ENTRY))
+    @example(tag="", matrix=np.zeros((0, 3))).via("a 0 x M matrix")
+    @example(tag="x", matrix=np.zeros((3, 0))).via("an N x 0 matrix")
+    @example(tag=" x", matrix=np.eye(2)).via("a tag that lost its leading whitespace")
+    def test_load_of_save_is_the_matrix_or_save_refuses(self, matrix_dir, tag, matrix):
+        path = matrix_dir / "m.csv"
+        path.unlink(missing_ok=True)
+        try:
+            save_matrix(path, tag, matrix)
+        except ValueError:  # only a tag that could not come back, before the file is opened
+            assert not path.exists()
+            assert (set(tag) & set(",\r\n") or tag != tag.lstrip()
+                    or any("\ud800" <= c <= "\udfff" for c in tag))
+            return
+        back_tag, back = load_matrix(path)
+        assert back_tag == tag
+        assert (back.dtype, back.shape) == (matrix.dtype, matrix.shape)
+        assert back.tobytes() == matrix.tobytes()

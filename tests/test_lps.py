@@ -1049,7 +1049,7 @@ class TestSerialization:
         meta = {"n_attributes": V, "window_length": T}
         _save_npz(old_path, meta, [
             {**vars(t), "left": np.where(t.feature >= 0, np.arange(t.feature.size) + 1, -1),
-             "leaf_slot": _leaf_slots(t)} for t in forest.trees], {})
+             "leaf_slot": _leaf_slots(t)} for t in forest.trees])
         with np.load(old_path) as old:
             assert {"left.values", "leaf_slot.values"} <= set(old.files)
         gram = lps_gram(forest, cohort).gram
@@ -1123,9 +1123,9 @@ class TestSerialization:
         assert forest.trees[0].feature[0] >= 0
         path = tmp_path / "forest.npz"
         save_lps_forest(forest, path)
-        meta, trees, _ = _load_npz(path, "LPS forest")
+        meta, trees = _load_npz(path, "LPS forest")
         trees[0].update({field: change(trees[0]) for field, change in edit.items()})
-        _save_npz(path, meta, trees, {})
+        _save_npz(path, meta, trees)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 0: {message}$"):
             load_lps_forest(path)
 
@@ -1139,9 +1139,9 @@ class TestSerialization:
         assert forest.trees[2].feature[0] >= 0
         path = tmp_path / "forest.npz"
         save_lps_forest(forest, path)
-        meta, trees, _ = _load_npz(path, "LPS forest")
+        meta, trees = _load_npz(path, "LPS forest")
         trees[2][field] = _with_root(trees[2][field], value) if field == "right" else value
-        _save_npz(path, meta, trees, {})
+        _save_npz(path, meta, trees)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, record 2: {message}$"):
             load_lps_forest(path)
 
@@ -1155,10 +1155,10 @@ class TestSerialization:
                            seed=22)
         path = tmp_path / "forest.npz"
         save_lps_forest(forest, path)
-        meta, trees, _ = _load_npz(path, "LPS forest")
+        meta, trees = _load_npz(path, "LPS forest")
         for t in trees:
             edit(t)
-        _save_npz(path, meta, trees, {})
+        _save_npz(path, meta, trees)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the records have "
                                              f"{message}$"):
             load_lps_forest(path)
@@ -1200,7 +1200,7 @@ class TestSerialization:
             assert np.array_equal(km.cross, expected["cross"])
         # The archive's left children and leaf slots, which loading drops, are the next
         # node at each split and the leaves numbered in node order.
-        _, stored, _ = _load_npz(data / "lps_forest_c7ee263.lps.npz", "LPS forest")
+        _, stored = _load_npz(data / "lps_forest_c7ee263.lps.npz", "LPS forest")
         for r in stored:
             split = r["feature"] >= 0
             assert np.array_equal(r["left"], np.where(split, np.arange(split.size) + 1, -1))
@@ -1218,6 +1218,6 @@ class TestSerialization:
 
     def test_archive_without_trees_rejected(self, tmp_path):
         path = tmp_path / "empty.npz"
-        _save_npz(path, {"n_attributes": 3, "window_length": 12}, [], {})
+        _save_npz(path, {"n_attributes": 3, "window_length": 12}, [])
         with pytest.raises(ValueError, match=f"^LPS forest {re.escape(str(path))} is empty$"):
             load_lps_forest(path)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -740,7 +740,7 @@ class TestTest:
             **prior._asdict(), weights=fit.weights, means=fit.means, variances=fit.variances,
         )
         unit = post / np.linalg.norm(post, axis=1, keepdims=True)
-        model = TCKModel([member], 1, 2, 12, 3, 6, unit @ unit.T)
+        model = TCKModel([member], 1, 2, 12, 3, 6)
 
         values = np.zeros((3, 6))
         mask = np.zeros((3, 6))
@@ -751,6 +751,11 @@ class TestTest:
         expected = unit @ (w / np.linalg.norm(w))
         assert out.cross[:, 0] == pytest.approx(expected, abs=1e-12)
         assert out.cross.min() >= 0.0 and out.cross.max() <= 1.0
+
+
+@pytest.fixture(scope="module")
+def archive_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("archives")
 
 
 class TestSerialization:
@@ -773,6 +778,8 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_tck_model(model, path)
         assert_same_fields(load_tck_model(path), model)
+        with np.load(path) as archive:  # the header, then values and shapes of 14 fields
+            assert "train_gram" not in archive.files and len(archive.files) == 1 + 2 * 14
 
     def test_version_1_archive_rejected(self, tmp_path):
         path = tmp_path / "v1.npz"
@@ -784,8 +791,7 @@ class TestSerialization:
 
     def test_archive_without_members_rejected(self, tmp_path):
         path = tmp_path / "empty.npz"
-        _save_npz(path, {"Q": 1, "C": 2, "n_train": 2, "n_attributes": 1, "window_length": 3},
-                  [], {"train_gram": np.eye(2)})
+        _save_npz(path, {"Q": 1, "C": 2, "n_train": 2, "n_attributes": 1, "window_length": 3}, [])
         with pytest.raises(ValueError, match=f"^TCK model {re.escape(str(path))} is empty$"):
             load_tck_model(path)
 
@@ -810,11 +816,58 @@ class TestSerialization:
                                    np.load(data / "tck_cross_a1612ab.npy"), rtol=0, atol=1e-12)
         with np.load(data / "tck_model_a1612ab.tck.npz") as archive:
             fields = json.loads(str(archive["__meta__"]))["fields"]
+            stored_gram = archive["train_gram"]
         assert fields == [
             "q1", "q2", "segment_start", "segment_length", "attributes", "train_subset",
             "train_posteriors", "strength", "smoothing_width", "a0", "b0_scale",
             "weights", "means", "variances",
         ]
+        # The Gram derived from the members is the one the archive stores, bit for bit.
+        assert model.train_gram.dtype == stored_gram.dtype
+        assert model.train_gram.tobytes() == stored_gram.tobytes()
+
+    def test_stored_train_gram_is_not_read(self, tmp_path):
+        # An older archive also stores the train Gram; one edited to 0.5 off the diagonal
+        # used to load and reach kPCA, while the cross came from the members.
+        fixture = pathlib.Path(__file__).parent / "data" / "tck_model_a1612ab.tck.npz"
+        with np.load(fixture) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        stored_gram = arrays["train_gram"].copy()
+        arrays["train_gram"] = np.where(np.eye(len(stored_gram)) == 1, 1.0, 0.5)
+        path = tmp_path / "model.npz"
+        np.savez_compressed(path, **arrays)
+        assert load_tck_model(path).train_gram.tobytes() == stored_gram.tobytes()
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_archive_loads_the_model_in_either_layout(self, archive_dir, assert_same_fields,
+                                                      data):
+        # Every field comes back equal in dtype, shape and value, the derived train Gram
+        # among them, and so does the cross.  Older archives also store the train Gram;
+        # loading does not read it, so both layouts give the saved model.
+        N, V, T = (data.draw(st.integers(*bounds)) for bounds in ((6, 12), (2, 3), (6, 8)))
+        n_cases, seed = data.draw(st.integers(1, N - 1)), data.draw(st.integers(0, 2 ** 16))
+        spec = MissingnessSpec(data.draw(st.sampled_from(list(Missingness))),
+                               data.draw(st.sampled_from([0.1, 0.3, 0.5])), seed=seed + 1)
+        cohort = apply_missingness(
+            generate_synthetic_cohort(n_cases, N - n_cases, V, T, 1.5, seed=seed), spec)
+        assume(len(cohort) >= 2 and (cohort.mask == 0).any())
+        Q, C = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 3))
+        try:
+            _, model = tck_train(cohort, Q=Q, C=C, seed=seed)
+        except ValueError as exc:
+            assume(str(exc) != "every ensemble member failed to train")
+            raise
+        path, old_path = archive_dir / "model.npz", archive_dir / "old.npz"
+        save_tck_model(model, path)
+        with np.load(path) as new:
+            np.savez_compressed(old_path, **{k: new[k] for k in new.files},
+                                train_gram=model.train_gram)
+        cross = tck_test(model, cohort).cross
+        for loaded in (load_tck_model(path), load_tck_model(old_path)):
+            assert_same_fields(loaded, model)
+            assert loaded.train_gram.tobytes() == model.train_gram.tobytes()
+            assert tck_test(loaded, cohort).cross.tobytes() == cross.tobytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(extra=1), "an unknown field 'extra'"),
@@ -823,11 +876,11 @@ class TestSerialization:
     def test_fixture_archive_with_other_fields_rejected(self, tmp_path, edit, message):
         # These failed with a bare TypeError from TCKMember.
         fixture = pathlib.Path(__file__).parent / "data" / "tck_model_a1612ab.tck.npz"
-        meta, records, arrays = _load_npz(fixture, "TCK model")
+        meta, records = _load_npz(fixture, "TCK model")
         for r in records:
             edit(r)
         path = tmp_path / "model.npz"
-        _save_npz(path, meta, records, arrays)
+        _save_npz(path, meta, records)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the records have "
                                              f"{message}$"):
             load_tck_model(path)
@@ -876,10 +929,8 @@ class TestSerialization:
          r", record 0: attributes \[[\d, ]*\] must be distinct and lie in \[0, 4\)"),
         ("record", "segment_start", lambda start: start + 12,
          r", record 0: segment days \[\d+, \d+\) must lie in \[0, 12\)"),
-        ("arrays", "train_gram", lambda g: g[:-1, :-1],
-         r": train_gram has shape \(29, 29\), not \(n_train, n_train\)"),
         ("meta", "n_train", lambda n: 25,
-         r": train_gram has shape \(30, 30\), not \(n_train, n_train\)"),
+         r", record 0: train_posteriors has shape \(30, 2\), not \(25, 2\)"),
         # Fields of the wrong type.  A 0-d attributes failed with a bare TypeError, and a
         # float segment or attributes loaded, then made tck_test fail.  A field is stored
         # as one array over all members, so "records" edits every member.
@@ -898,18 +949,17 @@ class TestSerialization:
          r", record 0: train_subset must be a 1-d integer array, got int64 of shape \(\d+, 1\)"),
         ("records", "a0", str, r", record 0: a0 must be a real number, got <U\d+"),
     ], ids=["weights", "means", "variances", "train_posteriors", "attribute_range",
-            "attribute_repeat", "segment", "train_gram", "n_train", "0-d-attributes",
+            "attribute_repeat", "segment", "n_train", "0-d-attributes",
             "float-attributes", "float-segment-start", "float-segment-length", "float-q2",
             "float-smoothing-width", "2-d-train-subset", "str-a0"])
     def test_archive_that_does_not_fit_its_model_rejected(self, setup, tmp_path, part, field,
                                                            tamper, message):
         path = tmp_path / "model.npz"
         save_tck_model(setup[3], path)
-        meta, records, arrays = _load_npz(path, "TCK model")
-        for edited in {"meta": [meta], "record": records[:1], "records": records,
-                       "arrays": [arrays]}[part]:
+        meta, records = _load_npz(path, "TCK model")
+        for edited in {"meta": [meta], "record": records[:1], "records": records}[part]:
             edited[field] = tamper(edited[field])
-        _save_npz(path, meta, records, arrays)
+        _save_npz(path, meta, records)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}$"):
             load_tck_model(path)
 
