@@ -293,21 +293,15 @@ def cmd_run(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {args.config} is not valid JSON: {exc}") from None
     source, output_dir, config = parse_run_config(doc, os.path.dirname(args.config))
-    if args.workers < 1:  # before the cohort is built and before output_dir exists
-        raise ValueError(f"n_workers must be >= 1, got {args.workers}")
     cohort = _load_run_cohort(source)
-    if max(config.windows) > cohort.window_length:
-        raise ConfigError([f"windows: {max(config.windows)} exceeds the cohort's "
-                           f"{cohort.window_length} days"])
-
+    tasks = evaluate.sweep_tasks(cohort, config, args.workers)  # what run_experiment checks
     methods = config.effective_methods()
-    n_cells = config.runs * len(config.windows) * len(methods)
     if args.dry_run:  # every check of a run is made; nothing is written
         print(f"cohort: {source.get('path', 'synthetic')}")
         print(f"methods ({len(methods)}): " + ", ".join(m.label for m in methods))
         print(f"windows ({len(config.windows)}): " + ", ".join(map(str, config.windows)))
         print(f"runs: {config.runs}")
-        print(f"planned cells: {n_cells}")
+        print(f"planned cells: {len(tasks)}")
         return EXIT_OK
 
     os.makedirs(output_dir, exist_ok=True)
@@ -316,7 +310,7 @@ def cmd_run(args) -> int:
     evaluate.write_aggregate_csv(report, os.path.join(output_dir, "report_aggregate.csv"))
     evaluate.write_report_json(report, os.path.join(output_dir, "report.json"))
     evaluate.write_embedding_dumps(report, output_dir)
-    print(f"wrote report for {n_cells} cells to {output_dir}")
+    print(f"wrote report for {len(tasks)} cells to {output_dir}")
     if report.errors:
         print(f"{len(report.errors)} cell(s) failed:", *(
             f"  - {e.method}/{e.imputation} window={e.window} run={e.run}: {e.error}"

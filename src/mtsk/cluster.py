@@ -120,6 +120,8 @@ def kpca_project(model: KPCAModel, cross: np.ndarray,
 
 def dump_embedding(path, emb: Embedding, labels, clusters) -> None:
     """Write ``id,label,cluster,e1..ed`` rows; the 2-D prefix is scatter-ready."""
+    if bad := [i for i in emb.ids if any("\ud800" <= c <= "\udfff" for c in i)]:
+        raise ValueError(f"id {bad[0]!r} holds a surrogate and has no UTF-8 form")
     d = emb.points.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

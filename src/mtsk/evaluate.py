@@ -9,7 +9,6 @@ Optional baselines reuse each cell's embedding with true labels
 from __future__ import annotations
 
 import json
-import logging
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,8 +23,6 @@ from .impute import ALL_SCHEMES, fit_imputer, impute, parse_scheme
 from .kernels import fit_gak_params, gram_matrix, linear_gram
 from .lps import lps_gram, lps_train
 from .tck import tck_test, tck_train
-
-logger = logging.getLogger(__name__)
 
 KERNEL_CHOICES = ("tck", "lps", "gak", "linear", "manual")
 IMPUTING_KERNELS = ("gak", "linear", "manual")
@@ -283,11 +280,6 @@ def _seed_from(*parts) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
-def _require_labels(cohort: Cohort) -> None:
-    if any(lab is None for lab in cohort.labels()):
-        raise ValueError("every sample needs a binary label for evaluation")
-
-
 def cell_kernel(method: MethodSpec, tr: Cohort, te: Cohort | None, config, seed: int):
     """``(KernelMatrix, fitted)`` of the method on ``tr``, with the cross to ``te`` if given.
 
@@ -389,25 +381,31 @@ def _run_worker_cell(task):
     return _run_cell_safe(_worker_cohort, task)
 
 
+def sweep_tasks(cohort: Cohort, config: ExperimentConfig, n_workers: int) -> list[tuple]:
+    """The ``(config, run, window, method)`` cells of a sweep, after every check made before
+    the first: at least one worker, a label on every sample, no window past the cohort."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    if any(lab is None for lab in cohort.labels()):
+        raise ValueError("every sample needs a binary label for evaluation")
+    if max(config.windows) > cohort.window_length:
+        raise ValueError(f"windows: {max(config.windows)} exceeds the cohort's "
+                         f"{cohort.window_length} days")
+    methods = config.effective_methods()
+    return [(config, run, window, method) for run in range(config.runs)
+            for window in config.windows for method in methods]
+
+
 def run_experiment(cohort: Cohort, config: ExperimentConfig,
                    n_workers: int = 1) -> ExperimentReport:
     """Run the full (run x window x method) grid and collect metric rows.
 
     Cells are pure functions of their derived seeds, so the grid can be
-    evaluated by any number of workers without changing the report; failed
-    cells are recorded as errors and leave no rows.  Each worker receives
-    the cohort once, when it starts.
+    evaluated by any number of workers without changing the report; a failed
+    cell is one ``CellError`` in ``report.errors`` and leaves no rows.  Each
+    worker receives the cohort once, when it starts.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    _require_labels(cohort)
-    methods = config.effective_methods()
-    tasks = [
-        (config, run, window, method)
-        for run in range(config.runs)
-        for window in config.windows
-        for method in methods
-    ]
+    tasks = sweep_tasks(cohort, config, n_workers)
     n_workers = min(n_workers, len(tasks))  # the pool starts every worker at once
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
@@ -424,10 +422,6 @@ def run_experiment(cohort: Cohort, config: ExperimentConfig,
             report.embedding_dumps[(method.label, window)] = dump
         if err is not None:
             report.errors.append(err)
-            logger.warning(
-                "cell failed: %s/%s window=%d run=%d: %s",
-                err.method, err.imputation, err.window, err.run, err.error,
-            )
     return report
 
 

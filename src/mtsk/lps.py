@@ -81,6 +81,8 @@ class LPSForest:
     window_length: int
 
     def __post_init__(self):  # an archive comes from outside: routing must reach a leaf
+        if not self.trees:
+            raise ValueError("an LPS forest needs at least one tree")
         for t in self.trees:
             n = np.size(t.feature)
             if not n or {np.shape(a) for a in (t.feature, t.threshold, t.right,

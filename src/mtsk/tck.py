@@ -400,6 +400,8 @@ class TCKModel:
     train_gram: np.ndarray = field(init=False)  # the mean cosine Gram of the members' posteriors
 
     def __post_init__(self):  # each member must fit itself and the model; NaN fails each check
+        if not self.members:
+            raise ValueError("a TCK model needs at least one member")
         N, V, T = self.n_train, self.n_attributes, self.window_length
         for m in self.members:
             _require_kind(m, "q1 q2 segment_start segment_length smoothing_width",

@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mtsk
 from mtsk.cli import main, parse_run_config
@@ -365,6 +370,13 @@ class TestRun:
         assert run_cli("run", config) == 1
         assert "cell(s) failed" in capsys.readouterr().err
 
+    def test_failed_cell_is_reported_once(self, tmp_path):
+        config = _run_config(tmp_path, _synth_csv(tmp_path), methods=[{"kernel": "lps"}],
+                             windows=[1, 8], runs=1)
+        result = _env_cli("run", config)  # a child process, so that log lines reach stderr
+        assert result.returncode == 1
+        assert result.stderr.count("lps/none window=1 run=0") == 1
+
     def test_embedding_dump_written(self, tmp_path):
         cohort = _synth_csv(tmp_path)
         config = _run_config(
@@ -536,6 +548,19 @@ _RUN_INPUT_ERRORS = {
 }
 
 
+def _csv_text(labels, n_attributes, n_days, rate, seed):
+    """A cohort CSV in which patient i has ``labels[i]`` and each cell is observed with
+    probability 1 - ``rate``."""
+    rng = np.random.default_rng(seed)
+    rows = [f"p{i},{label},{day},a{v},{rng.normal():.3f}\n"
+            for i, label in enumerate(labels) for v in range(n_attributes)
+            for day in range(1, n_days + 1) if rng.random() >= rate]
+    return "patient_id,label,day,attribute,value\n" + "".join(rows)
+
+
+_NA_LABEL_CSV = _csv_text(["0", "1", "0", "1", "NA", "0"], 1, 4, 0.0, 0)
+
+
 def _error_config(tmp_path, cohort, dumps):
     if "synthetic" not in cohort:
         cohort = {"path": str(_synth_csv(tmp_path)), **cohort}
@@ -595,6 +620,17 @@ class TestInputErrors:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_unlabelled_sample_exits_2_before_any_output(self, tmp_path, capsys, dry_run):
+        (tmp_path / "cohort.csv").write_text(_NA_LABEL_CSV)
+        config = _run_config(tmp_path, tmp_path / "cohort.csv", windows=[4])
+        capsys.readouterr()
+        code = run_cli("run", config, *dry_run)
+        out, err = capsys.readouterr()
+        self._assert_input_error(code, err, "every sample needs a binary label for evaluation")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_environment_errors_reach_only_their_readers(self, tmp_path):
         config = _run_config(tmp_path, "ignored", cohort={"synthetic": {}})
         synth = [*_SYNTH, "--cases", 1, "--attrs", 2, "--out", tmp_path / "x.csv"]
@@ -610,3 +646,75 @@ class TestInputErrors:
                        MTSK_LOG="debug")
         assert out.returncode == 2
         assert "Traceback" in out.stderr and "error: all counts must be positive" in out.stderr
+
+
+_SMALL_METHODS = ({"kernel": "linear", "imputation": "zero"},
+                  {"kernel": "manual", "imputation": "mean"}, {"kernel": "lps"}, {"kernel": "tck"})
+
+
+@st.composite
+def _small_runs(draw):
+    """(cohort object, CSV text or None, windows, methods) of a small run config."""
+    n_days, n_attributes = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        synthetic = {"cases": draw(st.integers(1, 6)), "controls": draw(st.integers(1, 6)),
+                     "attributes": n_attributes, "days": n_days, "seed": draw(st.integers(0, 3))}
+        if draw(st.booleans()):
+            synthetic["missing"] = {"mechanism": draw(st.sampled_from(["mcar", "mar", "mnar"])),
+                                    "rate": draw(st.sampled_from([0.0, 0.3, 1.0]))}
+        cohort, text = {"synthetic": synthetic}, None
+    else:
+        labels = draw(st.lists(st.sampled_from(["0", "1"]), min_size=1, max_size=12))
+        if draw(st.booleans()):
+            labels[draw(st.integers(0, len(labels) - 1))] = "NA"
+        text = _csv_text(labels, n_attributes, n_days, draw(st.sampled_from([0.0, 0.3, 0.8])),
+                         draw(st.integers(0, 3)))
+        cohort = {"path": "cohort.csv"}
+        if draw(st.booleans()):
+            cohort["window_length"] = draw(st.integers(1, 10))
+    windows = draw(st.lists(st.integers(1, n_days + 2), min_size=1, max_size=3, unique=True))
+    methods = draw(st.lists(st.sampled_from(_SMALL_METHODS), min_size=1, max_size=2,
+                            unique_by=lambda m: m["kernel"]))
+    return cohort, text, windows, methods
+
+
+def _cli_output(*args):
+    """(exit status, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDryRunMatchesRun:
+    """A config that the dry run accepts is not rejected by the run for its input, and one
+    that it rejects, the run rejects with the same error and without writing."""
+
+    @given(case=_small_runs(), workers=st.sampled_from([1, 1, 1, 0]))
+    @example(case=({"path": "cohort.csv"}, _NA_LABEL_CSV, [4], [_SMALL_METHODS[0]]), workers=1)
+    @settings(max_examples=100)
+    def test_run_of_what_the_dry_run_accepts(self, case, workers):
+        cohort, text, windows, methods = case
+        with tempfile.TemporaryDirectory() as tmp:  # a fresh directory for every example
+            if text is not None:
+                with open(os.path.join(tmp, "cohort.csv"), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({"cohort": cohort, "output_dir": "out", "methods": methods,
+                           "windows": windows, "runs": 1, "pipeline": {"kmeans_restarts": 2},
+                           "tck": {"Q": 1, "C": 2}, "lps": {"trees": 2, "max_depth": 2}}, fh)
+            out_dir = os.path.join(tmp, "out")
+            dry = _cli_output("run", config, "--dry-run", "--workers", workers)
+            assert not os.path.exists(out_dir)
+            run = _cli_output("run", config, "--workers", workers)
+            if dry[0] == 0:
+                assert run[0] in (0, 1)
+                assert {"report.json", "report_rows.csv", "report_aggregate.csv"} <= set(
+                    os.listdir(out_dir))
+                planned = dry[1].splitlines()[-1].removeprefix("planned cells: ")
+                assert run[1].startswith(f"wrote report for {planned} cells to ")
+            else:
+                assert dry[0] == 2 and dry[1] == "" and dry[2].startswith("error: ")
+                assert run == dry
+                assert not os.path.exists(out_dir)

@@ -4,7 +4,9 @@ import pytest
 from mtsk.cluster import (
     KMEANS_MAX_ITER,
     ClusterAssignment,
+    Embedding,
     _nearest,
+    dump_embedding,
     kmeans,
     knn_assign,
     kpca_fit,
@@ -391,3 +393,12 @@ class TestManualFeatures:
         with pytest.raises(ValueError, match="^manual kernel requires complete inputs; "
                                              "impute sample 'p' first$"):
             manual_features(cohort)
+
+
+class TestDumpEmbedding:
+    def test_surrogate_id_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "embedding.csv"
+        with pytest.raises(ValueError, match=r"^id 'b\\ud800' holds a surrogate and has no "
+                                             "UTF-8 form$"):
+            dump_embedding(path, Embedding(np.zeros((2, 2)), ["a", "b\ud800"]), [0, 1], [0, 1])
+        assert not path.exists()

@@ -136,6 +136,12 @@ class TestLoad:
         with pytest.raises(CohortFormatError, match=r"line 2: day -3 outside"):
             load_cohort(path)
 
+    def test_day_past_int64_reported_exactly(self, tmp_path):
+        path = _write(tmp_path, HEADER + "p1,1,3,CRP,1\np1,1,99999999999999999999,CRP,2\n")
+        with pytest.raises(CohortFormatError) as err:
+            load_cohort(path, window_length=5)
+        assert str(err.value) == "line 3: day 99999999999999999999 outside [1, 5]"
+
     def test_inconsistent_label_rejected(self, tmp_path):
         path = _write(tmp_path, HEADER + "p1,1,3,CRP,40.0\np1,0,4,CRP,1.0\n")
         with pytest.raises(CohortFormatError, match="inconsistent label"):

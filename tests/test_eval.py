@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtsk.cohort import MTSample, generate_synthetic_cohort, train_test_split, Cohort, Missingness, MissingnessSpec, apply_missingness
+from mtsk.cohort import MTSample, generate_synthetic_cohort, train_test_split, Cohort, Missingness, MissingnessSpec, apply_missingness, load_cohort
 from mtsk import evaluate
 from mtsk.evaluate import (
     Confusion,
@@ -195,6 +195,21 @@ class TestRunExperiment:
         config = ExperimentConfig(methods=(MethodSpec("linear", "zero"),), windows=(8,), runs=1)
         with pytest.raises(ValueError, match=f"^n_workers must be >= 1, got {n_workers}$"):
             run_experiment(_small_cohort(), config, n_workers=n_workers)
+
+    def test_window_past_the_cohort_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_run_cell_safe", lambda *task: pytest.fail("a cell ran"))
+        config = ExperimentConfig(methods=(MethodSpec("linear", "zero"),), windows=(8, 21), runs=1)
+        with pytest.raises(ValueError, match=r"^windows: 21 exceeds the cohort's 20 days$"):
+            run_experiment(_small_cohort(), config)
+
+    def test_unlabelled_sample_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        path = tmp_path / "cohort.csv"
+        rows = [f"p{i},{lab},{d},a,{d}\n" for i, lab in enumerate(["0", "1", "NA"]) for d in (1, 2)]
+        path.write_text("patient_id,label,day,attribute,value\n" + "".join(rows))
+        monkeypatch.setattr(evaluate, "_run_cell_safe", lambda *task: pytest.fail("a cell ran"))
+        config = ExperimentConfig(methods=(MethodSpec("linear", "zero"),), windows=(2,), runs=1)
+        with pytest.raises(ValueError, match="^every sample needs a binary label for evaluation$"):
+            run_experiment(load_cohort(path), config)
 
     def test_aggregate_mean_is_arithmetic_mean(self):
         cohort = _small_cohort()

@@ -1221,3 +1221,7 @@ class TestSerialization:
         _save_npz(path, {"n_attributes": 3, "window_length": 12}, [])
         with pytest.raises(ValueError, match=f"^LPS forest {re.escape(str(path))} is empty$"):
             load_lps_forest(path)
+
+    def test_forest_without_trees_refused(self):
+        with pytest.raises(ValueError, match="^an LPS forest needs at least one tree$"):
+            LPSForest([], 3, 12)

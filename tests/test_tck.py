@@ -795,6 +795,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^TCK model {re.escape(str(path))} is empty$"):
             load_tck_model(path)
 
+    def test_model_without_members_refused(self):
+        with pytest.raises(ValueError, match="^a TCK model needs at least one member$"):
+            TCKModel([], 1, 2, 5, 2, 4)
+
     def test_archive_from_commit_a1612ab_loads_and_scores_the_same(self):
         """The fixture pair was written at commit a1612ab, whose members nested their
         prior and mixture in separate records, by:
