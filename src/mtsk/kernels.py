@@ -147,9 +147,8 @@ def _gak_logs(x: np.ndarray, params: GAKParams) -> np.ndarray:
     band of cells less than ``triangular`` steps off the diagonal.  A cell adds
     its local similarity, read from one (K, K) frame product, to
     m + log(sum exp(p - m)) over its in-band predecessors p (up, left, diag, in
-    that order; m their maximum).  A cell with one predecessor copies it, and one
-    whose predecessors are all -inf stays -inf.  Log-domain throughout, so no
-    underflow for long windows.
+    that order; m their maximum).  A cell whose predecessors are all -inf stays
+    -inf.  Log-domain throughout, so no underflow for long windows.
     """
     frames = np.moveaxis(x, 2, 0)  # frame-major: (T, K, V)
     sq = np.sum(frames * frames, axis=2)
@@ -157,20 +156,14 @@ def _gak_logs(x: np.ndarray, params: GAKParams) -> np.ndarray:
     rows, cols = np.triu_indices(len(x))
     flat = rows * len(x) + cols
     prev = {0: np.zeros(rows.size)}  # the last row's band cells, by column
-    sq_cols = {}  # squared norms of the band's columns, gathered once each
     for i in range(1, T + 1):
-        cur, band = {}, range(max(1, i - tri + 1), min(T, i + tri - 1) + 1)
-        sq_row = sq[i - 1][rows]
-        sq_cols = {j: sq_cols[j] if j in sq_cols else sq[j - 1][cols] for j in band}
-        for j in band:
+        cur, sq_row = {}, sq[i - 1][rows]
+        for j in range(max(1, i - tri + 1), min(T, i + tri - 1) + 1):
             dot = (frames[i - 1] @ frames[j - 1].T).take(flat)
-            d2 = np.maximum(sq_row + sq_cols[j] - 2.0 * dot, 0.0)
+            d2 = np.maximum(sq_row + sq[j - 1][cols] - 2.0 * dot, 0.0)
             logk = -d2 / (2.0 * params.sigma * params.sigma)
             local = logk - np.log1p(-np.expm1(logk)) + math.log(1.0 - abs(i - j) / tri)
             terms = [t for t in (prev.get(j), cur.get(j - 1), prev.get(j - 1)) if t is not None]
-            if len(terms) == 1:
-                cur[j] = terms[0] + local
-                continue
             # Floored at the least finite float: all -inf predecessors give log(0) = -inf.
             m = np.maximum(reduce(np.maximum, terms), np.finfo(float).min)
             s = reduce(np.add, [np.exp(t - m) for t in terms])

@@ -49,14 +49,11 @@ EM_TOL = 1e-6  # relative objective gain below which EM stops
 SCORE_BATCH_CELLS = 1 << 18  # data-row cells (doubles) that tck_test scores in one batch
 
 
-@functools.lru_cache(maxsize=None)
 def _smoothing_window(T: int, width: int) -> np.ndarray:
     """Gaussian weights (T, T) over day offsets, each column normalized to sum 1."""
     offsets = np.arange(T)
     w = np.exp(-((offsets[:, None] - offsets[None, :]) ** 2) / (2.0 * width * width))
-    w /= w.sum(axis=0)[None, :]
-    w.flags.writeable = False  # shared by every caller of the cache
-    return w
+    return w / w.sum(axis=0)[None, :]
 
 
 def _flat_data(X: np.ndarray, R: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -93,9 +90,7 @@ class _Batch:
     attribute, day) cells are numbered across the batch (``comp``, ``gv`` and ``gvt``).
     """
 
-    def __init__(self, F: list[np.ndarray], G, V, T, like: _Batch | None = None):
-        """``like``, a batch of the same mixtures over other rows, lends its index arrays,
-        which depend on the mixture shapes alone."""
+    def __init__(self, F: list[np.ndarray], G, V, T):
         self.F = F
         self.B = B = len(F)
         n = np.array([len(f) for f in F])
@@ -110,9 +105,6 @@ class _Batch:
                        self.post[:G[m], self.rows[m]:self.rows[m + 1]]) for m in range(B)]
         members = np.arange(B)
         self.row_member = np.repeat(members, n)
-        if like is not None:
-            vars(self).update({k: v for k, v in vars(like).items() if k not in vars(self)})
-            return
         self.comp = _offsets(G)          # member m owns components comp[m]:comp[m + 1]
         self.gv, self.gvt = _offsets(G * V), _offsets(G * VT)
         cm = self.comp_member = np.repeat(members, G)
@@ -338,16 +330,15 @@ def _fit_lockstep(X: np.ndarray, R: np.ndarray, draws: list[dict], rngs: list,
                 spread = S2 + spread_const - np.add.reduceat(new_means * num, batch.gv_starts)
                 new_vars = np.maximum(spread / (Wv + 2.0 * a0), floor)
                 new_weights = counts / n_rows
-            if (keep := ~stepping).any():  # when every member steps, no slot is kept
-                for new, old, member in zip((new_weights, new_means, new_vars),
-                                            (weights, means, variances),
-                                            (batch.comp_member, gvt_member, gv_member)):
-                    np.copyto(new, old, where=keep[member])
+            for new, old, member in zip((new_weights, new_means, new_vars),
+                                        (weights, means, variances),
+                                        (batch.comp_member, gvt_member, gv_member)):
+                np.copyto(new, old, where=~stepping[member])
             weights, means, variances = new_weights, new_means, new_vars
 
     # Score all N rows of each fitted member's view, on the data its EM ran on.
     fitted = np.array([m not in failures for m in range(B)])
-    scoring = _Batch(list(F), G, V, T, like=batch)
+    scoring = _Batch(list(F), G, V, T)
     scoring.log_likelihoods(weights, means, np.log(variances), 1.0 / variances, fitted)
     scoring.posteriors(fitted, labels)
     results = []

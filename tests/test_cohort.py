@@ -514,6 +514,8 @@ class TestWriterOracle:
     @settings(max_examples=200)
     @given(cohort=_any_cohort())
     @example(cohort=Cohort([], ["a"], 2))
+    @example(cohort=Cohort([MTSample("p", np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]),
+                                     None)], ["a", "\ud800"], 2))
     def test_load_of_write_is_the_cohort_in_the_oracles_bytes(self, csv_dir, cohort):
         path, oracle = csv_dir / "written.csv", csv_dir / "oracle.csv"
         path.unlink(missing_ok=True)
@@ -521,8 +523,16 @@ class TestWriterOracle:
             write_cohort(cohort, path)
         except ValueError as exc:  # refused before the file is opened
             assert not path.exists()
-            if "holds a surrogate" in str(exc):  # the oracle fails on it inside its file
-                with pytest.raises(UnicodeEncodeError):
+            if "holds a surrogate" in str(exc):
+                # The oracle fails inside its file only on a row that carries the surrogate:
+                # every id has rows, but a name has rows only where it has an observed cell.
+                observed = cohort.mask.any(axis=(0, 2)).tolist()
+                written = [*cohort.ids(), *(n for n, o in zip(cohort.attribute_names, observed)
+                                            if o)]
+                if any("\ud800" <= c <= "\udfff" for f in written for c in f):
+                    with pytest.raises(UnicodeEncodeError):
+                        _oracle_write_cohort(cohort, oracle)
+                else:
                     _oracle_write_cohort(cohort, oracle)
             else:  # as the oracle refuses
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):

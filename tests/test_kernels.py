@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -151,6 +152,40 @@ def _oracle_rect_gak_logs(a, b, params):
             cur[j] = np.logaddexp(np.logaddexp(prev[j], cur[j - 1]), prev[j - 1]) + local
         prev = cur
     return prev[t2]
+
+
+def _oracle_tuned_gak_logs(x, params):
+    """``_gak_logs`` as it was, with a cache of the band's column norms and a cell with one
+    predecessor copying it instead of taking its log-sum-exp."""
+    frames = np.moveaxis(x, 2, 0)  # frame-major: (T, K, V)
+    sq = np.sum(frames * frames, axis=2)
+    T, tri = frames.shape[0], params.triangular
+    rows, cols = np.triu_indices(len(x))
+    flat = rows * len(x) + cols
+    prev = {0: np.zeros(rows.size)}  # the last row's band cells, by column
+    sq_cols = {}  # squared norms of the band's columns, gathered once each
+    for i in range(1, T + 1):
+        cur, band = {}, range(max(1, i - tri + 1), min(T, i + tri - 1) + 1)
+        sq_row = sq[i - 1][rows]
+        sq_cols = {j: sq_cols[j] if j in sq_cols else sq[j - 1][cols] for j in band}
+        for j in band:
+            dot = (frames[i - 1] @ frames[j - 1].T).take(flat)
+            d2 = np.maximum(sq_row + sq_cols[j] - 2.0 * dot, 0.0)
+            logk = -d2 / (2.0 * params.sigma * params.sigma)
+            local = logk - np.log1p(-np.expm1(logk)) + math.log(1.0 - abs(i - j) / tri)
+            terms = [t for t in (prev.get(j), cur.get(j - 1), prev.get(j - 1)) if t is not None]
+            if len(terms) == 1:
+                cur[j] = terms[0] + local
+                continue
+            # Floored at the least finite float: all -inf predecessors give log(0) = -inf.
+            m = np.maximum(reduce(np.maximum, terms), np.finfo(float).min)
+            s = reduce(np.add, [np.exp(t - m) for t in terms])
+            with np.errstate(divide="ignore"):
+                cur[j] = m + np.log(s) + local
+        prev = cur
+    logs = np.empty((len(x), len(x)))
+    logs[rows, cols] = logs[cols, rows] = prev[T]
+    return logs
 
 
 def _oracle_three_call_gak(train, params, test=None):
@@ -346,9 +381,9 @@ class TestGAK:
 
     @pytest.mark.parametrize("triangular, T", [(1, 12), (12, 12), (20, 12), (3, 1)])
     def test_edge_of_band_matches_three_call_dp(self, triangular, T):
-        # At triangular 1 every band cell has one predecessor and copies it, so
-        # nothing is summed and the DPs agree bit for bit.  A band as wide as the
-        # window, or a single frame, agrees to the tolerance above.
+        # At triangular 1 every band cell has one predecessor, whose log-sum-exp
+        # m + log(exp(0)) is m itself, so the DPs agree bit for bit.  A band as wide
+        # as the window, or a single frame, agrees to the tolerance above.
         cohort = generate_synthetic_cohort(10, 14, 4, T, 1.0, seed=74)
         train, test = train_test_split(cohort, 0.75, seed=75)
         params = GAKParams(fit_gak_params(train).sigma, triangular)
@@ -379,6 +414,29 @@ class TestGAK:
         oracle_messages = {str(w.message) for w in oracle_raised}
         assert oracle_messages == {"overflow encountered in divide"}
         assert {str(w.message) for w in raised} <= oracle_messages
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_logs_are_the_tuned_dps_bytes(self, data):
+        # Tolerance 0 against the old DP: every cell now takes the log-sum-exp, which
+        # for one predecessor is exact, and every column norm is gathered per cell.
+        # sigma = 1e-160 sends every pair of unequal frames to -inf.
+        K, V, T = (data.draw(st.integers(1, n)) for n in (6, 3, 12))
+        x = data.draw(arrays(float, (K, V, T), elements=st.floats(-1e100, 1e100)))
+        try:  # the heuristic needs two unequal series of two cells or more
+            fitted = fit_gak_params(_cohort(*x)).sigma
+        except ValueError:
+            fitted = 1.0
+        params = GAKParams(data.draw(st.sampled_from([fitted, 1e-160])),
+                           data.draw(st.integers(1, T + 2)))
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            logs = _gak_logs(x, params)
+        with warnings.catch_warnings(record=True) as oracle_raised:
+            warnings.simplefilter("always")
+            want = _oracle_tuned_gak_logs(x, params)
+        assert logs.tobytes() == want.tobytes()
+        assert {str(w.message) for w in raised} <= {str(w.message) for w in oracle_raised}
 
     def test_test_shape_must_match_train(self):
         train = generate_synthetic_cohort(4, 4, 3, 10, 1.0, seed=3)

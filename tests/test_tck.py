@@ -1204,7 +1204,7 @@ class TestBlockPlacement:
             return out
 
         fitting = tck_mod._Batch(flat_data((7, 5, 9)), G, V, T)
-        scoring = tck_mod._Batch(flat_data((11, 4, 6)), G, V, T, like=fitting)
+        scoring = tck_mod._Batch(flat_data((11, 4, 6)), G, V, T)
         for batch in (fitting, scoring):
             batch.block[:] = np.nan  # every cell must be written, as after an M-step
             batch.log_likelihoods(weights, means, log_var, inv_var, np.ones(3, dtype=bool))
